@@ -45,6 +45,7 @@ from .groebner import (
     GREVLEX,
     LEX,
     Ideal,
+    Module,
     MonomialOrder,
     buchberger,
     contraction,

@@ -275,9 +275,15 @@ def _cmd_reduce_on_variety(config, ns):
     f = parse_poly(ns.poly)
     gens = parse_generators(ns.variety)
     if ns.ambient:
-        ambient = tuple(
-            int(chunk) for chunk in ns.ambient.split(",") if chunk.strip()
-        )
+        try:
+            ambient = tuple(
+                int(chunk) for chunk in ns.ambient.split(",") if chunk.strip()
+            )
+        except ValueError:
+            raise InvalidInput(
+                "--ambient %s: expected comma-separated variable indices"
+                % ns.ambient
+            ) from None
     else:
         seen = set(f.support())
         for g in gens:

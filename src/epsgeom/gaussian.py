@@ -107,9 +107,6 @@ class GaussianRational:
         """Squared complex modulus, an exact nonnegative rational."""
         return self.re * self.re + self.im * self.im
 
-    def is_rational(self):
-        return self.im == 0
-
 
 def _raw(re, im):
     # arithmetic results are already exact Fractions; skip re-wrapping

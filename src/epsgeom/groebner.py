@@ -286,10 +286,6 @@ def _vp_divmod(vec, basis, keys, track=True):
     return quots, rem
 
 
-def _basis_view(G, one):
-    return [(vec, lead, one) for vec, lead in G]
-
-
 def _buchberger_pairs(vecs, keys, domain, cofactors=True, syzygies=False):
     """The Buchberger pair loop: an unreduced module Groebner basis.
 
@@ -412,7 +408,7 @@ def _buchberger_pairs(vecs, keys, domain, cofactors=True, syzygies=False):
     return G, U, S
 
 
-def _buchberger_vec(vecs, order, domain, keys=None, cofactors=True):
+def _buchberger_vec(vecs, order, domain, cofactors=True):
     """Reduced module Groebner basis with cofactor rows.
 
     The pair loop of _buchberger_pairs, then a minimal basis with
@@ -423,8 +419,7 @@ def _buchberger_vec(vecs, order, domain, keys=None, cofactors=True):
     itself is identical.
     """
     one = _field_one(domain)
-    if keys is None:
-        keys = _dense_keys(order, (vecs,))
+    keys = _dense_keys(order, (vecs,))
     mkey = keys.module
     G, U, _ = _buchberger_pairs(vecs, keys, domain, cofactors)
 
@@ -488,56 +483,107 @@ def _canonical_rows(rows, order, domain):
     return [vec for vec, _ in G]
 
 
-# --- public ideal API ---------------------------------------------------------
+# --- modules and ideals -------------------------------------------------------
 
 
 def _lub_domain(polys):
     return EXTENDED if any(p.domain == EXTENDED for p in polys) else STANDARD
 
 
-class Ideal:
-    """Finitely generated ideal with a cached reduced Groebner basis."""
+def _embed(vec):
+    return {pm: _to_field(c, EXTENDED) for pm, c in vec.items()}
 
-    def __init__(self, generators, order=GREVLEX):
-        gens = tuple(generators)
-        for g in gens:
-            if not isinstance(g, Poly):
-                raise InvalidInput("ideal generators must be Poly")
-        domain = _lub_domain(gens)
+
+class Module:
+    """Submodule spanned by columns (each a list of Poly), with cached bases.
+
+    The reduced Groebner basis is computed once, its cofactor rows only when
+    member first needs them, and the canonical syzygies once.  Extended
+    targets of a standard module reuse the standard basis and rows by
+    embedding: a reduced Groebner basis stays one under coefficient field
+    extension, and the rows still express it through the columns.
+    """
+
+    def __init__(self, columns, order=GREVLEX):
+        columns = tuple(tuple(col) for col in columns)
+        flat = [f for col in columns for f in col]
+        if not all(isinstance(f, Poly) for f in flat):
+            raise InvalidInput("generators must be Poly")
+        domain = _lub_domain(flat)
         if domain == EXTENDED:
-            gens = tuple(g.to_extended() for g in gens)
-        self.generators = gens
+            columns = tuple(tuple(f.to_extended() for f in col) for col in columns)
+        self.columns = columns
         self.order = order
         self.domain = domain
+        self._vecs = [_vec_from_polys(col, domain) for col in columns]
         self._gb = None
+        self._rows = None
+        self._embedded = None
+        self._syz = None
+
+    def _basis_for(self, domain, cofactors=False):
+        """(G, U) over domain; U is None unless cofactor rows were asked for."""
+        if self._gb is None or (cofactors and self._rows is None):
+            self._gb, rows = _buchberger_vec(
+                self._vecs, self.order, self.domain, cofactors
+            )
+            self._rows = rows if cofactors else None
+            self._embedded = None
+        if domain == self.domain:
+            return self._gb, self._rows
+        if self._embedded is None:
+            self._embedded = (
+                [(_embed(vec), lead) for vec, lead in self._gb],
+                None if self._rows is None else [_embed(r) for r in self._rows],
+            )
+        return self._embedded
+
+    def _reduce(self, target, cofactors):
+        """(domain, quotients, remainder, U) of target against the basis."""
+        domain = EXTENDED if self.domain == EXTENDED else _lub_domain(target)
+        G, U = self._basis_for(domain, cofactors)
+        tvec = _vec_from_polys(target, domain)
+        keys = _dense_keys(self.order, ([tvec], (g for g, _ in G)))
+        one = _field_one(domain)
+        quots, rem = _vp_divmod(
+            tvec, [(vec, lead, one) for vec, lead in G], keys, track=cofactors
+        )
+        return domain, quots, rem, U
+
+    def member(self, target):
+        """None, or cofactors r with target = sum r_i * columns_i."""
+        domain, quots, rem, U = self._reduce(list(target), cofactors=True)
+        if rem:
+            return None
+        row = {}
+        for t, qd in enumerate(quots):
+            for mono, qc in qd.items():
+                _vp_axpy(row, qc, mono, U[t])
+        return _vec_to_polys(row, len(self.columns), domain)
+
+    def syzygies(self):
+        """Canonical syzygy generators of the columns, as tuples of Poly."""
+        if self._syz is None:
+            rows = _syzygy_rows(self._vecs, self.order, self.domain)
+            self._syz = tuple(
+                tuple(_vec_to_polys(row, len(self.columns), self.domain))
+                for row in _canonical_rows(rows, self.order, self.domain)
+            )
+        return self._syz
+
+
+class Ideal(Module):
+    """Finitely generated ideal: the rank-1 Module of its generators."""
+
+    def __init__(self, generators, order=GREVLEX):
+        super().__init__([[g] for g in generators], order)
+        self.generators = tuple(col[0] for col in self.columns)
         self._gb_polys = None
-        self._gb_embedded = None
-
-    def _basis(self):
-        if self._gb is None:
-            vecs = [_vec_from_polys([g], self.domain) for g in self.generators]
-            self._gb = _buchberger_vec(vecs, self.order, self.domain)
-        return self._gb
-
-    def _basis_for(self, domain):
-        G, _ = self._basis()
-        if domain == self.domain or self.domain == EXTENDED:
-            return G
-        # a reduced GB stays one under coefficient field extension
-        if self._gb_embedded is None:
-            self._gb_embedded = [
-                (
-                    {pm: _to_field(c, EXTENDED) for pm, c in vec.items()},
-                    lead,
-                )
-                for vec, lead in G
-            ]
-        return self._gb_embedded
 
     def groebner_basis(self):
         """Reduced basis as Polys, descending leading terms, denominators cleared."""
         if self._gb_polys is None:
-            G, _ = self._basis()
+            G, _ = self._basis_for(self.domain)
             polys = [
                 _vec_to_polys(vec, 1, self.domain)[0] for vec, _ in G
             ]
@@ -547,18 +593,7 @@ class Ideal:
         return list(self._gb_polys)
 
     def normal_form(self, f):
-        domain = EXTENDED if f.domain == EXTENDED else self.domain
-        if f.domain != domain:
-            f = f.to_extended()
-        G = self._basis_for(domain)
-        fvec = _vec_from_polys([f], domain)
-        keys = _dense_keys(self.order, ([fvec], (g for g, _ in G)))
-        _, rem = _vp_divmod(
-            fvec,
-            _basis_view(G, _field_one(domain)),
-            keys,
-            track=False,
-        )
+        domain, _, rem, _ = self._reduce([f], cofactors=False)
         return _vec_to_polys(rem, 1, domain)[0]
 
     def contains(self, f):
@@ -594,28 +629,7 @@ def ideal_member(f, ideal):
 
 def ideal_member_cofactors(f, ideal):
     """None, or cofactors h with f = sum h_i * gen_i."""
-    domain = EXTENDED if f.domain == EXTENDED else ideal.domain
-    if domain != ideal.domain:
-        work = Ideal([g.to_extended() for g in ideal.generators], ideal.order)
-    else:
-        work = ideal
-    if f.domain != domain:
-        f = f.to_extended()
-    G, U = work._basis()
-    fvec = _vec_from_polys([f], domain)
-    keys = _dense_keys(work.order, ([fvec], (g for g, _ in G)))
-    quots, rem = _vp_divmod(
-        fvec,
-        _basis_view(G, _field_one(domain)),
-        keys,
-    )
-    if rem:
-        return None
-    row = {}
-    for t, qd in enumerate(quots):
-        for mono, qc in qd.items():
-            _vp_axpy(row, qc, mono, U[t])
-    return _vec_to_polys(row, len(ideal.generators), domain)
+    return ideal.member([f])
 
 
 def is_proper(ideal):
@@ -692,54 +706,18 @@ class SyzygyBasis:
 
 def syzygy_basis(a, order=GREVLEX):
     """Canonical generating set of the syzygy module of the scalars a."""
-    a = list(a)
-    domain = _lub_domain(a)
-    if domain == EXTENDED:
-        a = [g.to_extended() for g in a]
-    vecs = [_vec_from_polys([g], domain) for g in a]
-    rows = _syzygy_rows(vecs, order, domain)
-    canon = _canonical_rows(rows, order, domain)
-    return SyzygyBasis(
-        coefficients=tuple(a),
-        generators=tuple(
-            tuple(_vec_to_polys(row, len(a), domain)) for row in canon
-        ),
-    )
+    ideal = Ideal(a, order)
+    return SyzygyBasis(ideal.generators, ideal.syzygies())
 
 
 def module_syzygies(columns, order=GREVLEX):
     """Syzygy generators of a list of vectors (each a list of Poly)."""
-    columns = [list(col) for col in columns]
-    domain = _lub_domain([f for col in columns for f in col])
-    vecs = [_vec_from_polys(col, domain) for col in columns]
-    rows = _syzygy_rows(vecs, order, domain)
-    canon = _canonical_rows(rows, order, domain)
-    return [
-        _vec_to_polys(row, len(columns), domain) for row in canon
-    ]
+    return [list(row) for row in Module(columns, order).syzygies()]
 
 
 def module_member(columns, target, order=GREVLEX):
     """None, or cofactors r with target = sum r_i * columns_i."""
-    columns = [list(col) for col in columns]
-    flat = [f for col in columns for f in col] + list(target)
-    domain = _lub_domain(flat)
-    vecs = [_vec_from_polys(col, domain) for col in columns]
-    tvec = _vec_from_polys(list(target), domain)
-    keys = _dense_keys(order, (vecs, [tvec]))
-    G, U = _buchberger_vec(vecs, order, domain, keys)
-    quots, rem = _vp_divmod(
-        tvec,
-        _basis_view(G, _field_one(domain)),
-        keys,
-    )
-    if rem:
-        return None
-    row = {}
-    for t, qd in enumerate(quots):
-        for mono, qc in qd.items():
-            _vp_axpy(row, qc, mono, U[t])
-    return _vec_to_polys(row, len(columns), domain)
+    return Module(columns, order).member(target)
 
 
 def clear_denominators(f, order=GREVLEX):

@@ -66,18 +66,6 @@ class LCNumber:
         raise AttributeError("LCNumber is immutable")
 
     @staticmethod
-    def _accumulate(pairs):
-        acc = {}
-        for q, c in pairs:
-            prev = acc.get(q)
-            s = c if prev is None else prev + c
-            if s:
-                acc[q] = s
-            elif prev is not None:
-                del acc[q]
-        return LCNumber(sorted(acc.items()))
-
-    @staticmethod
     def from_gaussian(c):
         c = c if isinstance(c, GaussianRational) else GaussianRational(c)
         return LCNumber(((Fraction(0), c),)) if c else LC_ZERO

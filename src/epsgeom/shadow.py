@@ -84,12 +84,6 @@ class PointAssignment:
     def support(self):
         return tuple(sorted(self.values))
 
-    def is_standard(self):
-        return all(
-            not x or (x.is_term() and x.valuation() == 0)
-            for x in self.values.values()
-        )
-
 
 def point_shadow(p):
     """Coordinate-wise standard part."""
@@ -241,7 +235,9 @@ def newton_puiseux_lift(f, a, t=TruncationOrder()):
     fn = max_abs_normalize(f)
     sh = poly_shadow(fn)
     if poly_eval(sh, {v: LCNumber.from_gaussian(a)}):
-        raise NotAShadowRoot("z%d = %s is not a root of the shadow" % (v, a))
+        raise NotAShadowRoot(
+            "z%d = %s is not a root of the shadow" % (v, format_gaussian(a))
+        )
 
     acc = LCNumber.from_gaussian(a)
     scale = LC_ONE

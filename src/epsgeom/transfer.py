@@ -7,7 +7,7 @@ systems in terms of standard syzygies.
 """
 
 from .errors import InvalidInput, NotAComplex, NotASolution
-from .groebner import module_member, module_syzygies, syzygy_basis
+from .groebner import Module, module_syzygies, syzygy_basis
 from .parser import format_poly, parse_poly
 from .poly import EXTENDED, STANDARD, Poly
 
@@ -112,10 +112,34 @@ def flatness_witness(a, x):
         raise NotASolution("sum a_i*x_i is not zero")
     beta = syzygy_basis(a)
     target = [xi.to_extended() for xi in x]
-    r = module_member([list(b) for b in beta.generators], target)
+    r = Module(beta.generators).member(target)
     if r is None:
         raise InvalidInput("internal: solution escapes the standard syzygies")
     return r
+
+
+def _kernel_comparison(A):
+    """ker(A) over both domains, each kernel tested against the other's span.
+
+    Returns the kernel_extension_check report and, for each extended kernel
+    vector, its cofactors over the standard kernel (None outside its span).
+    """
+    cols = A.columns()
+    ker_std = module_syzygies(cols)
+    ker_ext = module_syzygies([[e.to_extended() for e in c] for c in cols])
+    std_span, ext_span = Module(ker_std), Module(ker_ext)
+    witnesses = [std_span.member(v) for v in ker_ext]
+    ext_in_std = all(r is not None for r in witnesses)
+    std_in_ext = all(ext_span.member(v) is not None for v in ker_std)
+    report = {
+        "shape": list(A.shape),
+        "standard_kernel": [[format_poly(g) for g in v] for v in ker_std],
+        "extended_kernel": [[format_poly(g) for g in v] for v in ker_ext],
+        "extended_in_standard_span": ext_in_std,
+        "standard_in_extended_span": std_in_ext,
+        "pass": ext_in_std and std_in_ext,
+    }
+    return report, witnesses
 
 
 def kernel_extension_check(A):
@@ -127,32 +151,15 @@ def kernel_extension_check(A):
     """
     if A.domain != STANDARD:
         raise InvalidInput("expected a standard-domain matrix")
-    cols = A.columns()
-    ker_std = module_syzygies(cols)
-    ker_ext = module_syzygies([[e.to_extended() for e in c] for c in cols])
-    ext_in_std = all(
-        module_member(ker_std, v) is not None for v in ker_ext
-    ) if ker_std or not ker_ext else not ker_ext
-    std_in_ext = all(
-        module_member(ker_ext, [g.to_extended() for g in v]) is not None
-        for v in ker_std
-    ) if ker_ext or not ker_std else not ker_std
-    ok = bool(ext_in_std and std_in_ext)
-    return {
-        "shape": list(A.shape),
-        "standard_kernel": [[format_poly(g) for g in v] for v in ker_std],
-        "extended_kernel": [[format_poly(g) for g in v] for v in ker_ext],
-        "extended_in_standard_span": bool(ext_in_std),
-        "standard_in_extended_span": bool(std_in_ext),
-        "pass": ok,
-    }
+    return _kernel_comparison(A)[0]
 
 
 def _exact_over(cols_a, cols_b):
     ker = module_syzygies(cols_b)
-    ker_in_image = all(module_member(cols_a, v) is not None for v in ker)
-    image_in_ker = all(module_member(ker, c) is not None for c in cols_a)
-    return bool(ker_in_image and image_in_ker)
+    image, ker_span = Module(cols_a), Module(ker)
+    return all(image.member(v) is not None for v in ker) and all(
+        ker_span.member(c) is not None for c in cols_a
+    )
 
 
 def exactness_transfer_check(A, B):
@@ -205,23 +212,15 @@ def tensor_iso_check(P):
             "witnesses": [],
             "pass": True,
         }
-    kc = kernel_extension_check(P)
-    ker_std = module_syzygies(P.columns())
-    ker_ext = module_syzygies(
-        [[e.to_extended() for e in c] for c in P.to_extended().columns()]
-    )
-    witnesses = []
-    for v in ker_ext:
-        r = module_member(ker_std, v) if ker_std else ([] if not any(v) else None)
-        witnesses.append(
-            None if r is None else [format_poly(g) for g in r]
-        )
-    ok = bool(kc["pass"] and all(w is not None for w in witnesses))
+    kc, cofactors = _kernel_comparison(P)
+    witnesses = [
+        None if r is None else [format_poly(g) for g in r] for r in cofactors
+    ]
     return {
         "shape": list(P.shape),
         "free": False,
         "surjectivity": "structural",
         "kernel_check": kc,
         "witnesses": witnesses,
-        "pass": ok,
+        "pass": kc["pass"],
     }

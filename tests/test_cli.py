@@ -86,6 +86,18 @@ class TestExitCodes:
         assert code == 1
         assert body["error"]["code"] == "InvalidInput"
 
+    def test_bad_ambient_is_one_error_line(self):
+        argv = ["reduce-on-variety", "--poly", "z1", "--variety", "z1"]
+        code, out = run_command(argv + ["--ambient", "x"])
+        assert code == 1
+        assert len(out.splitlines()) == 1
+        body = json.loads(out)
+        assert body["ok"] is False
+        assert body["error"]["code"] == "InvalidInput"
+        code, body = run(*argv, "--ambient", "1,2")
+        assert code == 0
+        assert body["result"]["all_of_x"] is True
+
 
 class TestMatchesLibrary:
     def test_st(self):

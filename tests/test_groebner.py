@@ -9,12 +9,14 @@ from _oracles import (
     brute_force_syzygies,
     monomials_upto,
 )
+from epsgeom import groebner
 from epsgeom.errors import ReservedVariableInUse
 from epsgeom.gaussian import GaussianRational
 from epsgeom.groebner import (
     GREVLEX,
     LEX,
     Ideal,
+    Module,
     MonomialOrder,
     SyzygyBasis,
     buchberger,
@@ -379,6 +381,86 @@ class TestIdealCache:
         I = Ideal([std("z1 - z2")])
         assert I.contains(std("z1^2 - z2^2"))
         assert I.normal_form(std("z1")) == I.normal_form(std("z2"))
+
+
+@pytest.fixture
+def engine_runs(monkeypatch):
+    """The cofactors flag of every _buchberger_vec run, in call order."""
+    runs = []
+    engine = groebner._buchberger_vec
+
+    def counted(vecs, order, domain, cofactors=True):
+        runs.append(cofactors)
+        return engine(vecs, order, domain, cofactors)
+
+    monkeypatch.setattr(groebner, "_buchberger_vec", counted)
+    return runs
+
+
+class TestModule:
+    def test_member_runs_buchberger_once(self, engine_runs):
+        M = Module([[std("z1"), std("z2")], [std("z2"), std("0")]])
+        targets = [
+            [std("z1*z2"), std("z2^2")],
+            [ext("eps*z2"), ext("0")],
+            [std("1"), std("0")],
+        ]
+        assert M.member(targets[0]) is not None
+        assert M.member(targets[1]) is not None
+        assert M.member(targets[2]) is None
+        assert engine_runs == [True]
+
+    def test_ideal_basis_skips_cofactor_rows(self, engine_runs):
+        I = Ideal([std("z1^2 - z2"), std("z1*z2")])
+        I.groebner_basis()
+        I.normal_form(std("z1^3"))
+        I.normal_form(ext("eps*z1^3"))
+        assert engine_runs == [False]
+
+    @pytest.mark.parametrize("order", [GREVLEX, LEX], ids=lambda o: o.name)
+    def test_extended_target_matches_extended_columns(self, order):
+        rng = random.Random(4011)
+        unit = ext("1 + eps")
+        for _ in range(10):
+            cols = [
+                [random_std_poly(rng), random_std_poly(rng)]
+                for _ in range(rng.randint(1, 3))
+            ]
+            ext_cols = [[f.to_extended() for f in c] for c in cols]
+            mults = [random_std_poly(rng, max_degree=1).to_extended() * unit for _ in cols]
+            inside = [
+                sum((m * c[i] for m, c in zip(mults, ext_cols)), Poly.zero("extended"))
+                for i in range(2)
+            ]
+            outside = [random_std_poly(rng).to_extended() * unit for _ in range(2)]
+            M, M_ext = Module(cols, order), Module(ext_cols, order)
+            assert M.member(inside) is not None
+            for target in (inside, outside):
+                assert M.member(target) == M_ext.member(target)
+
+    @pytest.mark.parametrize("order", [GREVLEX, LEX], ids=lambda o: o.name)
+    def test_extended_cofactors_match_extended_ideal(self, order):
+        rng = random.Random(4012)
+        for _ in range(10):
+            I = random_ideal(rng)
+            I = Ideal(I.generators, order)
+            J = Ideal([g.to_extended() for g in I.generators], order)
+            inside = sum(
+                (random_std_poly(rng, max_degree=1) * g for g in I.generators),
+                Poly.zero("standard"),
+            )
+            for f in (inside, random_std_poly(rng)):
+                f = ext("eps") * f.to_extended()
+                assert ideal_member_cofactors(f, I) == ideal_member_cofactors(f, J)
+                assert I.normal_form(f) == J.normal_form(f)
+
+    def test_empty_module(self):
+        M = Module([])
+        assert M.member([std("0"), std("0")]) == []
+        assert M.member([ext("0")]) == []
+        assert M.member([std("z1"), std("0")]) is None
+        assert M.member([ext("eps")]) is None
+        assert M.syzygies() == ()
 
 
 class TestDenseKeys:

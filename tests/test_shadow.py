@@ -137,7 +137,7 @@ class TestNewtonPuiseuxLift:
         assert residual.valuation() > 16
 
     def test_not_a_shadow_root(self):
-        with pytest.raises(NotAShadowRoot):
+        with pytest.raises(NotAShadowRoot, match=r"^z1 = 2 is not a root of the shadow$"):
             newton_puiseux_lift(P("z1^2 - 1").to_extended(), 2)
 
     def test_random_factored_instances(self):
