@@ -11,7 +11,6 @@ reduced bases are sorted by descending leading term.
 
 from __future__ import annotations
 
-import functools
 import heapq
 from dataclasses import dataclass
 
@@ -24,9 +23,9 @@ from .poly import (
     STANDARD,
     Monomial,
     Poly,
-    cmp_elimination,
-    cmp_grevlex,
-    cmp_lex,
+    elimination_key,
+    grevlex_key,
+    lex_key,
 )
 
 _FRAC_ONE = LCFraction(LC_ONE)
@@ -35,32 +34,30 @@ _FRAC_ONE = LCFraction(LC_ONE)
 class MonomialOrder:
     """grevlex, lex, or a block-elimination order over a variable set."""
 
-    __slots__ = ("kind", "block", "_cmp")
+    __slots__ = ("kind", "block", "_key")
 
     def __init__(self, kind="grevlex", block=()):
         block = tuple(sorted({int(b) for b in block}))
         if kind == "grevlex":
-            cmp = cmp_grevlex
+            key = grevlex_key
         elif kind == "lex":
-            cmp = cmp_lex
+            key = lex_key
         elif kind == "elimination":
-            cmp = cmp_elimination(block)
+            key = elimination_key(block)
         else:
             raise InvalidInput("unknown monomial order %r" % kind)
         if block and kind != "elimination":
             raise InvalidInput("only elimination orders take a block")
         object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "block", block)
-        object.__setattr__(self, "_cmp", cmp)
+        object.__setattr__(self, "_key", key)
 
     def __setattr__(self, name, value):
         raise AttributeError("MonomialOrder is immutable")
 
-    def cmp(self, m, n):
-        return self._cmp(m, n)
-
     def key(self):
-        return functools.cmp_to_key(self._cmp)
+        """Sort key over monomials: a larger tuple is a larger monomial."""
+        return self._key
 
     @property
     def name(self):
@@ -130,63 +127,28 @@ def _to_field(c, domain):
     return LCFraction(c)
 
 
-class _DenseKeys:
-    """Memoized integer sort keys for one engine run.
+class _Keys:
+    """One engine run's order key, with a memo of its negations.
 
-    Tuple comparison of mono(m) matches order.cmp over monomials supported on
-    the ambient variables fixed at construction; module(pm) extends it
-    position-over-term.  neg(m) is the elementwise negation, so a min-heap of
-    (position, neg(m)) pops the largest module term first.
+    module(pm) extends the order key position-over-term.  The order keys are
+    prefix-free, so neg(m), the elementwise negation, reverses the order: a
+    min-heap of (position, neg(m)) pops the largest module term first.
     """
 
-    __slots__ = ("_vars", "_index", "_kind", "_block", "_pos", "_neg")
+    __slots__ = ("mono", "_neg")
 
-    def __init__(self, order, variables):
-        vs = sorted(variables)
-        self._vars = vs
-        self._index = {v: i for i, v in enumerate(vs)}
-        self._kind = order.kind
-        self._block = frozenset(order.block)
-        self._pos = {}
+    def __init__(self, order):
+        self.mono = order.key()
         self._neg = {}
-
-    def mono(self, m):
-        k = self._pos.get(m)
-        if k is None:
-            row = [0] * len(self._vars)
-            idx = self._index
-            for v, e in m.exps:
-                row[idx[v]] = e
-            if self._kind == "lex":
-                k = tuple(row)
-            else:
-                k = (m.deg,) + tuple(-e for e in reversed(row))
-                if self._kind == "elimination":
-                    b = self._block
-                    k = (sum(e for v, e in m.exps if v in b),) + k
-            self._pos[m] = k
-        return k
 
     def neg(self, m):
         k = self._neg.get(m)
         if k is None:
-            k = tuple(-x for x in self.mono(m))
-            self._neg[m] = k
+            k = self._neg[m] = tuple([-x for x in self.mono(m)])
         return k
 
     def module(self, pm):
         return (-pm[0], self.mono(pm[1]))
-
-
-def _dense_keys(order, vec_groups):
-    """Keys over the union of variables appearing in the given vector groups."""
-    vs = set()
-    for group in vec_groups:
-        for vec in group:
-            for _, m in vec:
-                for v, _ in m.exps:
-                    vs.add(v)
-    return _DenseKeys(order, vs)
 
 
 def _vec_from_polys(cols, domain):
@@ -419,7 +381,7 @@ def _buchberger_vec(vecs, order, domain, cofactors=True):
     itself is identical.
     """
     one = _field_one(domain)
-    keys = _dense_keys(order, (vecs,))
+    keys = _Keys(order)
     mkey = keys.module
     G, U, _ = _buchberger_pairs(vecs, keys, domain, cofactors)
 
@@ -470,9 +432,7 @@ def _syzygy_rows(vecs, order, domain):
     (identity minus V U) are needed, and no S-pair is reduced twice.
     """
     one = _field_one(domain)
-    _, _, rows = _buchberger_pairs(
-        vecs, _dense_keys(order, (vecs,)), domain, syzygies=True
-    )
+    _, _, rows = _buchberger_pairs(vecs, _Keys(order), domain, syzygies=True)
     return [{(i, MONO_ONE): one} for i, v in enumerate(vecs) if not v] + rows
 
 
@@ -542,11 +502,12 @@ class Module:
         """(domain, quotients, remainder, U) of target against the basis."""
         domain = EXTENDED if self.domain == EXTENDED else _lub_domain(target)
         G, U = self._basis_for(domain, cofactors)
-        tvec = _vec_from_polys(target, domain)
-        keys = _dense_keys(self.order, ([tvec], (g for g, _ in G)))
         one = _field_one(domain)
         quots, rem = _vp_divmod(
-            tvec, [(vec, lead, one) for vec, lead in G], keys, track=cofactors
+            _vec_from_polys(target, domain),
+            [(vec, lead, one) for vec, lead in G],
+            _Keys(self.order),
+            track=cofactors,
         )
         return domain, quots, rem, U
 
@@ -747,6 +708,6 @@ def clear_denominators(f, order=GREVLEX):
                 raise InvalidInput("denominators did not clear")
         cleaned[m] = c
     f = Poly(EXTENDED, cleaned)
-    lead_coeff = f.sorted_terms(order.cmp)[0][1]
+    lead_coeff = f.terms[max(f.terms, key=order.key())]
     unit = _unit_inverse(LCNumber((lead_coeff.leading(),)))
     return f.scale(unit)

@@ -13,6 +13,8 @@ Grammar (whitespace ignored):
 Rational or negative exponents are legal only on the eps atom.  `wK` is an
 input alias for `zK`; the formatter always emits `zK`.  Parsing the canonical
 format returns an equal polynomial (term order is irrelevant to equality).
+Parentheses nest at most 100 deep; deeper input is a ParseError rather than
+a RecursionError.
 """
 
 from __future__ import annotations
@@ -22,9 +24,12 @@ from fractions import Fraction
 from .errors import InvalidInput, ParseError
 from .gaussian import GaussianRational, QI_I
 from .levicivita import LC_ONE, LCFraction, LCNumber
-from .poly import EXTENDED, MONO_ONE, Poly, cmp_grevlex
+from .poly import EXTENDED, MONO_ONE, Poly
 
 _OPS = set("+-*^()=,;/")
+
+# each parenthesis level costs four Python frames (expr, term, factor, base)
+_MAX_NESTING = 100
 
 
 def _tokenize(text):
@@ -64,6 +69,7 @@ class _Parser:
         self.text = text
         self.tokens = _tokenize(text)
         self.pos = 0
+        self.depth = 0
 
     def peek(self):
         return self.tokens[self.pos]
@@ -188,8 +194,12 @@ class _Parser:
                 return Poly.variable(int(val[1:])), False
             raise ParseError("unknown name %r" % val, at)
         if kind == "op" and val == "(":
+            if self.depth == _MAX_NESTING:
+                raise ParseError("parentheses nest deeper than %d" % _MAX_NESTING, at)
+            self.depth += 1
             out = self.expr()
             self.expect_op(")")
+            self.depth -= 1
             return out, False
         raise ParseError("expected a value", at)
 
@@ -359,10 +369,7 @@ def format_poly(f):
     """Canonical form: terms descending in grevlex, deterministic signs."""
     if not f:
         return "0"
-    pieces = [
-        _poly_term_str(m, c) for m, c in f.sorted_terms(cmp_grevlex)
-    ]
-    return _join(pieces)
+    return _join([_poly_term_str(m, c) for m, c in f.sorted_terms()])
 
 
 def format_point(point):

@@ -8,7 +8,6 @@ domain).  Monomials carry strictly positive integer exponents only.
 
 from __future__ import annotations
 
-import functools
 from fractions import Fraction
 
 from .errors import (
@@ -123,64 +122,45 @@ class Monomial:
 MONO_ONE = Monomial()
 
 
-def cmp_grevlex(m, n):
-    """Graded reverse lexicographic; smaller variable indices rank higher."""
-    dm, dn = m.deg, n.deg
-    if dm != dn:
-        return 1 if dm > dn else -1
-    a, b = m.exps, n.exps
-    if a == b:
-        return 0
-    # ties: the rightmost nonzero entry of the exponent difference decides,
-    # negative winning.  Both tuples are sorted by variable index, so walk
-    # them from the tail; equal degrees guarantee the loop decides.
-    i, j = len(a) - 1, len(b) - 1
-    while i >= 0 and j >= 0:
-        va, ea = a[i]
-        vb, eb = b[j]
-        if va != vb:
-            return -1 if va > vb else 1
-        if ea != eb:
-            return -1 if ea > eb else 1
-        i -= 1
-        j -= 1
-    return 0
+# Each monomial order is a sort key: a larger tuple means a larger monomial.
+# The keys are prefix-free (no key is a proper prefix of another), so their
+# elementwise negations sort in exactly the reverse order.
 
 
-def cmp_lex(m, n):
-    """Pure lexicographic; the variable with the smallest index is largest."""
-    a, b = m.exps, n.exps
-    if a == b:
-        return 0
-    i = j = 0
-    while i < len(a) and j < len(b):
-        va, ea = a[i]
-        vb, eb = b[j]
-        if va != vb:
-            return 1 if va < vb else -1
-        if ea != eb:
-            return 1 if ea > eb else -1
-        i += 1
-        j += 1
-    if i < len(a):
-        return 1
-    if j < len(b):
-        return -1
-    return 0
+def grevlex_key(m):
+    """Graded reverse lexicographic; smaller variable indices rank higher.
+
+    Total degree first; ties go to the rightmost nonzero entry of the exponent
+    difference, negative winning, so the (var, exp) pairs are read from the
+    tail with both entries negated.
+    """
+    k = [m.deg]
+    for v, e in reversed(m.exps):
+        k += (-v, -e)
+    return tuple(k)
 
 
-def cmp_elimination(block):
+def lex_key(m):
+    """Pure lexicographic; the variable with the smallest index is largest.
+
+    Each (var, exp) pair reads as (1, -var, exp) and the key ends with 0, so
+    z1 < z1*z2 without z1's key being a prefix of z1*z2's.
+    """
+    k = []
+    for v, e in m.exps:
+        k += (1, -v, e)
+    k.append(0)
+    return tuple(k)
+
+
+def elimination_key(block):
     """Block order: total degree in `block` first, grevlex ties."""
     block = frozenset(block)
 
-    def cmp(m, n):
-        dm = sum(e for v, e in m.exps if v in block)
-        dn = sum(e for v, e in n.exps if v in block)
-        if dm != dn:
-            return 1 if dm > dn else -1
-        return cmp_grevlex(m, n)
+    def key(m):
+        return (sum(e for v, e in m.exps if v in block),) + grevlex_key(m)
 
-    return cmp
+    return key
 
 
 def _promote_coeff(c):
@@ -369,13 +349,9 @@ class Poly:
             return c
         return QI_ZERO_FOR[self.domain]
 
-    def sorted_terms(self, cmp=cmp_grevlex):
-        """Terms sorted descending under the given monomial comparison."""
-        return sorted(
-            self.terms.items(),
-            key=functools.cmp_to_key(lambda a, b: cmp(a[0], b[0])),
-            reverse=True,
-        )
+    def sorted_terms(self):
+        """Terms sorted descending in grevlex, the canonical print order."""
+        return sorted(self.terms.items(), key=lambda t: grevlex_key(t[0]), reverse=True)
 
 
 QI_ZERO_FOR = {STANDARD: QI_ZERO, EXTENDED: LC_ZERO}
@@ -453,7 +429,7 @@ def max_abs_normalize(f):
             best_c, best_m = c, m
             continue
         r = lc_abs_cmp(c, best_c)
-        if r > 0 or (r == 0 and cmp_grevlex(m, best_m) > 0):
+        if r > 0 or (r == 0 and grevlex_key(m) > grevlex_key(best_m)):
             best_c, best_m = c, m
     unit_inv = _unit_inverse(LCNumber((best_c.leading(),)))
     return f.scale(unit_inv)

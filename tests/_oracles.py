@@ -173,3 +173,68 @@ def compose_polys(h, components):
             part = part * (components[v] ** e)
         out = out + part
     return out
+
+
+# Reference comparators for the monomial orders: cmp(m, n) is -1, 0 or 1.
+# The library defines each order once, as a sort key; these are the
+# comparator definitions those keys must agree with.
+
+
+def cmp_grevlex(m, n):
+    """Graded reverse lexicographic; smaller variable indices rank higher."""
+    dm, dn = m.deg, n.deg
+    if dm != dn:
+        return 1 if dm > dn else -1
+    a, b = m.exps, n.exps
+    if a == b:
+        return 0
+    # ties: the rightmost nonzero entry of the exponent difference decides,
+    # negative winning.  Both tuples are sorted by variable index, so walk
+    # them from the tail; equal degrees guarantee the loop decides.
+    i, j = len(a) - 1, len(b) - 1
+    while i >= 0 and j >= 0:
+        va, ea = a[i]
+        vb, eb = b[j]
+        if va != vb:
+            return -1 if va > vb else 1
+        if ea != eb:
+            return -1 if ea > eb else 1
+        i -= 1
+        j -= 1
+    return 0
+
+
+def cmp_lex(m, n):
+    """Pure lexicographic; the variable with the smallest index is largest."""
+    a, b = m.exps, n.exps
+    if a == b:
+        return 0
+    i = j = 0
+    while i < len(a) and j < len(b):
+        va, ea = a[i]
+        vb, eb = b[j]
+        if va != vb:
+            return 1 if va < vb else -1
+        if ea != eb:
+            return 1 if ea > eb else -1
+        i += 1
+        j += 1
+    if i < len(a):
+        return 1
+    if j < len(b):
+        return -1
+    return 0
+
+
+def cmp_elimination(block):
+    """Block order: total degree in `block` first, grevlex ties."""
+    block = frozenset(block)
+
+    def cmp(m, n):
+        dm = sum(e for v, e in m.exps if v in block)
+        dn = sum(e for v, e in n.exps if v in block)
+        if dm != dn:
+            return 1 if dm > dn else -1
+        return cmp_grevlex(m, n)
+
+    return cmp

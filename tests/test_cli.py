@@ -98,6 +98,24 @@ class TestExitCodes:
         assert code == 0
         assert body["result"]["all_of_x"] is True
 
+    def test_deep_nesting_is_one_parse_error_line(self):
+        code, out = run_command(["st", "(" * 3000 + "1" + ")" * 3000])
+        assert code == 1
+        assert len(out.splitlines()) == 1
+        body = json.loads(out)
+        assert body["ok"] is False
+        assert body["error"]["code"] == "ParseError"
+        code, body = run("st", "(" * 100 + "1+eps" + ")" * 100)
+        assert code == 0
+        assert body["result"] == "1"
+
+    def test_value_starting_with_minus_takes_equals_form(self):
+        # argparse reads a separate "-3*eps^2" as a flag; --flag=value does not
+        code, body = run("verify-closure", "--roots=-3*eps^2")
+        assert code == 0
+        assert body["ok"] is True
+        assert body["result"]["instance"] == ["-3*eps^2"]
+
 
 class TestMatchesLibrary:
     def test_st(self):

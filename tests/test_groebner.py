@@ -1,3 +1,4 @@
+import functools
 import random
 from itertools import product
 
@@ -7,6 +8,9 @@ from _oracles import (
     brute_force_kernel,
     brute_force_member,
     brute_force_syzygies,
+    cmp_elimination,
+    cmp_grevlex,
+    cmp_lex,
     monomials_upto,
 )
 from epsgeom import groebner
@@ -463,8 +467,31 @@ class TestModule:
         assert M.syzygies() == ()
 
 
-class TestDenseKeys:
-    """The engine's tuple keys must sort exactly like the order comparators."""
+def _mono(text):
+    (m,) = std(text).terms
+    return m
+
+
+class TestOrderKeys:
+    """Each order's sort key must sort exactly like the reference comparator."""
+
+    ORDERS = [
+        pytest.param(order, cmp, id=order.name)
+        for order, cmp in (
+            (GREVLEX, cmp_grevlex),
+            (LEX, cmp_lex),
+            (MonomialOrder("elimination", {2, 4}), cmp_elimination({2, 4})),
+        )
+    ]
+    # z1 < z1*z2 in every order here; a lex key that is a prefix of the
+    # other's would sort wrongly once negated
+    PREFIX_PAIRS = [
+        ("1", "z1"),
+        ("z1", "z1*z2"),
+        ("z1^2", "z1^2*z3"),
+        ("z2", "z2*z5^3"),
+        ("z1*z2", "z1*z2*z4"),
+    ]
 
     def _random_monomials(self, rng, count=60):
         out = []
@@ -473,20 +500,30 @@ class TestDenseKeys:
             out.append(Monomial([(rng.randint(1, 5), rng.randint(1, 4)) for _ in range(k)]))
         return out
 
-    @pytest.mark.parametrize(
-        "order",
-        [GREVLEX, LEX, MonomialOrder("elimination", {2, 4})],
-        ids=lambda o: o.name,
-    )
-    def test_key_sort_matches_cmp_sort(self, order):
-        from epsgeom.groebner import _dense_keys
+    def _monomial_sets(self, order):
+        rng = random.Random(order.name)
+        sets = [self._random_monomials(rng) for _ in range(10)]
+        return sets + [[_mono(t) for pair in self.PREFIX_PAIRS for t in pair]]
 
-        rng = random.Random(hash(order.name) & 0xFFFF)
-        for _ in range(10):
-            mons = self._random_monomials(rng)
-            keys = _dense_keys(order, ([{(0, m): None for m in mons}],))
-            by_key = sorted(mons, key=keys.mono)
-            by_cmp = sorted(mons, key=order.key())
+    @pytest.mark.parametrize("order, cmp", ORDERS)
+    def test_key_sort_matches_cmp_sort(self, order, cmp):
+        for mons in self._monomial_sets(order):
+            by_key = sorted(mons, key=order.key())
+            by_cmp = sorted(mons, key=functools.cmp_to_key(cmp))
             assert by_key == by_cmp
             for m, n in zip(by_key, by_key[1:]):
-                assert order.cmp(m, n) <= 0
+                assert cmp(m, n) <= 0
+
+    @pytest.mark.parametrize("order, cmp", ORDERS)
+    def test_negated_keys_sort_in_reverse(self, order, cmp):
+        key = order.key()
+
+        def neg(m):
+            return tuple(-x for x in key(m))
+
+        for mons in self._monomial_sets(order):
+            assert sorted(mons, key=neg) == sorted(mons, key=key, reverse=True)
+        for a, b in self.PREFIX_PAIRS:
+            m, n = _mono(a), _mono(b)
+            assert cmp(m, n) == -1
+            assert key(m) < key(n) and neg(m) > neg(n)

@@ -27,8 +27,9 @@ from epsgeom.poly import (
     Monomial,
     Poly,
     apply_substitution,
-    cmp_grevlex,
-    cmp_lex,
+    elimination_key,
+    grevlex_key,
+    lex_key,
     max_abs_normalize,
     poly_eval,
     poly_shadow,
@@ -230,29 +231,33 @@ class TestSubstitutionHomomorphism:
         assert apply_substitution(f * g, s) == apply_substitution(f, s) * apply_substitution(g, s)
 
 
+ORDER_KEYS = (grevlex_key, lex_key, elimination_key({2}), elimination_key({1, 3}))
+
+
 class TestMonomialOrders:
     @given(monomials(), monomials())
     @settings(max_examples=80, deadline=None)
     def test_antisymmetry(self, a, b):
-        for cmp in (cmp_grevlex, cmp_lex):
-            assert cmp(a, b) == -cmp(b, a)
-            assert (cmp(a, b) == 0) == (a == b)
+        # tuple comparison is antisymmetric; equal keys must mean equal monomials
+        for key in ORDER_KEYS:
+            assert (key(a) == key(b)) == (a == b)
 
     @given(monomials(), monomials(), monomials())
     @settings(max_examples=80, deadline=None)
     def test_multiplicative(self, a, b, c):
-        for cmp in (cmp_grevlex, cmp_lex):
-            assert cmp(a, b) == cmp(a.mul(c), b.mul(c))
+        for key in ORDER_KEYS:
+            assert (key(a) < key(b)) == (key(a.mul(c)) < key(b.mul(c)))
+            assert (key(a) == key(b)) == (key(a.mul(c)) == key(b.mul(c)))
 
     @given(monomials())
     @settings(max_examples=40, deadline=None)
     def test_one_is_least(self, a):
-        for cmp in (cmp_grevlex, cmp_lex):
-            assert cmp(MONO_ONE, a) <= 0
+        for key in ORDER_KEYS:
+            assert key(MONO_ONE) <= key(a)
 
     def test_grevlex_vs_lex_disagree(self):
         # z1^2 vs z2^3: grevlex ranks by total degree first, lex by z1.
         a = Monomial([(1, 2)])
         b = Monomial([(2, 3)])
-        assert cmp_grevlex(a, b) == -1
-        assert cmp_lex(a, b) == 1
+        assert grevlex_key(a) < grevlex_key(b)
+        assert lex_key(a) > lex_key(b)
