@@ -7,6 +7,7 @@ the result or a coded error.  Exit codes: 0 success, 1 domain error,
 """
 
 import argparse
+import functools
 import json
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -91,12 +92,32 @@ class _UsageError(Exception):
     pass
 
 
+class _HelpRequested(Exception):
+    pass
+
+
+class _HelpFormatter(argparse.HelpFormatter):
+    # a fixed width, so the help text does not depend on the terminal
+    def __init__(self, prog):
+        super().__init__(prog, width=80)
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise _UsageError(message)
 
+    def print_help(self, file=None):
+        # -h/--help: the text becomes the result of the one JSON line
+        raise _HelpRequested(self.format_help())
 
+
+@functools.cache
 def _build_parser():
+    """The argument parser, built on first use and shared after that.
+
+    parse_args keeps its state in the namespace it returns and never changes
+    the parser, so threads (corpus --threads) can share it.
+    """
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--truncation-order", dest="truncation_order")
     common.add_argument("--order", dest="monomial_order")
@@ -104,11 +125,17 @@ def _build_parser():
     common.add_argument("--power-bound", dest="power_bound")
     common.add_argument("--config", dest="config")
 
-    p = _Parser(prog="epsgeom", description=__doc__.splitlines()[0])
+    p = _Parser(
+        prog="epsgeom",
+        description=__doc__.splitlines()[0],
+        formatter_class=_HelpFormatter,
+    )
     sub = p.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
     def add(name, **kwargs):
-        return sub.add_parser(name, parents=[common], **kwargs)
+        return sub.add_parser(
+            name, parents=[common], formatter_class=_HelpFormatter, **kwargs
+        )
 
     for name in ("st", "classify"):
         add(name).add_argument("expr")
@@ -503,6 +530,8 @@ def run_command(argv):
     try:
         ns = _build_parser().parse_args(list(argv))
         config = _resolve_config(ns)
+    except _HelpRequested as ex:
+        return 0, _dump(_DEFAULT_CONFIG, True, result=str(ex))
     except _UsageError as ex:
         return 2, _dump(
             _DEFAULT_CONFIG,

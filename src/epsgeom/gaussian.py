@@ -15,30 +15,54 @@ from .errors import DivisionByZero
 
 
 class GaussianRational:
-    """A complex number with exact rational real and imaginary parts."""
+    """A complex number with exact rational real and imaginary parts.
 
-    __slots__ = ("re", "im")
+    Stored as a normalised integer triple (a, b, d) meaning (a + b*i)/d, with
+    d > 0 and gcd(a, b, d) == 1, so equal numbers have equal triples and the
+    arithmetic below runs on plain ints.
+    """
+
+    __slots__ = ("_a", "_b", "_d")
 
     def __init__(self, re=0, im=0):
-        object.__setattr__(self, "re", Fraction(re))
-        object.__setattr__(self, "im", Fraction(im))
+        if type(re) is int and type(im) is int:
+            a, b, d = re, im, 1
+        else:
+            re, im = Fraction(re), Fraction(im)
+            d = math.lcm(re.denominator, im.denominator)
+            # both parts are in lowest terms, so gcd(a, b, d) == 1 already
+            a = re.numerator * (d // re.denominator)
+            b = im.numerator * (d // im.denominator)
+        _set_a(self, a)
+        _set_b(self, b)
+        _set_d(self, d)
 
     def __setattr__(self, name, value):
         raise AttributeError("GaussianRational is immutable")
 
+    @property
+    def re(self):
+        return Fraction(self._a, self._d)
+
+    @property
+    def im(self):
+        return Fraction(self._b, self._d)
+
     def __add__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return _raw(self.re + other.re, self.im + other.im)
+        if type(other) is not GaussianRational:
+            other = _coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
+        return _sum(self._a, self._b, self._d, other._a, other._b, other._d)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return _raw(self.re - other.re, self.im - other.im)
+        if type(other) is not GaussianRational:
+            other = _coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
+        return _sum(self._a, self._b, self._d, -other._a, -other._b, other._d)
 
     def __rsub__(self, other):
         other = _coerce(other)
@@ -47,33 +71,34 @@ class GaussianRational:
         return other - self
 
     def __mul__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        if not self.im and not other.im:
-            return _raw(self.re * other.re, self.im)
-        return _raw(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
+        if type(other) is not GaussianRational:
+            other = _coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
+        a1, b1, a2, b2 = self._a, self._b, other._a, other._b
+        d = self._d * other._d
+        if d == 1:
+            return _new(a1 * a2 - b1 * b2, a1 * b2 + b1 * a2, 1)
+        return _normalised(a1 * a2 - b1 * b2, a1 * b2 + b1 * a2, d)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        if not self.im and not other.im:
-            if not other.re:
+        if type(other) is not GaussianRational:
+            other = _coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
+        a1, b1, a2, b2 = self._a, self._b, other._a, other._b
+        d2 = other._d
+        if not b2:
+            if not a2:
                 raise DivisionByZero("division by zero in Q(i)")
-            return _raw(self.re / other.re, self.im)
-        n = other.norm()
-        if n == 0:
-            raise DivisionByZero("division by zero in Q(i)")
+            return _normalised(a1 * d2, b1 * d2, self._d * a2)
         # multiply by the conjugate and divide by the norm
-        return _raw(
-            (self.re * other.re + self.im * other.im) / n,
-            (self.im * other.re - self.re * other.im) / n,
+        return _normalised(
+            (a1 * a2 + b1 * b2) * d2,
+            (b1 * a2 - a1 * b2) * d2,
+            self._d * (a2 * a2 + b2 * b2),
         )
 
     def __rtruediv__(self, other):
@@ -83,37 +108,72 @@ class GaussianRational:
         return other / self
 
     def __neg__(self):
-        return _raw(-self.re, -self.im)
+        return _new(-self._a, -self._b, self._d)
 
     def __bool__(self):
-        return bool(self.re) or bool(self.im)
+        return self._a != 0 or self._b != 0
 
     def __eq__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self.re == other.re and self.im == other.im
+        if type(other) is not GaussianRational:
+            other = _coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
+        return self._a == other._a and self._b == other._b and self._d == other._d
 
     def __hash__(self):
+        # equal to hash((re, im)), as Fraction(n, 1) hashes like n
+        if self._d == 1:
+            return hash((self._a, self._b))
         return hash((self.re, self.im))
 
     def __repr__(self):
         return "GaussianRational(%r, %r)" % (str(self.re), str(self.im))
 
     def conjugate(self):
-        return _raw(self.re, -self.im)
+        return _new(self._a, -self._b, self._d)
 
     def norm(self):
         """Squared complex modulus, an exact nonnegative rational."""
-        return self.re * self.re + self.im * self.im
+        return Fraction(self._a * self._a + self._b * self._b, self._d * self._d)
 
 
-def _raw(re, im):
-    # arithmetic results are already exact Fractions; skip re-wrapping
-    out = object.__new__(GaussianRational)
-    object.__setattr__(out, "re", re)
-    object.__setattr__(out, "im", im)
+_set_a = GaussianRational._a.__set__
+_set_b = GaussianRational._b.__set__
+_set_d = GaussianRational._d.__set__
+_object_new = object.__new__
+
+
+def _new(a, b, d):
+    # (a, b, d) must be normalised already
+    out = _object_new(GaussianRational)
+    _set_a(out, a)
+    _set_b(out, b)
+    _set_d(out, d)
     return out
+
+
+def _sum(a1, b1, d1, a2, b2, d2):
+    """(a1 + b1*i)/d1 + (a2 + b2*i)/d2 for normalised triples."""
+    if d1 == d2:
+        if d1 == 1:
+            return _new(a1 + a2, b1 + b2, 1)
+        return _normalised(a1 + a2, b1 + b2, d1)
+    # with coprime denominators the sum is normalised already
+    if d1 == 1:
+        return _new(a1 * d2 + a2, b1 * d2 + b2, d2)
+    if d2 == 1:
+        return _new(a1 + a2 * d1, b1 + b2 * d1, d1)
+    return _normalised(a1 * d2 + a2 * d1, b1 * d2 + b2 * d1, d1 * d2)
+
+
+def _normalised(a, b, d):
+    """(a + b*i)/d in normal form, for any nonzero int d."""
+    g = math.gcd(a, b, d)
+    if d < 0:
+        g = -g
+    if g != 1:
+        a, b, d = a // g, b // g, d // g
+    return _new(a, b, d)
 
 
 def _coerce(x):
@@ -331,23 +391,16 @@ def gaussian_poly_roots(coeffs):
             candidates = [(-coeffs[1] + s) / two_a, (-coeffs[1] - s) / two_a]
     elif deg >= 3:
         # scale to Z[i] and enumerate p/q with p | constant, q | leading
-        den = 1
-        for c in coeffs:
-            den = den * c.re.denominator // math.gcd(den, c.re.denominator)
-            den = den * c.im.denominator // math.gcd(den, c.im.denominator)
-        zi = [(int(c.re * den), int(c.im * den)) for c in coeffs]
+        den = math.lcm(*(c._d for c in coeffs))
+        zi = [(c._a * (den // c._d), c._b * (den // c._d)) for c in coeffs]
         seen = set()
         for p in gaussian_int_divisors(zi[0]):
             for q in gaussian_int_divisors(zi[-1]):
-                qq = GaussianRational(
-                    Fraction(q[0]), Fraction(q[1])
-                )
+                qq = GaussianRational(q[0], q[1])
                 for u in _UNITS:
-                    num = _gi_mul(p, u)
-                    cand = GaussianRational(Fraction(num[0]), Fraction(num[1])) / qq
-                    key = (cand.re, cand.im)
-                    if key not in seen:
-                        seen.add(key)
+                    cand = GaussianRational(*_gi_mul(p, u)) / qq
+                    if cand not in seen:
+                        seen.add(cand)
                         candidates.append(cand)
     for cand in candidates:
         if any(cand == r for r, _ in found):

@@ -58,7 +58,8 @@ class LCNumber:
     __slots__ = ("terms",)
 
     def __init__(self, terms=()):
-        # terms: iterable of (Fraction exponent, GaussianRational coeff)
+        # terms: iterable of (exponent, GaussianRational coeff); an exponent is
+        # an int when integral and a Fraction otherwise
         cleaned = tuple((q, c) for q, c in terms if c)
         object.__setattr__(self, "terms", cleaned)
 
@@ -68,16 +69,16 @@ class LCNumber:
     @staticmethod
     def from_gaussian(c):
         c = c if isinstance(c, GaussianRational) else GaussianRational(c)
-        return LCNumber(((Fraction(0), c),)) if c else LC_ZERO
+        return LCNumber(((0, c),)) if c else LC_ZERO
 
     @staticmethod
     def term(coeff, exponent):
         c = coeff if isinstance(coeff, GaussianRational) else GaussianRational(coeff)
-        return LCNumber(((Fraction(exponent), c),)) if c else LC_ZERO
+        return LCNumber(((_exponent(exponent), c),)) if c else LC_ZERO
 
     @staticmethod
     def eps(exponent=1):
-        return LCNumber.term(QI_ONE, Fraction(exponent))
+        return LCNumber.term(QI_ONE, exponent)
 
     # --- ring operations ---------------------------------------------------
 
@@ -259,6 +260,14 @@ class LCNumber:
         return self.coefficient(0)
 
 
+def _exponent(q):
+    """q as an int when it is integral, else as a Fraction."""
+    if type(q) is int:
+        return q
+    q = Fraction(q)
+    return q.numerator if q.denominator == 1 else q
+
+
 def _lc_coerce(x):
     if isinstance(x, LCNumber):
         return x
@@ -268,8 +277,8 @@ def _lc_coerce(x):
 
 
 LC_ZERO = LCNumber()
-LC_ONE = LCNumber(((Fraction(0), QI_ONE),))
-LC_EPS = LCNumber(((Fraction(1), QI_ONE),))
+LC_ONE = LCNumber(((0, QI_ONE),))
+LC_EPS = LCNumber(((1, QI_ONE),))
 
 
 def lc_classify(x):
@@ -355,7 +364,7 @@ def lc_nth_root(x, n, t=TruncationOrder()):
         raise NonConstructibleRoot(
             "leading coefficient has no exact %d-th root in Q(i)" % n
         )
-    unit = LCNumber.term(croot, v / n)
+    unit = LCNumber.term(croot, Fraction(v, n))
     r = x * _unit_inverse(LCNumber((x.leading(),))) - LC_ONE
     target = order - v
     if not r or target <= 0:

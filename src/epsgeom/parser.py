@@ -266,31 +266,33 @@ def format_gaussian(c):
     """Standalone canonical form: 3, -1/2, i, -i, 2*i, 1+i, 1/2-3*i."""
     if not c:
         return "0"
-    if c.im == 0:
-        return str(c.re)
-    if c.im == 1:
+    re, im = c.re, c.im
+    if im == 0:
+        return str(re)
+    if im == 1:
         imag = "i"
-    elif c.im == -1:
+    elif im == -1:
         imag = "-i"
-    elif c.im > 0:
-        imag = "%s*i" % c.im
+    elif im > 0:
+        imag = "%s*i" % im
     else:
-        imag = "-%s*i" % (-c.im)
-    if c.re == 0:
+        imag = "-%s*i" % (-im)
+    if re == 0:
         return imag
-    joiner = "+" if c.im > 0 else "-"
-    return "%s%s%s" % (c.re, joiner, imag.lstrip("-"))
+    joiner = "+" if im > 0 else "-"
+    return "%s%s%s" % (re, joiner, imag.lstrip("-"))
 
 
 def _gaussian_factor(c):
     """(sign, body) for use as a multiplicative factor; body may be empty."""
-    if c.im == 0:
-        sign = "-" if c.re < 0 else ""
-        mag = abs(c.re)
+    re, im = c.re, c.im
+    if im == 0:
+        sign = "-" if re < 0 else ""
+        mag = abs(re)
         return sign, "" if mag == 1 else str(mag)
-    if c.re == 0:
-        sign = "-" if c.im < 0 else ""
-        mag = abs(c.im)
+    if re == 0:
+        sign = "-" if im < 0 else ""
+        mag = abs(im)
         return sign, "i" if mag == 1 else "%s*i" % mag
     return "", "(%s)" % format_gaussian(c)
 

@@ -5,8 +5,10 @@ exhaustive small searches, kept clear of the Groebner machinery so a
 disagreement with the library points at a real bug.
 """
 
+from fractions import Fraction
 from itertools import product
 
+from epsgeom.errors import DivisionByZero
 from epsgeom.gaussian import GaussianRational, QI_ONE, QI_ZERO
 from epsgeom.poly import MONO_ONE, Monomial, Poly
 
@@ -238,3 +240,118 @@ def cmp_elimination(block):
         return cmp_grevlex(m, n)
 
     return cmp
+
+
+# Reference Q(i) arithmetic: a pair of Fractions.  The library stores Q(i) as
+# normalised integer triples; this is the Fraction-pair definition that its
+# arithmetic, equality, hashing and repr must agree with.
+
+
+class ReferenceGaussianRational:
+    """A complex number with exact rational real and imaginary parts."""
+
+    __slots__ = ("re", "im")
+
+    def __init__(self, re=0, im=0):
+        object.__setattr__(self, "re", Fraction(re))
+        object.__setattr__(self, "im", Fraction(im))
+
+    def __setattr__(self, name, value):
+        raise AttributeError("GaussianRational is immutable")
+
+    def __add__(self, other):
+        other = _reference_coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return _reference_raw(self.re + other.re, self.im + other.im)
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        other = _reference_coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return _reference_raw(self.re - other.re, self.im - other.im)
+
+    def __rsub__(self, other):
+        other = _reference_coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return other - self
+
+    def __mul__(self, other):
+        other = _reference_coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        if not self.im and not other.im:
+            return _reference_raw(self.re * other.re, self.im)
+        return _reference_raw(
+            self.re * other.re - self.im * other.im,
+            self.re * other.im + self.im * other.re,
+        )
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        other = _reference_coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        if not self.im and not other.im:
+            if not other.re:
+                raise DivisionByZero("division by zero in Q(i)")
+            return _reference_raw(self.re / other.re, self.im)
+        n = other.norm()
+        if n == 0:
+            raise DivisionByZero("division by zero in Q(i)")
+        # multiply by the conjugate and divide by the norm
+        return _reference_raw(
+            (self.re * other.re + self.im * other.im) / n,
+            (self.im * other.re - self.re * other.im) / n,
+        )
+
+    def __rtruediv__(self, other):
+        other = _reference_coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return other / self
+
+    def __neg__(self):
+        return _reference_raw(-self.re, -self.im)
+
+    def __bool__(self):
+        return bool(self.re) or bool(self.im)
+
+    def __eq__(self, other):
+        other = _reference_coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return self.re == other.re and self.im == other.im
+
+    def __hash__(self):
+        return hash((self.re, self.im))
+
+    def __repr__(self):
+        return "GaussianRational(%r, %r)" % (str(self.re), str(self.im))
+
+    def conjugate(self):
+        return _reference_raw(self.re, -self.im)
+
+    def norm(self):
+        """Squared complex modulus, an exact nonnegative rational."""
+        return self.re * self.re + self.im * self.im
+
+
+def _reference_raw(re, im):
+    # arithmetic results are already exact Fractions; skip re-wrapping
+    out = object.__new__(ReferenceGaussianRational)
+    object.__setattr__(out, "re", re)
+    object.__setattr__(out, "im", im)
+    return out
+
+
+def _reference_coerce(x):
+    if isinstance(x, ReferenceGaussianRational):
+        return x
+    if isinstance(x, (int, Fraction)):
+        return ReferenceGaussianRational(x)
+    return NotImplemented

@@ -1,10 +1,13 @@
 """The CLI is a thin client: same answers as the library, stable JSON."""
 
+import argparse
 import json
+import sys
+import threading
 
 import pytest
 
-from epsgeom.cli import SessionConfig, main, run_command
+from epsgeom.cli import _HANDLERS, SessionConfig, main, run_command
 from epsgeom.groebner import Ideal, buchberger, ideal_member, syzygy_basis
 from epsgeom.levicivita import lc_classify, lc_st
 from epsgeom.parser import format_gaussian, format_poly, parse_generators, parse_lc, parse_poly
@@ -115,6 +118,82 @@ class TestExitCodes:
         assert code == 0
         assert body["ok"] is True
         assert body["result"]["instance"] == ["-3*eps^2"]
+
+
+class TestHelp:
+    @pytest.mark.parametrize("command", ["(top level)"] + sorted(_HANDLERS))
+    def test_help_is_one_json_line(self, command, capsys):
+        prefix = [] if command == "(top level)" else [command]
+        prog = " ".join(["epsgeom"] + prefix)
+        for flag in ("-h", "--help"):
+            code, out = run_command(prefix + [flag])
+            assert code == 0
+            assert len(out.splitlines()) == 1
+            body = json.loads(out)
+            assert body["ok"] is True
+            assert body["config"] == DEFAULT_CONFIG
+            assert body["result"].startswith("usage: %s " % prog)
+        assert capsys.readouterr().out == ""
+
+    def test_help_ignores_terminal_width(self, monkeypatch):
+        outputs = set()
+        for columns in ("40", "200"):
+            monkeypatch.setenv("COLUMNS", columns)
+            outputs.add(run_command(["kernel-check", "--help"]))
+        assert len(outputs) == 1
+
+    def test_help_wins_over_missing_flags(self):
+        code, body = run("member", "--ideal", "z1", "--help")
+        assert code == 0
+        assert "--poly POLY" in body["result"]
+
+
+class TestSharedParser:
+    ARGV = (
+        ["st", "3+2*eps"],
+        ["classify", "eps^(-1)", "--truncation-order", "8"],
+        ["member", "--ideal", "z1", "--poly", "z1*z2", "--order", "lex"],
+        ["groebner", "--ideal", "z1^2 - z2; z1*z2 - 1", "--seed", "3"],
+        ["st", "--order"],
+        ["nope"],
+        ["kernel-check", "-h"],
+    )
+
+    def test_parser_is_built_once(self, monkeypatch):
+        run_command(["st", "1"])
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(args)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+        for argv in self.ARGV:
+            run_command(list(argv))
+        assert built == []
+
+    def test_threads_share_the_parser(self):
+        expected = [run_command(list(argv)) for argv in self.ARGV]
+        results = [[] for _ in range(8)]
+
+        def work(out):
+            for _ in range(5):
+                out.append([run_command(list(argv)) for argv in self.ARGV])
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=work, args=(out,)) for out in results]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        for out in results:
+            assert out == [expected] * 5
 
 
 class TestMatchesLibrary:

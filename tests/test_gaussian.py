@@ -1,11 +1,14 @@
+import math
+import operator
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _oracles import eval_coeffs, poly_from_roots
+from _oracles import ReferenceGaussianRational, eval_coeffs, poly_from_roots
 from _strategies import gaussians, small_fractions
+from epsgeom.errors import DivisionByZero
 from epsgeom.gaussian import (
     QI_I,
     QI_ONE,
@@ -99,3 +102,94 @@ class TestPolyRoots:
 
     def test_constant_has_no_roots(self):
         assert gaussian_poly_roots([QI_ONE]) == []
+
+
+# --- differential check against the Fraction-pair reference ---------------
+
+_parts = st.one_of(
+    st.just(Fraction(0)),
+    st.integers(min_value=-30, max_value=30).map(Fraction),
+    st.fractions(min_value=-30, max_value=30, max_denominator=24),
+)
+
+
+def _int_if_integral(q):
+    return q.numerator if q.denominator == 1 else q
+
+
+# the constructor takes ints, Fractions and strings
+_SPELLINGS = (Fraction, str, _int_if_integral)
+
+
+@st.composite
+def _operands(draw):
+    """(shipped, reference) pair: a Q(i) number, an int or a Fraction."""
+    kind = draw(st.sampled_from(["gaussian", "int", "fraction"]))
+    if kind == "int":
+        v = draw(st.integers(min_value=-12, max_value=12))
+        return v, v
+    if kind == "fraction":
+        v = draw(_parts)
+        return v, v
+    re, im = draw(_parts), draw(_parts)
+    spell = draw(st.sampled_from(_SPELLINGS))
+    return GaussianRational(spell(re), spell(im)), ReferenceGaussianRational(re, im)
+
+
+def _assert_normalised(g):
+    a, b, d = g._a, g._b, g._d
+    assert type(a) is int and type(b) is int and type(d) is int
+    assert d > 0
+    assert math.gcd(a, b, d) == 1
+
+
+def _assert_matches(got, ref):
+    assert type(got) is GaussianRational
+    _assert_normalised(got)
+    assert got.re == ref.re and got.im == ref.im
+    assert type(got.re) is Fraction and type(got.im) is Fraction
+    assert repr(got) == repr(ref)
+    assert hash(got) == hash(ref)
+    assert bool(got) == bool(ref)
+
+
+class TestMatchesReference:
+    @given(
+        _operands(),
+        _operands(),
+        st.sampled_from([operator.add, operator.sub, operator.mul, operator.truediv]),
+    )
+    @settings(max_examples=400)
+    def test_binary_ops(self, x, y, op):
+        (xs, xr), (ys, yr) = x, y
+        if not isinstance(xs, GaussianRational) and not isinstance(ys, GaussianRational):
+            xs, xr = GaussianRational(xs), ReferenceGaussianRational(xr)
+        try:
+            expected = op(xr, yr)
+        except DivisionByZero:
+            with pytest.raises(DivisionByZero):
+                op(xs, ys)
+            return
+        _assert_matches(op(xs, ys), expected)
+        assert (xs == ys) == (xr == yr)
+        assert (ys == xs) == (yr == xr)
+
+    @given(_operands())
+    def test_unary_ops(self, x):
+        xs, xr = x
+        if not isinstance(xs, GaussianRational):
+            xs, xr = GaussianRational(xs), ReferenceGaussianRational(xr)
+        _assert_matches(xs, xr)
+        _assert_matches(-xs, -xr)
+        _assert_matches(xs.conjugate(), xr.conjugate())
+        assert xs.norm() == xr.norm()
+        assert type(xs.norm()) is Fraction
+        assert (xs == xs.conjugate()) == (xr == xr.conjugate())
+
+    @pytest.mark.parametrize("zero", [0, Fraction(0), GaussianRational(0)])
+    def test_zero_divisor(self, zero):
+        for x in (GaussianRational(1, 2), GaussianRational(Fraction(1, 3))):
+            with pytest.raises(DivisionByZero):
+                x / zero
+        with pytest.raises(DivisionByZero):
+            1 / GaussianRational(0)

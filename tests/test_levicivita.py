@@ -21,7 +21,8 @@ from epsgeom.levicivita import (
     lc_nth_root,
     lc_st,
 )
-from epsgeom.parser import format_lc, parse_lc
+from epsgeom.parser import format_lc, parse_lc, parse_poly
+from epsgeom.shadow import newton_puiseux_lift
 
 
 def L(text):
@@ -122,6 +123,42 @@ class TestNthRoot:
         y = lc_nth_root(x, n, t)
         assert (y ** n - x).valuation() > t.order
         assert y.valuation() == Fraction(x.valuation(), n)
+
+
+class TestExponentTypes:
+    # exponents are exact: an int when integral, a Fraction otherwise
+    def test_constructors_give_int_exponents(self):
+        for x in (
+            LC_ONE,
+            LC_EPS,
+            LCNumber.eps(),
+            LCNumber.eps(Fraction(4, 2)),
+            LCNumber.term(3, Fraction(-2)),
+            LCNumber.term(3, "5"),
+            LCNumber.from_gaussian(QI_I),
+        ):
+            assert [type(q) for q, _ in x.terms] == [int]
+        assert LCNumber.eps(Fraction(1, 2)).terms[0][0] == Fraction(1, 2)
+
+    def test_no_float_exponents(self):
+        roots = [
+            lc_nth_root(L("4*eps^3 + eps^4"), 2),
+            lc_nth_root(L("eps + eps^2"), 3),
+            lc_nth_root(L("eps^2"), 2),
+        ]
+        # a float exponent converted back to a Fraction would not be 1/3
+        assert [y.valuation() for y in roots] == [Fraction(3, 2), Fraction(1, 3), 1]
+        values = roots + [
+            L("eps^(1/2) + 3*eps^2 - eps^(-1) + 7"),
+            lc_inverse(L("1 + eps^(1/3)")),
+            lc_inverse(L("eps - eps^2")),
+        ]
+        values += newton_puiseux_lift(parse_poly("z1^2 - eps"), 0).values.values()
+        values += newton_puiseux_lift(parse_poly("z1^3 - eps^2 - z1*eps"), 0).values.values()
+        for x in values:
+            assert x
+            for q, _ in x.terms:
+                assert type(q) in (int, Fraction)
 
 
 class TestClassification:
