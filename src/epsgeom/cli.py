@@ -544,6 +544,14 @@ def run_command(argv):
         return 1, _dump(
             config, False, error={"code": ex.code, "message": str(ex)}
         )
+    except Exception as ex:
+        # last resort: a fault inside a command still ends in one JSON line;
+        # KeyboardInterrupt and SystemExit are not Exceptions and propagate
+        return 1, _dump(
+            config,
+            False,
+            error={"code": "internal", "message": "%s: %s" % (type(ex).__name__, ex)},
+        )
     return 0, _dump(config, True, result=result)
 
 

@@ -7,10 +7,18 @@ public boundary via clear_denominators.  Everything is deterministic for a
 fixed generator order and monomial order: pair selection is the normal
 strategy (minimal lcm degree, ties by the monomial order, then indices), and
 reduced bases are sorted by descending leading term.
+
+Inside the engine each term (position, monomial) is one int, packed under a
+per-Module layout of its variables and order (see _Layout): a monomial
+product is an int add, the position-over-term order is an int compare, and
+divisibility is a guard-bit mask.  Polynomials are packed where they enter
+the engine and unpacked where they leave, and a module whose terms outgrow
+the layout's fields moves to a wider one, so results stay exact.
 """
 
 from __future__ import annotations
 
+import functools
 import heapq
 from dataclasses import dataclass
 
@@ -19,7 +27,6 @@ from .gaussian import GaussianRational, QI_ONE
 from .levicivita import LC_ONE, LCFraction, LCNumber, _unit_inverse, lc_lcm
 from .poly import (
     EXTENDED,
-    MONO_ONE,
     STANDARD,
     Monomial,
     Poly,
@@ -106,9 +113,122 @@ LEX = MonomialOrder("lex")
 
 # --- internal vector-polynomial layer ----------------------------------------
 #
-# A vector polynomial is a dict {(position, Monomial): field coefficient}.
-# The module order is position-over-term: smaller position ranks higher,
-# monomials compared by the session order within a position.
+# A vector polynomial is a dict {term: field coefficient}.  A term is one int
+# that packs a position and a monomial under a _Layout.  The module order is
+# position-over-term (smaller position ranks higher, monomials compared by
+# the session order within a position), and a larger int is a larger term.
+# A monomial is the term at position 0, and multiplying a term by it adds
+# the two ints.  Terms are packed where polynomials enter (_vec_from_polys)
+# and unpacked where they leave (_vec_to_polys).
+
+# field width in bits that a layout starts from; it doubles on overflow
+_START_WIDTH = 8
+
+
+class _Overflow(Exception):
+    """A term outgrew its layout's fields: widen the layout and run again."""
+
+
+class _Layout:
+    """Packing of the (position, Monomial) terms over one order and variable set.
+
+    W-bit fields, most significant first, each a sum of exponents over the
+    variables in ascending index:
+      - the order key: grevlex as (deg, S_{n-1}, ..., S_1) with
+        S_k = e_1 + ... + e_k, lex as (e_1, ..., e_n), elimination as the
+        block degree and then the grevlex fields;
+      - one exponent per variable, for the divisibility test;
+      - the degree, for pair selection.
+    A field that repeats an earlier one is left out.  Packing is linear, so
+    pack(m*n) = pack(m) + pack(n), and the order fields lead, so one int
+    compare is one order-key compare.  The top bit of each field is a guard
+    that every stored term keeps clear: u - t has no guard bit set iff each
+    field of t is at most u's, i.e. iff t divides u, and a sum that sets one
+    has overflowed.  Every field is at most the degree, so a monomial fits
+    iff its degree is below 2^(W-1).  The position sits above the fields as
+    -pos << top: one int compare is position-over-term, and adding a
+    monomial never touches the position.
+    """
+
+    __slots__ = (
+        "variables", "width", "top", "guard", "_mask", "_unit", "_exps", "_deg"
+    )
+
+    def __init__(self, order, variables, width):
+        ascending = tuple(sorted(variables))
+        every = frozenset(ascending)
+        singles = [frozenset((v,)) for v in ascending]
+        grevlex = [frozenset(ascending[:k]) for k in range(len(ascending), 0, -1)]
+        if order.kind == "lex":
+            key = singles
+        elif order.kind == "grevlex":
+            key = grevlex
+        else:
+            key = [every.intersection(order.block)] + grevlex
+        fields = list(dict.fromkeys(key + singles + [every]))
+        shift = {f: width * (len(fields) - 1 - i) for i, f in enumerate(fields)}
+        self.variables = every
+        self.width = width
+        self.top = width * len(fields)
+        self.guard = sum(1 << (s + width - 1) for s in shift.values())
+        self._mask = (1 << width) - 1
+        self._unit = {
+            v: sum(1 << s for f, s in shift.items() if v in f) for v in ascending
+        }
+        self._exps = tuple(zip(ascending, (shift[f] for f in singles)))
+        self._deg = shift[every]
+
+    def term(self, pos, m):
+        """The int of (pos, m); raises _Overflow when m does not fit."""
+        if m.deg >> (self.width - 1):
+            raise _Overflow
+        x = -pos << self.top
+        unit = self._unit
+        for v, e in m.exps:
+            x += e * unit[v]
+        return x
+
+    def split(self, x):
+        """(position, Monomial) of a term."""
+        mask = self._mask
+        pairs = []
+        for v, s in self._exps:
+            e = x >> s & mask
+            if e:
+                pairs.append((v, e))
+        return -(x >> self.top), Monomial._raw(tuple(pairs))
+
+    def degree(self, x):
+        return x >> self._deg & self._mask
+
+    def divides(self, t, u):
+        """True iff term t divides term u (so both share a position)."""
+        d = u - t
+        return not (d >> self.top or d & self.guard)
+
+    def lcm(self, a, b):
+        """lcm of two terms at one position; raises _Overflow."""
+        mask, unit = self._mask, self._unit
+        for v, s in self._exps:
+            d = (b >> s & mask) - (a >> s & mask)
+            if d > 0:
+                a += d * unit[v]
+        if a & self.guard:
+            raise _Overflow
+        return a
+
+
+@functools.lru_cache(maxsize=256)
+def _layout(order, variables, width):
+    """The _Layout of an order, a frozenset of variables and a width.
+
+    Layouts are immutable, so modules over the same variables share one.
+    """
+    return _Layout(order, variables, width)
+
+
+def _variables(polys):
+    return {v for f in polys for m in f.terms for v, _ in m.exps}
 
 
 def _field_one(domain):
@@ -127,37 +247,13 @@ def _to_field(c, domain):
     return LCFraction(c)
 
 
-class _Keys:
-    """One engine run's order key, with a memo of its negations.
-
-    module(pm) extends the order key position-over-term.  The order keys are
-    prefix-free, so neg(m), the elementwise negation, reverses the order: a
-    min-heap of (position, neg(m)) pops the largest module term first.
-    """
-
-    __slots__ = ("mono", "_neg")
-
-    def __init__(self, order):
-        self.mono = order.key()
-        self._neg = {}
-
-    def neg(self, m):
-        k = self._neg.get(m)
-        if k is None:
-            k = self._neg[m] = tuple([-x for x in self.mono(m)])
-        return k
-
-    def module(self, pm):
-        return (-pm[0], self.mono(pm[1]))
-
-
-def _vec_from_polys(cols, domain):
+def _vec_from_polys(cols, domain, layout):
     vec = {}
     for pos, f in enumerate(cols):
         if f.domain != domain:
             f = f.to_extended()
         for m, c in f.terms.items():
-            vec[(pos, m)] = _to_field(c, domain)
+            vec[layout.term(pos, m)] = _to_field(c, domain)
     return vec
 
 
@@ -168,17 +264,20 @@ def _collapse(c):
     return c
 
 
-def _vec_to_polys(vec, rank, domain):
+def _vec_to_polys(vec, rank, domain, layout):
     rows = [{} for _ in range(rank)]
-    for (pos, m), c in vec.items():
+    for x, c in vec.items():
+        pos, m = layout.split(x)
         rows[pos][m] = _collapse(c) if domain == EXTENDED else c
     return [Poly(domain, r) for r in rows]
 
 
-def _vp_axpy(acc, coeff, mono, vec):
-    """acc += coeff * x^mono * vec, in place."""
-    for (pos, m), c in vec.items():
-        key = (pos, m.mul(mono))
+def _vp_axpy(acc, coeff, mono, vec, guard):
+    """acc += coeff * x^mono * vec, in place; raises _Overflow."""
+    for x, c in vec.items():
+        key = x + mono
+        if key & guard:
+            raise _Overflow
         s = acc.get(key)
         p = coeff * c
         s = p if s is None else s + p
@@ -188,40 +287,40 @@ def _vp_axpy(acc, coeff, mono, vec):
             acc.pop(key, None)
 
 
-def _vp_divmod(vec, basis, keys, track=True):
-    """Full reduction of vec by basis entries (vec, lead_pm, lead_coeff).
+def _vp_divmod(vec, basis, layout, track=True):
+    """Full reduction of vec by basis entries (vec, lead, lead_coeff).
 
-    Returns (quotients, remainder); quotients[i] is {Monomial: coeff}.  The
+    Returns (quotients, remainder); quotients[i] is {monomial: coeff}.  The
     remainder has no term divisible by any basis leading term, so against a
-    reduced basis it is the unique normal form.
+    reduced basis it is the unique normal form.  Raises _Overflow.
     """
     p = dict(vec)
     rem = {}
     quots = [{} for _ in basis] if track else None
-    neg = keys.neg
+    top, guard = layout.top, layout.guard
+    # divisor index: the leads at each position, in basis order
+    leads = {}
+    for idx, (_, lead, _) in enumerate(basis):
+        leads.setdefault(lead >> top, []).append((idx, lead))
     push, pop = heapq.heappush, heapq.heappop
-    # lazy-deletion heap: every live term of p has at least one entry, and
-    # entries whose term is gone are skipped on pop
-    heap = [(pos, neg(m), m) for pos, m in p]
+    # lazy-deletion max-heap of negated terms: every live term of p has at
+    # least one entry, and entries whose term is gone are skipped on pop
+    heap = [-x for x in p]
     heapq.heapify(heap)
     while p:
-        while True:
-            pos, _, m = pop(heap)
-            pm = (pos, m)
-            if pm in p:
-                break
-        c = p[pm]
-        hit = -1
-        for idx, (_, (gpos, gm), _) in enumerate(basis):
-            if gpos == pos and gm.divides(m):
-                hit = idx
-                break
-        if hit < 0:
-            rem[pm] = c
-            del p[pm]
+        x = -pop(heap)
+        if x not in p:
             continue
-        g, (_, gm), gc = basis[hit]
-        t = m.div(gm)
+        c = p[x]
+        for hit, lead in leads.get(x >> top, ()):
+            t = x - lead
+            if not t & guard:
+                break
+        else:
+            rem[x] = c
+            del p[x]
+            continue
+        g, _, gc = basis[hit]
         q = c / gc
         if track:
             d = quots[hit]
@@ -231,27 +330,29 @@ def _vp_divmod(vec, basis, keys, track=True):
                 d[t] = s
             else:
                 d.pop(t, None)
-        for (gpos2, gm2), gc2 in g.items():
-            key2 = (gpos2, gm2.mul(t))
-            s = p.get(key2)
+        for x2, c2 in g.items():
+            key = x2 + t
+            if key & guard:
+                raise _Overflow
+            s = p.get(key)
             if s is None:
-                v = -(q * gc2)
+                v = -(q * c2)
                 if v:
-                    p[key2] = v
-                    push(heap, (gpos2, neg(key2[1]), key2[1]))
+                    p[key] = v
+                    push(heap, -key)
             else:
-                v = s - q * gc2
+                v = s - q * c2
                 if v:
-                    p[key2] = v
+                    p[key] = v
                 else:
-                    del p[key2]
+                    del p[key]
     return quots, rem
 
 
-def _buchberger_pairs(vecs, keys, domain, cofactors=True, syzygies=False):
+def _buchberger_pairs(vecs, layout, domain, cofactors=True, syzygies=False):
     """The Buchberger pair loop: an unreduced module Groebner basis.
 
-    Returns (G, U, S).  G lists (vec, lead_pm) with monic leads in insertion
+    Returns (G, U, S).  G lists (vec, lead) with monic leads in insertion
     order, the nonzero inputs first; U[i] is a vector over the input
     positions with G[i] = sum over inputs of U[i] applied to vecs (empty when
     cofactors=False).  S is empty unless syzygies=True (which needs
@@ -273,53 +374,52 @@ def _buchberger_pairs(vecs, keys, domain, cofactors=True, syzygies=False):
     row, so S generates the syzygy module of the nonzero inputs.
     """
     one = _field_one(domain)
-    mkey = keys.module
+    top, guard = layout.top, layout.guard
+    fields = (1 << top) - 1
     G = []
     U = []
     S = []
     view = []
-    scalar = all(pos == 0 for v in vecs for pos, _ in v)
+    scalar = all(x >> top == 0 for v in vecs for x in v)
 
     def insert(vec, row):
-        lead = max(vec, key=mkey)
+        lead = max(vec)
         c = vec[lead]
         if c != one:
             inv = one / c
-            vec = {pm: inv * cc for pm, cc in vec.items()}
+            vec = {x: inv * cc for x, cc in vec.items()}
             if cofactors:
-                row = {pm: inv * cc for pm, cc in row.items()}
+                row = {x: inv * cc for x, cc in row.items()}
         G.append((vec, lead))
         view.append((vec, lead, one))
         if cofactors:
             U.append(row)
         return len(G) - 1
 
-    # normal selection: pairs pop by (lcm degree, lcm order key, i, j)
+    # normal selection: pairs pop by (lcm degree, lcm order, i, j)
     pairs = []
     pending = set()
 
     def add_pairs(j):
-        pos_j, mj = G[j][1]
+        lj = G[j][1]
         for i in range(j):
-            if G[i][1][0] == pos_j:
-                lcm = G[i][1][1].lcm(mj)
-                heapq.heappush(pairs, (lcm.deg, keys.mono(lcm), i, j))
+            li = G[i][1]
+            if li >> top == lj >> top:
+                lcm = layout.lcm(li, lj)
+                heapq.heappush(pairs, (layout.degree(lcm), lcm & fields, i, j))
                 pending.add((i, j))
 
     for i, v in enumerate(vecs):
         if not v:
             continue
-        idx = insert(dict(v), {(i, MONO_ONE): one})
+        idx = insert(dict(v), {-i << top: one})
         add_pairs(idx)
 
-    def chain_skip(i, j, pos, lcm):
+    def chain_skip(i, j, lcm):
         # Buchberger chain criterion: S(i,j) is redundant once some third
         # lead divides the pair lcm and both sub-pairs are already treated
         for k in range(len(G)):
-            if k == i or k == j:
-                continue
-            kp, km = G[k][1]
-            if kp != pos or not km.divides(lcm):
+            if k == i or k == j or not layout.divides(G[k][1], lcm):
                 continue
             a = (i, k) if i < k else (k, i)
             if a in pending:
@@ -332,37 +432,37 @@ def _buchberger_pairs(vecs, keys, domain, cofactors=True, syzygies=False):
     while pairs:
         _, _, i, j = heapq.heappop(pairs)
         pending.discard((i, j))
-        gi, (pos, mi) = G[i]
-        gj, (_, mj) = G[j]
-        lcm = mi.lcm(mj)
+        gi, li = G[i]
+        gj, lj = G[j]
+        lcm = layout.lcm(li, lj)
         # product criterion is only sound for scalar (rank-1) inputs
-        if scalar and lcm.deg == mi.deg + mj.deg:
+        if scalar and lcm == li + lj:
             if syzygies:
                 row = {}
-                for (_, m), c in gj.items():
-                    _vp_axpy(row, c, m, U[i])
-                for (_, m), c in gi.items():
-                    _vp_axpy(row, -c, m, U[j])
+                for m, c in gj.items():
+                    _vp_axpy(row, c, m, U[i], guard)
+                for m, c in gi.items():
+                    _vp_axpy(row, -c, m, U[j], guard)
                 if row:
                     S.append(row)
             continue
-        if chain_skip(i, j, pos, lcm):
+        if chain_skip(i, j, lcm):
             continue
-        ti, tj = lcm.div(mi), lcm.div(mj)
+        ti, tj = lcm - li, lcm - lj
         s = {}
-        _vp_axpy(s, one, ti, gi)
-        _vp_axpy(s, -one, tj, gj)
-        quots, rem = _vp_divmod(s, view, keys, track=cofactors)
+        _vp_axpy(s, one, ti, gi, guard)
+        _vp_axpy(s, -one, tj, gj, guard)
+        quots, rem = _vp_divmod(s, view, layout, track=cofactors)
         if not rem and not syzygies:
             continue
         srow = None
         if cofactors:
             srow = {}
-            _vp_axpy(srow, one, ti, U[i])
-            _vp_axpy(srow, -one, tj, U[j])
+            _vp_axpy(srow, one, ti, U[i], guard)
+            _vp_axpy(srow, -one, tj, U[j], guard)
             for t, qd in enumerate(quots):
                 for mono, qc in qd.items():
-                    _vp_axpy(srow, -qc, mono, U[t])
+                    _vp_axpy(srow, -qc, mono, U[t], guard)
         if rem:
             add_pairs(insert(rem, srow))
         elif srow:
@@ -370,31 +470,26 @@ def _buchberger_pairs(vecs, keys, domain, cofactors=True, syzygies=False):
     return G, U, S
 
 
-def _buchberger_vec(vecs, order, domain, cofactors=True):
+def _buchberger_vec(vecs, layout, domain, cofactors=True):
     """Reduced module Groebner basis with cofactor rows.
 
     The pair loop of _buchberger_pairs, then a minimal basis with
-    inter-reduced tails.  Returns (G, U): G is a list of (vec, lead_pm) with
+    inter-reduced tails.  Returns (G, U): G is a list of (vec, lead) with
     monic leads, sorted by descending leading term; U[i] is a vector over the
     input positions with G[i] = sum over inputs of U[i] applied to vecs.
     cofactors=False skips the U bookkeeping (it comes back empty); the basis
-    itself is identical.
+    itself is identical.  Raises _Overflow.
     """
     one = _field_one(domain)
-    keys = _Keys(order)
-    mkey = keys.module
-    G, U, _ = _buchberger_pairs(vecs, keys, domain, cofactors)
+    guard = layout.guard
+    G, U, _ = _buchberger_pairs(vecs, layout, domain, cofactors)
 
     # minimal set: leads pairwise non-divisible
-    order_asc = sorted(range(len(G)), key=lambda t: mkey(G[t][1]))
     kept = []
-    for t in order_asc:
-        pos, m = G[t][1]
-        if any(
-            G[k][1][0] == pos and G[k][1][1].divides(m) for k in kept
-        ):
-            continue
-        kept.append(t)
+    for t in sorted(range(len(G)), key=lambda t: G[t][1]):
+        lead = G[t][1]
+        if not any(layout.divides(G[k][1], lead) for k in kept):
+            kept.append(t)
 
     # inter-reduce tails against the current state; leads never change
     work = [
@@ -404,7 +499,7 @@ def _buchberger_vec(vecs, order, domain, cofactors=True):
         others = [
             (w[0], w[1], one) for k, w in enumerate(work) if k != idx
         ]
-        quots, rem = _vp_divmod(work[idx][0], others, keys, track=cofactors)
+        quots, rem = _vp_divmod(work[idx][0], others, layout, track=cofactors)
         if cofactors:
             row = work[idx][2]
             pos = 0
@@ -412,18 +507,18 @@ def _buchberger_vec(vecs, order, domain, cofactors=True):
                 if k == idx:
                     continue
                 for mono, qc in quots[pos].items():
-                    _vp_axpy(row, -qc, mono, w[2])
+                    _vp_axpy(row, -qc, mono, w[2], guard)
                 pos += 1
         work[idx][0] = rem
 
-    work.sort(key=lambda w: mkey(w[1]), reverse=True)
+    work.sort(key=lambda w: w[1], reverse=True)
     return (
         [(w[0], w[1]) for w in work],
         [w[2] for w in work] if cofactors else [],
     )
 
 
-def _syzygy_rows(vecs, order, domain):
+def _syzygy_rows(vecs, layout, domain):
     """Generating rows (rank len(vecs)) of the syzygy module of vecs.
 
     A unit row for each zero input, plus the rows the pair loop records for
@@ -432,14 +527,14 @@ def _syzygy_rows(vecs, order, domain):
     (identity minus V U) are needed, and no S-pair is reduced twice.
     """
     one = _field_one(domain)
-    _, _, rows = _buchberger_pairs(vecs, _Keys(order), domain, syzygies=True)
-    return [{(i, MONO_ONE): one} for i, v in enumerate(vecs) if not v] + rows
+    _, _, rows = _buchberger_pairs(vecs, layout, domain, syzygies=True)
+    return [{-i << layout.top: one} for i, v in enumerate(vecs) if not v] + rows
 
 
-def _canonical_rows(rows, order, domain):
+def _canonical_rows(rows, layout, domain):
     if not rows:
         return []
-    G, _ = _buchberger_vec(rows, order, domain, cofactors=False)
+    G, _ = _buchberger_vec(rows, layout, domain, cofactors=False)
     return [vec for vec, _ in G]
 
 
@@ -451,7 +546,7 @@ def _lub_domain(polys):
 
 
 def _embed(vec):
-    return {pm: _to_field(c, EXTENDED) for pm, c in vec.items()}
+    return {x: _to_field(c, EXTENDED) for x, c in vec.items()}
 
 
 class Module:
@@ -462,6 +557,10 @@ class Module:
     targets of a standard module reuse the standard basis and rows by
     embedding: a reduced Groebner basis stays one under coefficient field
     extension, and the rows still express it through the columns.
+
+    The engine runs on terms packed under self._layout.  A target with new
+    variables, or a run whose terms overflow the fields, moves the module to
+    a wider layout; the cached basis and rows are repacked, not recomputed.
     """
 
     def __init__(self, columns, order=GREVLEX):
@@ -475,17 +574,55 @@ class Module:
         self.columns = columns
         self.order = order
         self.domain = domain
-        self._vecs = [_vec_from_polys(col, domain) for col in columns]
+        self._layout = _layout(order, frozenset(_variables(flat)), _START_WIDTH)
+        self._vecs = None
         self._gb = None
         self._rows = None
         self._embedded = None
         self._syz = None
 
+    def _relayout(self, variables, width):
+        """Move to a new layout, repacking the cached basis and rows."""
+        old = self._layout
+        new = _layout(self.order, variables, width)
+
+        def repack(vec):
+            return {new.term(*old.split(x)): c for x, c in vec.items()}
+
+        if self._gb is not None:
+            self._gb = [
+                (repack(vec), new.term(*old.split(lead))) for vec, lead in self._gb
+            ]
+        if self._rows is not None:
+            self._rows = [repack(row) for row in self._rows]
+        self._layout = new
+        self._vecs = None
+        self._embedded = None
+
+    def _run(self, step, polys=()):
+        """step() under a layout covering the variables of polys.
+
+        On _Overflow the field width doubles and step runs again.
+        """
+        extra = _variables(polys) - self._layout.variables
+        if extra:
+            self._relayout(self._layout.variables | extra, self._layout.width)
+        while True:
+            try:
+                if self._vecs is None:
+                    self._vecs = [
+                        _vec_from_polys(col, self.domain, self._layout)
+                        for col in self.columns
+                    ]
+                return step()
+            except _Overflow:
+                self._relayout(self._layout.variables, 2 * self._layout.width)
+
     def _basis_for(self, domain, cofactors=False):
         """(G, U) over domain; U is None unless cofactor rows were asked for."""
         if self._gb is None or (cofactors and self._rows is None):
             self._gb, rows = _buchberger_vec(
-                self._vecs, self.order, self.domain, cofactors
+                self._vecs, self._layout, self.domain, cofactors
             )
             self._rows = rows if cofactors else None
             self._embedded = None
@@ -504,32 +641,43 @@ class Module:
         G, U = self._basis_for(domain, cofactors)
         one = _field_one(domain)
         quots, rem = _vp_divmod(
-            _vec_from_polys(target, domain),
+            _vec_from_polys(target, domain, self._layout),
             [(vec, lead, one) for vec, lead in G],
-            _Keys(self.order),
+            self._layout,
             track=cofactors,
         )
         return domain, quots, rem, U
 
     def member(self, target):
         """None, or cofactors r with target = sum r_i * columns_i."""
-        domain, quots, rem, U = self._reduce(list(target), cofactors=True)
-        if rem:
-            return None
-        row = {}
-        for t, qd in enumerate(quots):
-            for mono, qc in qd.items():
-                _vp_axpy(row, qc, mono, U[t])
-        return _vec_to_polys(row, len(self.columns), domain)
+        target = list(target)
+
+        def step():
+            domain, quots, rem, U = self._reduce(target, cofactors=True)
+            if rem:
+                return None
+            row = {}
+            for t, qd in enumerate(quots):
+                for mono, qc in qd.items():
+                    _vp_axpy(row, qc, mono, U[t], self._layout.guard)
+            return _vec_to_polys(row, len(self.columns), domain, self._layout)
+
+        return self._run(step, target)
 
     def syzygies(self):
         """Canonical syzygy generators of the columns, as tuples of Poly."""
         if self._syz is None:
-            rows = _syzygy_rows(self._vecs, self.order, self.domain)
-            self._syz = tuple(
-                tuple(_vec_to_polys(row, len(self.columns), self.domain))
-                for row in _canonical_rows(rows, self.order, self.domain)
-            )
+
+            def step():
+                rows = _syzygy_rows(self._vecs, self._layout, self.domain)
+                return tuple(
+                    tuple(
+                        _vec_to_polys(row, len(self.columns), self.domain, self._layout)
+                    )
+                    for row in _canonical_rows(rows, self._layout, self.domain)
+                )
+
+            self._syz = self._run(step)
         return self._syz
 
 
@@ -544,18 +692,26 @@ class Ideal(Module):
     def groebner_basis(self):
         """Reduced basis as Polys, descending leading terms, denominators cleared."""
         if self._gb_polys is None:
-            G, _ = self._basis_for(self.domain)
-            polys = [
-                _vec_to_polys(vec, 1, self.domain)[0] for vec, _ in G
-            ]
+
+            def step():
+                G, _ = self._basis_for(self.domain)
+                return [
+                    _vec_to_polys(vec, 1, self.domain, self._layout)[0]
+                    for vec, _ in G
+                ]
+
+            polys = self._run(step)
             if self.domain == EXTENDED:
                 polys = [clear_denominators(p, self.order) for p in polys]
             self._gb_polys = polys
         return list(self._gb_polys)
 
     def normal_form(self, f):
-        domain, _, rem, _ = self._reduce([f], cofactors=False)
-        return _vec_to_polys(rem, 1, domain)[0]
+        def step():
+            domain, _, rem, _ = self._reduce([f], cofactors=False)
+            return _vec_to_polys(rem, 1, domain, self._layout)[0]
+
+        return self._run(step, [f])
 
     def contains(self, f):
         return not self.normal_form(f)

@@ -23,9 +23,9 @@ from .groebner import (
     ideal_member,
     radical_member,
 )
-from .levicivita import LCNumber
+from .levicivita import LCFraction, LCNumber
 from .parser import format_gaussian, format_lc, format_poly
-from .poly import MONO_ONE, STANDARD, AffineSubstitution, Poly, poly_eval
+from .poly import MONO_ONE, STANDARD, AffineSubstitution, Monomial, Poly, poly_eval
 from .shadow import PointAssignment
 
 
@@ -169,10 +169,14 @@ class PointIdealResult:
 def is_point_ideal(ideal):
     """Recognize ideals of the shape <z_i - a_i> and read off the point.
 
-    Decides from the reduced lex basis: every element must be z_i - a_i
-    for a single variable and standard value.  Variables that never occur
-    are unconstrained, so the returned assignment covers exactly the
-    constrained ones.  The unit ideal reports reason "improper".
+    Decides from the reduced lex basis: every element must be c*z_i - b
+    for a single variable, and the point has a_i = b/c.  Over the standard
+    domain c is 1.  Over the extended domain c is 1 plus an infinitesimal;
+    the point is returned when every a_i is a finite Levi-Civita sum (so
+    z1 - eps gives z1 = eps), and otherwise the reason says a coordinate is
+    not one.  Variables that never occur are unconstrained, so the returned
+    assignment covers exactly the constrained ones.  The unit ideal reports
+    reason "improper".
     """
     gens = ideal.generators if isinstance(ideal, Ideal) else tuple(ideal)
     basis = buchberger(gens, LEX)
@@ -185,13 +189,16 @@ def is_point_ideal(ideal):
             return PointIdealResult(
                 None, "a basis element is not linear in a single variable"
             )
-        values[sup[0]] = -g.coefficient(MONO_ONE)
-    return PointIdealResult(
-        PointAssignment(
-            {v: LCNumber.from_gaussian(a) for v, a in values.items()}
-        ),
-        "",
-    )
+        a = -g.coefficient(MONO_ONE)
+        if g.domain != STANDARD:
+            c = g.coefficient(Monomial(((sup[0], 1),)))
+            a = LCFraction(a, c).to_lcnumber()
+            if a is None:
+                return PointIdealResult(
+                    None, "a coordinate is not a finite Levi-Civita sum"
+                )
+        values[sup[0]] = a
+    return PointIdealResult(PointAssignment(values), "")
 
 
 def radical_nullstellensatz(g, ideal):

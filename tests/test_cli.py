@@ -112,6 +112,43 @@ class TestExitCodes:
         assert code == 0
         assert body["result"] == "1"
 
+    def test_unexpected_exception_is_internal_error(self, monkeypatch):
+        def broken(config, ns):
+            raise RuntimeError("boom")
+
+        monkeypatch.setitem(_HANDLERS, "st", broken)
+        code, out = run_command(["st", "1"])
+        assert code == 1
+        assert len(out.splitlines()) == 1
+        body = json.loads(out)
+        assert body["ok"] is False
+        assert body["config"] == DEFAULT_CONFIG
+        assert body["error"] == {"code": "internal", "message": "RuntimeError: boom"}
+
+    @pytest.mark.parametrize("exc", [KeyboardInterrupt, SystemExit])
+    def test_interrupt_and_exit_propagate(self, monkeypatch, exc):
+        def stop(config, ns):
+            raise exc()
+
+        monkeypatch.setitem(_HANDLERS, "st", stop)
+        with pytest.raises(exc):
+            run_command(["st", "1"])
+
+    def test_point_ideal_with_eps_value(self):
+        code, body = run("point-ideal", "--ideal", "z1 - eps")
+        assert code == 0
+        assert body["ok"] is True
+        assert body["result"] == {"point": {"z1": "eps"}, "reason": ""}
+
+    def test_point_ideal_with_infinite_series_value(self):
+        # z1 = 1/(1 + eps) is not a finite Levi-Civita sum
+        code, body = run("point-ideal", "--ideal", "(1+eps)*z1 - 1")
+        assert code == 0
+        assert body["result"] == {
+            "point": None,
+            "reason": "a coordinate is not a finite Levi-Civita sum",
+        }
+
     def test_value_starting_with_minus_takes_equals_form(self):
         # argparse reads a separate "-3*eps^2" as a flag; --flag=value does not
         code, body = run("verify-closure", "--roots=-3*eps^2")

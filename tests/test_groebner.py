@@ -3,6 +3,8 @@ import random
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from _oracles import (
     brute_force_kernel,
@@ -527,3 +529,125 @@ class TestOrderKeys:
             m, n = _mono(a), _mono(b)
             assert cmp(m, n) == -1
             assert key(m) < key(n) and neg(m) > neg(n)
+
+
+PACKING_ORDERS = [
+    GREVLEX,
+    LEX,
+    MonomialOrder("elimination", [2, 4]),
+    MonomialOrder("elimination", [1, 3]),
+]
+
+packing_monomials = st.dictionaries(
+    st.integers(min_value=1, max_value=5),
+    st.integers(min_value=1, max_value=9),
+    max_size=5,
+).map(lambda exps: Monomial(exps.items()))
+
+
+class TestPackedTerms:
+    @pytest.mark.parametrize("order", PACKING_ORDERS, ids=lambda o: o.name)
+    @settings(max_examples=150, deadline=None)
+    @given(
+        m=packing_monomials,
+        n=packing_monomials,
+        p=st.integers(min_value=0, max_value=3),
+        q=st.integers(min_value=0, max_value=3),
+    )
+    def test_packing_matches_monomials(self, order, m, n, p, q):
+        layout = groebner._Layout(order, range(1, 6), groebner._START_WIDTH)
+        key = order.key()
+        pm, pn = layout.term(0, m), layout.term(0, n)
+        assert (pm < pn) == (key(m) < key(n))
+        assert (pm == pn) == (m == n)
+        assert (not (pm - pn) & layout.guard) == n.divides(m)
+        assert layout.divides(pn, pm) == n.divides(m)
+        assert layout.split(pm) == (0, m)
+        assert layout.split(layout.term(p, m)) == (p, m)
+        assert layout.term(0, m.mul(n)) == pm + pn
+        assert layout.term(p, m.mul(n)) == layout.term(p, m) + pn
+        assert layout.lcm(pm, pn) == layout.term(0, m.lcm(n))
+        if p != q:
+            assert (layout.term(p, m) > layout.term(q, n)) == (p < q)
+            assert not layout.divides(layout.term(q, n), layout.term(p, m))
+
+    def test_sum_past_the_field_width_is_caught(self):
+        layout = groebner._Layout(GREVLEX, [1, 2], 3)
+        x = layout.term(0, _mono("z1^2"))
+        assert not x & layout.guard
+        assert (x + x) & layout.guard
+        with pytest.raises(groebner._Overflow):
+            layout.term(0, _mono("z1^4"))
+
+    def test_every_new_term_is_checked(self):
+        layout = groebner._Layout(LEX, [1, 2], 3)
+        one = GaussianRational(1)
+        z1, z2_3 = layout.term(0, _mono("z1")), layout.term(0, _mono("z2^3"))
+        with pytest.raises(groebner._Overflow):
+            layout.lcm(layout.term(0, _mono("z1^3")), z2_3)
+        with pytest.raises(groebner._Overflow):
+            groebner._vp_axpy({}, one, z1, {z2_3: one}, layout.guard)
+        # z1^3 fits, and so does the lead product z1^2 * z1, but not z1^2 * z2^3
+        with pytest.raises(groebner._Overflow):
+            groebner._vp_divmod(
+                {layout.term(0, _mono("z1^3")): one},
+                [({z1: one, z2_3: -one}, z1, one)],
+                layout,
+            )
+
+
+def _engine_outputs(rng):
+    """Basis, normal forms, syzygies, kernels and member cofactors, formatted."""
+    out = []
+    unit = ext("1 + eps")
+    for _ in range(6):
+        for lift in (lambda f: f, lambda f: f.to_extended() * unit):
+            gens = [
+                lift(random_std_poly(rng, max_degree=3))
+                for _ in range(rng.randint(1, 3))
+            ]
+            gens = [g for g in gens if g] or [lift(std("z1^3 - z2"))]
+            for order in (GREVLEX, LEX):
+                I = Ideal(gens, order)
+                out.append([format_poly(g) for g in buchberger(gens, order)])
+                f = lift(random_std_poly(rng, max_degree=3) * std("z1*z4^2"))
+                out.append(format_poly(I.normal_form(f)))
+            syz = syzygy_basis(gens).generators
+            out.append([[format_poly(x) for x in v] for v in syz])
+            cols = [
+                [lift(random_std_poly(rng, max_degree=3)) for _ in range(2)]
+                for _ in range(2)
+            ]
+            out.append([[format_poly(x) for x in v] for v in module_syzygies(cols)])
+            inside = [cols[0][i] * std("z2^2") + cols[1][i] for i in range(2)]
+            outside = [lift(random_std_poly(rng, max_degree=3)) for _ in range(2)]
+            for target in (inside, outside):
+                r = Module(cols).member(target)
+                out.append(None if r is None else [format_poly(x) for x in r])
+    return out
+
+
+class TestWidening:
+    def test_narrow_start_width_gives_the_same_outputs(self, monkeypatch):
+        wide = _engine_outputs(random.Random(4013))
+        monkeypatch.setattr(groebner, "_START_WIDTH", 3)
+        M = Module([[std("z1^2*z2 - z3")]])
+        assert M.member([std("z1^4*z2^2 - z3^2")]) is not None
+        assert M._layout.width > 3
+        I = Ideal([std("z1 - z2^3")], LEX)
+        assert I.normal_form(std("z1^3")) == std("z2^9")
+        assert _engine_outputs(random.Random(4013)) == wide
+
+    def test_huge_exponent(self):
+        z1_big = Poly("standard", {Monomial([(1, 2**40)]): GaussianRational(1)})
+        big = z1_big - std("z2")
+        basis = buchberger([big, std("z2 - 1")], LEX)
+        assert basis == [z1_big - std("1"), std("z2 - 1")]
+        assert Ideal(basis, LEX).contains(z1_big * std("z2") - std("z2"))
+
+    def test_new_target_variable_reuses_the_cached_basis(self, engine_runs):
+        M = Module([[std("z1"), std("z2")], [std("z2"), std("0")]])
+        assert M.member([std("z1*z2"), std("z2^2")]) is not None
+        assert M.member([std("z1*z5"), std("z2*z5")]) is not None
+        assert M.member([std("z7"), std("0")]) is None
+        assert engine_runs == [True]
