@@ -10,7 +10,6 @@ import argparse
 import functools
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
@@ -116,7 +115,7 @@ def _build_parser():
     """The argument parser, built on first use and shared after that.
 
     parse_args keeps its state in the namespace it returns and never changes
-    the parser, so threads (corpus --threads) can share it.
+    the parser, so threads can share it.
     """
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--truncation-order", dest="truncation_order")
@@ -455,12 +454,8 @@ def _cmd_corpus(config, ns):
         code, out = run_command(list(case["argv"]))
         return {"name": case["name"], "exit": code, "output": out}
 
-    threads = max(1, int(ns.threads))
-    if threads == 1:
-        results = [run_case(c) for c in cases]
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(run_case, cases))
+    # --threads is accepted for compatibility; a GIL-bound pool was no faster
+    results = [run_case(c) for c in cases]
 
     if ns.write_golden:
         payload = {

@@ -1,9 +1,12 @@
 """Deterministic Buchberger engine over both coefficient domains.
 
 One vector-polynomial engine serves scalars (rank-1 vectors) and module
-computations (syzygies, kernels).  Extended-domain runs work over the
-LCFraction field internally; finite-sum representatives are restored at the
-public boundary via clear_denominators.  Everything is deterministic for a
+computations (syzygies, kernels).  Each Module runs it over the smallest
+field its generators need: Q(i) when every coefficient is eps-free, even for
+extended-domain data, and the LCFraction field otherwise.  An extended
+target of a Q(i) basis is reduced one eps-power slice at a time (see
+Module).  Finite-sum representatives of LCFraction results are restored at
+the public boundary via clear_denominators.  Everything is deterministic for a
 fixed generator order and monomial order: pair selection is the normal
 strategy (minimal lcm degree, ties by the monomial order, then indices), and
 reduced bases are sorted by descending leading term.
@@ -545,18 +548,63 @@ def _lub_domain(polys):
     return EXTENDED if any(p.domain == EXTENDED for p in polys) else STANDARD
 
 
-def _embed(vec):
-    return {x: _to_field(c, EXTENDED) for x, c in vec.items()}
+def _denominator_lcm(coeffs):
+    """lcm of the LCFraction denominators among coeffs; LC_ONE when none."""
+    scale = LC_ONE
+    for c in coeffs:
+        if isinstance(c, LCFraction) and not c.den.is_one():
+            scale = lc_lcm(scale, c.den)
+    return scale
+
+
+def _eps_slices(target, layout):
+    """(scale, {q: vec}): the Q(i) slices of scale * target by eps exponent.
+
+    scale * target = sum of eps^q * vec_q, where scale is the lcm of the
+    target's LCFraction denominators (LC_ONE when it has none).
+    """
+    polys = [f.to_extended() for f in target]
+    scale = _denominator_lcm(c for f in polys for c in f.terms.values())
+    slices = {}
+    for pos, f in enumerate(polys):
+        for m, c in f.terms.items():
+            if not scale.is_one():
+                c = c * scale
+            if isinstance(c, LCFraction):
+                c = c.to_lcnumber()
+            x = layout.term(pos, m)
+            for q, g in c.terms:
+                slices.setdefault(q, {})[x] = g
+    return scale, slices
+
+
+def _eps_join(parts, scale):
+    """sum of eps^q * vec_q / scale over the (q, vec_q) of ascending q."""
+    terms = {}
+    for q, vec in parts:
+        for x, g in vec.items():
+            terms.setdefault(x, []).append((q, g))
+    if scale.is_one():
+        return {x: LCNumber(tuple(t)) for x, t in terms.items()}
+    return {x: LCFraction(LCNumber(tuple(t)), scale) for x, t in terms.items()}
 
 
 class Module:
     """Submodule spanned by columns (each a list of Poly), with cached bases.
 
     The reduced Groebner basis is computed once, its cofactor rows only when
-    member first needs them, and the canonical syzygies once.  Extended
-    targets of a standard module reuse the standard basis and rows by
-    embedding: a reduced Groebner basis stays one under coefficient field
-    extension, and the rows still express it through the columns.
+    member first needs them, and the canonical syzygies once.
+
+    The engine runs over Q(i) when every coefficient of the columns is
+    eps-free, whatever their declared domain, and over the LCFraction field
+    otherwise.  The Q(i) run makes the image of the same operations under the
+    field embedding Q(i) -> LCFraction, so its basis, rows and syzygies are
+    those of an LCFraction run; an extended module promotes them to LCNumber
+    coefficients when it hands them out.  An extended target of a Q(i) basis
+    is reduced one eps slice at a time (see _eps_slices): the divisor chosen
+    for a term depends only on the term, so reduction by a fixed basis is
+    linear, and the slices' remainders and cofactor rows join into the
+    target's.
 
     The engine runs on terms packed under self._layout.  A target with new
     variables, or a run whose terms overflow the fields, moves the module to
@@ -571,14 +619,17 @@ class Module:
         domain = _lub_domain(flat)
         if domain == EXTENDED:
             columns = tuple(tuple(f.to_extended() for f in col) for col in columns)
+        demoted = tuple(tuple(f.to_standard() for f in col) for col in columns)
+        eps_free = all(f is not None for col in demoted for f in col)
         self.columns = columns
         self.order = order
         self.domain = domain
+        self._field = STANDARD if eps_free else EXTENDED
+        self._field_columns = demoted if eps_free else columns
         self._layout = _layout(order, frozenset(_variables(flat)), _START_WIDTH)
         self._vecs = None
         self._gb = None
         self._rows = None
-        self._embedded = None
         self._syz = None
 
     def _relayout(self, variables, width):
@@ -597,7 +648,6 @@ class Module:
             self._rows = [repack(row) for row in self._rows]
         self._layout = new
         self._vecs = None
-        self._embedded = None
 
     def _run(self, step, polys=()):
         """step() under a layout covering the variables of polys.
@@ -611,55 +661,61 @@ class Module:
             try:
                 if self._vecs is None:
                     self._vecs = [
-                        _vec_from_polys(col, self.domain, self._layout)
-                        for col in self.columns
+                        _vec_from_polys(col, self._field, self._layout)
+                        for col in self._field_columns
                     ]
                 return step()
             except _Overflow:
                 self._relayout(self._layout.variables, 2 * self._layout.width)
 
-    def _basis_for(self, domain, cofactors=False):
-        """(G, U) over domain; U is None unless cofactor rows were asked for."""
+    def _basis_for(self, cofactors=False):
+        """(G, U) over self._field; U is None unless cofactor rows were asked for."""
         if self._gb is None or (cofactors and self._rows is None):
             self._gb, rows = _buchberger_vec(
-                self._vecs, self._layout, self.domain, cofactors
+                self._vecs, self._layout, self._field, cofactors
             )
             self._rows = rows if cofactors else None
-            self._embedded = None
-        if domain == self.domain:
-            return self._gb, self._rows
-        if self._embedded is None:
-            self._embedded = (
-                [(_embed(vec), lead) for vec, lead in self._gb],
-                None if self._rows is None else [_embed(r) for r in self._rows],
-            )
-        return self._embedded
+        return self._gb, self._rows
 
     def _reduce(self, target, cofactors):
-        """(domain, quotients, remainder, U) of target against the basis."""
+        """(domain, remainder, row) of target against the basis.
+
+        row, over the column positions, has target = sum row_i * columns_i
+        when cofactors is set and the remainder is zero; else it is empty.
+        """
         domain = EXTENDED if self.domain == EXTENDED else _lub_domain(target)
-        G, U = self._basis_for(domain, cofactors)
-        one = _field_one(domain)
-        quots, rem = _vp_divmod(
-            _vec_from_polys(target, domain, self._layout),
-            [(vec, lead, one) for vec, lead in G],
-            self._layout,
-            track=cofactors,
-        )
-        return domain, quots, rem, U
+        G, U = self._basis_for(cofactors)
+        layout = self._layout
+        one = _field_one(self._field)
+        basis = [(vec, lead, one) for vec, lead in G]
+
+        def reduce(vec):
+            quots, rem = _vp_divmod(vec, basis, layout, track=cofactors)
+            row = {}
+            if cofactors and not rem:
+                for t, qd in enumerate(quots):
+                    for mono, qc in qd.items():
+                        _vp_axpy(row, qc, mono, U[t], layout.guard)
+            return rem, row
+
+        if domain == self._field:
+            rem, row = reduce(_vec_from_polys(target, domain, layout))
+            return domain, rem, row
+        scale, slices = _eps_slices(target, layout)
+        parts = [(q, reduce(slices[q])) for q in sorted(slices)]
+        rem = _eps_join([(q, r) for q, (r, _) in parts], scale)
+        if rem or not cofactors:
+            return domain, rem, {}
+        return domain, rem, _eps_join([(q, row) for q, (_, row) in parts], scale)
 
     def member(self, target):
         """None, or cofactors r with target = sum r_i * columns_i."""
         target = list(target)
 
         def step():
-            domain, quots, rem, U = self._reduce(target, cofactors=True)
+            domain, rem, row = self._reduce(target, cofactors=True)
             if rem:
                 return None
-            row = {}
-            for t, qd in enumerate(quots):
-                for mono, qc in qd.items():
-                    _vp_axpy(row, qc, mono, U[t], self._layout.guard)
             return _vec_to_polys(row, len(self.columns), domain, self._layout)
 
         return self._run(step, target)
@@ -669,12 +725,12 @@ class Module:
         if self._syz is None:
 
             def step():
-                rows = _syzygy_rows(self._vecs, self._layout, self.domain)
+                rows = _syzygy_rows(self._vecs, self._layout, self._field)
                 return tuple(
                     tuple(
                         _vec_to_polys(row, len(self.columns), self.domain, self._layout)
                     )
-                    for row in _canonical_rows(rows, self._layout, self.domain)
+                    for row in _canonical_rows(rows, self._layout, self._field)
                 )
 
             self._syz = self._run(step)
@@ -694,7 +750,7 @@ class Ideal(Module):
         if self._gb_polys is None:
 
             def step():
-                G, _ = self._basis_for(self.domain)
+                G, _ = self._basis_for()
                 return [
                     _vec_to_polys(vec, 1, self.domain, self._layout)[0]
                     for vec, _ in G
@@ -708,7 +764,7 @@ class Ideal(Module):
 
     def normal_form(self, f):
         def step():
-            domain, _, rem, _ = self._reduce([f], cofactors=False)
+            domain, rem, _ = self._reduce([f], cofactors=False)
             return _vec_to_polys(rem, 1, domain, self._layout)[0]
 
         return self._run(step, [f])
@@ -846,14 +902,7 @@ def clear_denominators(f, order=GREVLEX):
     """
     if f.domain != EXTENDED or not f:
         return f
-    dens = [
-        c.den
-        for c in f.terms.values()
-        if isinstance(c, LCFraction) and not c.den.is_one()
-    ]
-    scale = LC_ONE
-    for d in dens:
-        scale = lc_lcm(scale, d)
+    scale = _denominator_lcm(f.terms.values())
     if not scale.is_one():
         f = f.scale(scale)
     cleaned = {}

@@ -480,42 +480,6 @@ class AffineSubstitution:
             out = out + part
         return out
 
-    def is_invertible(self):
-        """True iff the linear part is a bijection of the named variables."""
-        sources = sorted(self.mapping)
-        targets = sorted(
-            {v for g in self.mapping.values() for v in g.support()}
-        )
-        if len(sources) != len(targets):
-            return False
-        rows = []
-        for s in sources:
-            g = self.mapping[s].to_extended()
-            rows.append(
-                [g.coefficient(Monomial(((t, 1),))) for t in targets]
-            )
-        return bool(_det(rows))
-
-
-def _det(rows):
-    """Exact determinant by expansion; fine at desk scale."""
-    n = len(rows)
-    if n == 0:
-        return LC_ONE
-    if n == 1:
-        return rows[0][0]
-    total = None
-    for j in range(n):
-        c = rows[0][j]
-        if not c:
-            continue
-        minor = [r[:j] + r[j + 1 :] for r in rows[1:]]
-        term = c * _det(minor)
-        if j % 2:
-            term = -term
-        total = term if total is None else total + term
-    return total if total is not None else LC_ZERO
-
 
 def apply_substitution(f, s):
     """Compose f with an AffineSubstitution covering its support."""

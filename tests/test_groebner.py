@@ -1,5 +1,6 @@
 import functools
 import random
+from fractions import Fraction
 from itertools import product
 
 import pytest
@@ -15,6 +16,7 @@ from _oracles import (
     cmp_lex,
     monomials_upto,
 )
+from _strategies import polys
 from epsgeom import groebner
 from epsgeom.errors import ReservedVariableInUse
 from epsgeom.gaussian import GaussianRational
@@ -38,8 +40,9 @@ from epsgeom.groebner import (
     radical_member,
     syzygy_basis,
 )
-from epsgeom.parser import format_poly, parse_poly
-from epsgeom.poly import Monomial, Poly
+from epsgeom.levicivita import LCFraction, LCNumber
+from epsgeom.parser import format_poly, parse_lc, parse_poly
+from epsgeom.poly import EXTENDED, Monomial, Poly
 
 
 def std(text):
@@ -651,3 +654,188 @@ class TestWidening:
         assert M.member([std("z1*z5"), std("z2*z5")]) is not None
         assert M.member([std("z7"), std("0")]) is None
         assert engine_runs == [True]
+
+
+# --- the field each Module runs its engine over -------------------------------
+
+
+def _with_basis(M, rank):
+    """Cache M's basis and cofactor rows through a member call."""
+    M.member([Poly.zero(M.domain)] * rank)
+
+
+def _basis_polys(M):
+    """M's reduced basis, each element as a list of Poly in M's domain."""
+    rank = len(M.columns[0])
+    _with_basis(M, rank)
+    return [
+        groebner._vec_to_polys(vec, rank, M.domain, M._layout) for vec, _ in M._gb
+    ]
+
+
+def _lifted(value):
+    if value is None:
+        return None
+    if isinstance(value, Poly):
+        return value.to_extended()
+    return [_lifted(v) for v in value]
+
+
+def _refuse(*_):
+    raise AssertionError("LCFraction arithmetic on eps-free data")
+
+
+@st.composite
+def _qi_modules(draw):
+    rank = draw(st.integers(min_value=1, max_value=2))
+    ncols = draw(st.integers(min_value=1, max_value=3))
+    cols = [
+        [draw(polys(max_vars=3, max_degree=2, max_terms=2)) for _ in range(rank)]
+        for _ in range(ncols)
+    ]
+    mults = [draw(polys(max_vars=2, max_degree=1, max_terms=2)) for _ in cols]
+    inside = [
+        sum((m * c[i] for m, c in zip(mults, cols)), Poly.zero("standard"))
+        for i in range(rank)
+    ]
+    other = [draw(polys(max_vars=3, max_degree=2, max_terms=2)) for _ in range(rank)]
+    order = draw(
+        st.sampled_from([GREVLEX, LEX, MonomialOrder("elimination", [1])])
+    )
+    return cols, order, [inside, other]
+
+
+class TestFieldChoice:
+    @given(_qi_modules())
+    @settings(max_examples=40, deadline=None)
+    def test_eps_free_extended_module_runs_over_qi(self, drawn):
+        cols, order, targets = drawn
+        M = Module(cols, order)
+        want_basis = _lifted(_basis_polys(M))
+        want_syz = _lifted([list(v) for v in M.syzygies()])
+        want_members = [_lifted(M.member(t)) for t in targets]
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(LCFraction, "__mul__", _refuse)
+            mp.setattr(LCFraction, "__truediv__", _refuse)
+            E = Module(_lifted(cols), order)
+            basis = _basis_polys(E)
+            syz = [list(v) for v in E.syzygies()]
+            members = [E.member(_lifted(t)) for t in targets]
+            assert [E.member(t) for t in targets] == members
+        assert basis == want_basis
+        assert syz == want_syz
+        assert members == want_members
+        for out in basis + syz + [r for r in members if r is not None]:
+            assert all(f.domain == "extended" for f in out)
+
+
+def _embedded_reduce(M, target):
+    """The LCFraction path: target reduced by M's Q(i) basis embedded in LC.
+
+    Returns (remainder, cofactor row or None) as lists of extended Poly.
+    """
+
+    def embed(vec):
+        return {x: groebner._to_field(c, EXTENDED) for x, c in vec.items()}
+
+    _with_basis(M, len(target))
+
+    def step():
+        G, U = M._gb, M._rows
+        one = groebner._field_one(EXTENDED)
+        layout = M._layout
+        quots, rem = groebner._vp_divmod(
+            groebner._vec_from_polys(target, EXTENDED, layout),
+            [(embed(vec), lead, one) for vec, lead in G],
+            layout,
+        )
+        row = None
+        if not rem:
+            row = {}
+            for t, qd in enumerate(quots):
+                for mono, qc in qd.items():
+                    groebner._vp_axpy(row, qc, mono, embed(U[t]), layout.guard)
+            row = groebner._vec_to_polys(row, len(M.columns), EXTENDED, layout)
+        return groebner._vec_to_polys(rem, len(target), EXTENDED, layout), row
+
+    return M._run(step, target)
+
+
+def _random_lc(rng):
+    exps = [0, 1, 2, -1, -2, Fraction(1, 2), Fraction(-1, 3), Fraction(5, 3)]
+    acc = LCNumber()
+    for _ in range(rng.randint(1, 3)):
+        c = GaussianRational(rng.randint(-3, 3), rng.choice((0, 1, -1)))
+        acc = acc + LCNumber.term(c, rng.choice(exps))
+    return acc
+
+
+def _random_eps_poly(rng):
+    acc = Poly.zero(EXTENDED)
+    for _ in range(rng.randint(1, 3)):
+        m = rng.choice(monomials_upto(range(1, 4), 2))
+        acc = acc + Poly(EXTENDED, {m: _random_lc(rng)})
+    return acc
+
+
+def _combination(r, cols):
+    rank = len(cols[0]) if cols else 0
+    return [
+        sum((ri * c[i] for ri, c in zip(r, cols)), Poly.zero(EXTENDED))
+        for i in range(rank)
+    ]
+
+
+class TestEpsSlices:
+    """Slice-by-slice reduction of eps targets against the embedded basis."""
+
+    @pytest.mark.parametrize(
+        "order", [GREVLEX, LEX, MonomialOrder("elimination", [2])], ids=lambda o: o.name
+    )
+    def test_member_matches_the_embedded_basis(self, order):
+        rng = random.Random(4017)
+        for _ in range(12):
+            rank = rng.randint(1, 2)
+            cols = [
+                [random_std_poly(rng) for _ in range(rank)]
+                for _ in range(rng.randint(1, 3))
+            ]
+            M = Module(cols, order)
+            ext_cols = _lifted(cols)
+            mults = [_random_eps_poly(rng) for _ in cols]
+            inside = _combination(mults, ext_cols)
+            outside = [_random_eps_poly(rng) for _ in range(rank)]
+            for target in (inside, outside):
+                _, row = _embedded_reduce(M, target)
+                r = M.member(target)
+                assert r == row
+                if r is not None:
+                    assert _combination(r, ext_cols) == target
+            assert M.member(inside) is not None
+
+    @pytest.mark.parametrize("order", [GREVLEX, LEX], ids=lambda o: o.name)
+    def test_normal_form_matches_the_embedded_basis(self, order):
+        rng = random.Random(4018)
+        for _ in range(12):
+            I = Ideal(random_ideal(rng).generators, order)
+            f = _random_eps_poly(rng)
+            rem, _ = _embedded_reduce(I, [f])
+            assert I.normal_form(f) == rem[0]
+
+    def test_target_with_a_denominator(self):
+        cols = [[std("z1"), std("z2")], [std("z2^2"), std("z1 - 1")]]
+        M = Module(cols)
+        den = parse_lc("1 + eps^(1/2)")
+        x = LCFraction(parse_lc("2 - eps^(-1)"), den)
+        mults = [
+            Poly(EXTENDED, {_mono("z1"): x}),
+            Poly(EXTENDED, {_mono("1"): parse_lc("eps^(2/3)")}),
+        ]
+        target = _combination(mults, _lifted(cols))
+        r = M.member(target)
+        assert r is not None
+        assert r == _embedded_reduce(M, target)[1]
+        assert _combination(r, _lifted(cols)) == target
+        I = Ideal([std("z1^2 - z2")])
+        f = Poly(EXTENDED, {_mono("z1^3"): x, _mono("z2"): parse_lc("eps")})
+        assert I.normal_form(f) == _embedded_reduce(I, [f])[0][0]

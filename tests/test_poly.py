@@ -141,16 +141,6 @@ class TestSubstitutionExamples:
                 P("z1*z2").to_standard(), AffineSubstitution({1: Poly.variable(1)})
             )
 
-    def test_invertibility_flag(self):
-        shear = AffineSubstitution(
-            {1: Poly.variable(1), 2: P("z2 + z1").to_standard()}
-        )
-        collapse = AffineSubstitution(
-            {1: Poly.variable(1), 2: Poly.variable(1)}
-        )
-        assert shear.is_invertible()
-        assert not collapse.is_invertible()
-
 
 class TestRingLaws:
     @given(polys(), polys(), polys())
