@@ -155,20 +155,30 @@ class LCNumber:
         if not a or not b:
             return LC_ZERO
         # scaling by a single term keeps order and cannot cancel (Q(i) is a
-        # domain), so skip the accumulation dict
+        # domain), so skip the accumulation dict.  An exponent sum can only
+        # be an integral Fraction where two Fractions meet; only there does
+        # it go through _exponent.
         if len(a) == 1:
             qa, ca = a[0]
             if len(b) == 1:
                 qb, cb = b[0]
-                return LCNumber(((qa + qb, ca * cb),))
-            return LCNumber(tuple((qa + qb, ca * cb) for qb, cb in b))
+                q = qa + qb
+                return LCNumber(((q if type(q) is int else _exponent(q), ca * cb),))
+            if type(qa) is int:
+                return LCNumber(tuple((qa + qb, ca * cb) for qb, cb in b))
+            return LCNumber(tuple((_exponent(qa + qb), ca * cb) for qb, cb in b))
         if len(b) == 1:
             qb, cb = b[0]
-            return LCNumber(tuple((qa + qb, ca * cb) for qa, ca in a))
+            if type(qb) is int:
+                return LCNumber(tuple((qa + qb, ca * cb) for qa, ca in a))
+            return LCNumber(tuple((_exponent(qa + qb), ca * cb) for qa, ca in a))
         acc = {}
         for qa, ca in a:
+            meet = type(qa) is not int
             for qb, cb in b:
                 q = qa + qb
+                if meet:
+                    q = _exponent(q)
                 p = ca * cb
                 prev = acc.get(q)
                 s = p if prev is None else prev + p
@@ -264,7 +274,8 @@ def _exponent(q):
     """q as an int when it is integral, else as a Fraction."""
     if type(q) is int:
         return q
-    q = Fraction(q)
+    if type(q) is not Fraction:
+        q = Fraction(q)
     return q.numerator if q.denominator == 1 else q
 
 
@@ -399,7 +410,7 @@ def lc_exact_div(a, b):
     work = a
     while work:
         wv, wc = work.leading()
-        qe = wv - bv
+        qe = _exponent(wv - bv)
         if qe > bound:
             return None
         qc = wc / bc
@@ -413,7 +424,7 @@ def _lc_rem(a, b):
     b_top, b_top_c = b.terms[-1]
     while a and a.terms[-1][0] >= b_top:
         a_top, a_top_c = a.terms[-1]
-        a = a - b * LCNumber(((a_top - b_top, a_top_c / b_top_c),))
+        a = a - b * LCNumber(((_exponent(a_top - b_top), a_top_c / b_top_c),))
     return a
 
 

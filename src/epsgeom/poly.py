@@ -357,6 +357,25 @@ class Poly:
 QI_ZERO_FOR = {STANDARD: QI_ZERO, EXTENDED: LC_ZERO}
 
 
+def _power(powers, v, x, e):
+    """x**e for e >= 1, memoised per (v, e) in powers for one call.
+
+    Square-and-multiply through the memo: a run of exponents 1..n costs
+    about one product each, and a lone large e costs O(log e).
+    """
+    p = powers.get((v, e))
+    if p is None:
+        if e == 1:
+            p = x
+        else:
+            p = _power(powers, v, x, e >> 1)
+            p = p * p
+            if e & 1:
+                p = p * x
+        powers[v, e] = p
+    return p
+
+
 def poly_eval(f, point):
     """Evaluate at a point with LCNumber coordinates; returns an LCNumber.
 
@@ -364,12 +383,13 @@ def poly_eval(f, point):
     """
     acc = LCNumber()
     frac_acc = None
+    powers = {}
     for m, c in f.terms.items():
         val = LC_ONE
         for v, e in m.exps:
             if v not in point:
                 raise UnassignedVariable("variable z%d is not assigned" % v)
-            val = val * (point[v] ** e)
+            val = val * _power(powers, v, point[v], e)
         contrib = _promote_coeff(c) * val
         if isinstance(contrib, LCFraction):
             frac_acc = (frac_acc if frac_acc is not None else LCFraction(acc)) + contrib
@@ -469,6 +489,7 @@ class AffineSubstitution:
         if any(g.domain == EXTENDED for g in self.mapping.values()):
             domain = EXTENDED
         out = Poly.zero(domain)
+        powers = {}
         for m, c in f.terms.items():
             part = Poly.constant(c if domain == f.domain else _promote_coeff(c))
             for v, e in m.exps:
@@ -476,7 +497,7 @@ class AffineSubstitution:
                     raise UnassignedVariable(
                         "substitution does not cover z%d" % v
                     )
-                part = part * (self.mapping[v] ** e)
+                part = part * _power(powers, v, self.mapping[v], e)
             out = out + part
         return out
 

@@ -210,6 +210,22 @@ def _univar_coeffs(f, v):
     return out
 
 
+def _taylor_shift(c, s, t):
+    """Turn the ascending coefficients c of f(z) into those of f(s + t*z).
+
+    Horner's rule shifts by s in place in n(n-1)/2 multiply-adds (von zur
+    Gathen & Gerhard, ISSAC 1997); coefficient j is then scaled by t^j.
+    """
+    n = len(c) - 1
+    for i in range(n):
+        for j in range(n - 1, i - 1, -1):
+            c[j] = c[j] + s * c[j + 1]
+    tj = t
+    for j in range(1, n + 1):
+        c[j] = c[j] * tj
+        tj = tj * t
+
+
 def newton_puiseux_lift(f, a, t=TruncationOrder()):
     """Lift a shadow root `a` of f to a genuine root to the given order.
 
@@ -239,28 +255,25 @@ def newton_puiseux_lift(f, a, t=TruncationOrder()):
             "z%d = %s is not a root of the shadow" % (v, format_gaussian(a))
         )
 
+    coeffs = _univar_coeffs(fn, v)
+    c = [coeffs.get(k, LC_ZERO) for k in range(max(coeffs) + 1)]
     acc = LCNumber.from_gaussian(a)
     scale = LC_ONE
-    g = AffineSubstitution(
-        {v: Poly.constant(acc) + Poly.variable(v, EXTENDED)}
-    ).apply(fn)
+    _taylor_shift(c, acc, LC_ONE)
     for _ in range(4096):
-        coeffs = _univar_coeffs(g, v)
-        c0 = coeffs.get(0, LC_ZERO)
-        v0 = c0.valuation() if c0 else INF
+        v0 = c[0].valuation()
         if v0 > t.order:
             return PointAssignment({v: acc})
         mu = None
-        for k, ck in coeffs.items():
-            if k == 0 or not ck:
-                continue
-            cand = Fraction(v0 - ck.valuation(), k)
-            if mu is None or cand > mu:
-                mu = cand
+        for k in range(1, len(c)):
+            if c[k]:
+                cand = Fraction(v0 - c[k].valuation(), k)
+                if mu is None or cand > mu:
+                    mu = cand
         if mu is None or mu <= 0:
             raise InvalidInput("internal: no infinitesimal branch remains")
         edge = {}
-        for k, ck in coeffs.items():
+        for k, ck in enumerate(c):
             if ck and ck.valuation() + k * mu == v0:
                 edge[k] = ck.leading()[1]
         phi = [edge.get(k, QI_ZERO) for k in range(max(edge) + 1)]
@@ -272,13 +285,9 @@ def newton_puiseux_lift(f, a, t=TruncationOrder()):
         gamma = roots[0][0]
         step = LCNumber.term(gamma, mu)
         acc = acc + scale * step
-        g = AffineSubstitution(
-            {
-                v: Poly.constant(step)
-                + Poly.variable(v, EXTENDED).scale(LCNumber.eps(mu))
-            }
-        ).apply(g)
-        scale = scale * LCNumber.eps(mu)
+        t_mu = LCNumber.eps(mu)
+        _taylor_shift(c, step, t_mu)
+        scale = scale * t_mu
     raise InvalidInput("internal: lifting did not converge")
 
 

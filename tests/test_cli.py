@@ -4,13 +4,17 @@ import argparse
 import json
 import sys
 import threading
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from epsgeom.cli import _HANDLERS, SessionConfig, main, run_command
+from epsgeom.gaussian import GaussianRational
 from epsgeom.groebner import Ideal, buchberger, ideal_member, syzygy_basis
-from epsgeom.levicivita import lc_classify, lc_st
-from epsgeom.parser import format_gaussian, format_poly, parse_generators, parse_lc, parse_poly
+from epsgeom.levicivita import LCNumber, lc_classify, lc_st
+from epsgeom.parser import format_gaussian, format_lc, format_poly, parse_generators, parse_lc, parse_poly
 
 DEFAULT_CONFIG = {
     "truncation_order": "16",
@@ -364,3 +368,84 @@ class TestMain:
         assert code == 0
         out = capsys.readouterr().out
         assert json.loads(out)["result"] == "3"
+
+
+# Well-formed argvs for the lifting commands: roots c*eps^q (+ a standard
+# shift and a second term) with q in {-2, ..., 2, 1/2, 1/3}, polynomials of
+# degree up to 5, shadow roots that may or may not be roots.
+VALUATIONS = [Fraction(q) for q in range(-2, 3)] + [Fraction(1, 2), Fraction(1, 3)]
+small_gaussians = st.builds(
+    GaussianRational, st.integers(-3, 3), st.integers(-2, 2)
+)
+
+
+@st.composite
+def lc_roots(draw):
+    q = draw(st.sampled_from(VALUATIONS))
+    r = LCNumber.term(draw(small_gaussians), q)
+    if draw(st.booleans()):
+        r = r + LCNumber.term(draw(small_gaussians), q + draw(st.sampled_from(VALUATIONS[3:])))
+    return r + LCNumber.from_gaussian(draw(small_gaussians))
+
+
+def _factored(var, roots):
+    return "*".join("(z%d - (%s))" % (var, format_lc(r)) for r in roots)
+
+
+def _shadow_root(draw, roots):
+    limited = [lc_st(r) for r in roots if r.is_limited()]
+    if limited and draw(st.booleans()):
+        return draw(st.sampled_from(limited))
+    return draw(small_gaussians)
+
+
+truncation_flags = st.sampled_from(
+    [[], ["--truncation-order", "16"], ["--truncation-order", "1/2"], ["--truncation-order", "3"]]
+)
+
+
+@st.composite
+def lift_argvs(draw):
+    roots = draw(st.lists(lc_roots(), min_size=1, max_size=5))
+    at = format_gaussian(_shadow_root(draw, roots))
+    return ["lift", "--poly=" + _factored(1, roots), "--at=" + at] + draw(truncation_flags)
+
+
+@st.composite
+def verify_closure_argvs(draw):
+    roots = draw(st.lists(lc_roots(), min_size=1, max_size=5))
+    roots = "; ".join(format_lc(r) for r in roots)
+    return ["verify-closure", "--roots=" + roots] + draw(truncation_flags)
+
+
+@st.composite
+def open_witness_argvs(draw):
+    roots1 = draw(st.lists(lc_roots(), min_size=0, max_size=3))
+    roots2 = draw(st.lists(lc_roots(), min_size=0, max_size=2))
+    poly = "*".join(p for p in (_factored(1, roots1), _factored(2, roots2)) if p) or "1"
+    point = {1: _shadow_root(draw, roots1), 2: _shadow_root(draw, roots2)}
+    if draw(st.booleans()):
+        # a point may leave a variable out, or sit off the shadow
+        del point[draw(st.sampled_from([1, 2]))]
+    at = ",".join("z%d=%s" % (v, format_gaussian(x)) for v, x in point.items())
+    return ["open-witness", "--poly=" + poly, "--at=" + at, "--seed", str(draw(st.integers(0, 9)))]
+
+
+class TestLiftingArgvProperty:
+    @pytest.mark.parametrize(
+        "argvs", [lift_argvs(), verify_closure_argvs(), open_witness_argvs()],
+        ids=["lift", "verify-closure", "open-witness"],
+    )
+    def test_one_json_line_and_a_contract_exit_code(self, argvs):
+        @given(argvs)
+        @settings(max_examples=100, deadline=5000)
+        def check(argv):
+            code, out = run_command(argv)
+            assert code in (0, 1, 2)
+            assert "\n" not in out and "Traceback" not in out
+            body = json.loads(out)
+            assert body["ok"] is (code == 0)
+            if code:
+                assert body["error"]["code"] != "internal", body["error"]["message"]
+
+        check()

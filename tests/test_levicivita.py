@@ -17,6 +17,8 @@ from epsgeom.levicivita import (
     TruncationOrder,
     lc_abs_cmp,
     lc_classify,
+    lc_exact_div,
+    lc_gcd,
     lc_inverse,
     lc_nth_root,
     lc_st,
@@ -159,6 +161,32 @@ class TestExponentTypes:
             assert x
             for q, _ in x.terms:
                 assert type(q) in (int, Fraction)
+
+
+def _exponents_canonical(x):
+    return all(type(q) is int or q.denominator != 1 for q, _ in x.terms)
+
+
+class TestIntegralExponentsAreInts:
+    # sums and differences of two Fraction exponents can be integral; those
+    # come out as ints, like every other integral exponent
+    def test_square_of_half_power(self):
+        h = LCNumber.eps(Fraction(1, 2))
+        assert (h ** 2).terms == ((1, GaussianRational(1)),)
+        assert type((h * h).terms[0][0]) is int
+        assert type((h * (h + LC_EPS)).terms[0][0]) is int
+
+    @given(lc_numbers(), lc_numbers(nonzero=True))
+    @settings(max_examples=80, deadline=None)
+    def test_products_and_quotients(self, x, y):
+        p = x * y
+        assert _exponents_canonical(p)
+        q = lc_exact_div(p, y)
+        assert q == x and _exponents_canonical(q)
+        f = LCFraction(x, y)
+        assert _exponents_canonical(f.num) and _exponents_canonical(f.den)
+        g = lc_gcd(p, y)
+        assert _exponents_canonical(g)
 
 
 class TestClassification:

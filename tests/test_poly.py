@@ -8,6 +8,7 @@ from _oracles import compose_polys
 from _strategies import (
     extended_polys,
     gaussians,
+    lc_numbers,
     limited_lc,
     monomials,
     polys,
@@ -19,9 +20,10 @@ from epsgeom.errors import (
     ZeroPolynomial,
 )
 from epsgeom.gaussian import GaussianRational
-from epsgeom.levicivita import LC_ZERO, LCNumber, lc_st
+from epsgeom.levicivita import LC_ONE, LC_ZERO, LCFraction, LCNumber, lc_st
 from epsgeom.parser import parse_lc, parse_poly
 from epsgeom.poly import (
+    EXTENDED,
     MONO_ONE,
     AffineSubstitution,
     Monomial,
@@ -40,6 +42,10 @@ from epsgeom.shadow import PointAssignment
 
 def P(text):
     return parse_poly(text)
+
+
+def L(text):
+    return parse_lc(text)
 
 
 def pt(values):
@@ -219,6 +225,108 @@ class TestSubstitutionHomomorphism:
         )
         assert apply_substitution(f + g, s) == apply_substitution(f, s) + apply_substitution(g, s)
         assert apply_substitution(f * g, s) == apply_substitution(f, s) * apply_substitution(g, s)
+
+
+def _affine(coeffs):
+    # (c0, c1, c2, c3) -> c0 + c1*z1 + c2*z2 + c3*z3
+    out = Poly.constant(coeffs[0])
+    for v, c in enumerate(coeffs[1:], start=1):
+        out = out + Poly.variable(v, out.domain).scale(c)
+    return out
+
+
+def _substitutions(coeff):
+    return st.dictionaries(
+        st.integers(min_value=1, max_value=3),
+        st.lists(coeff, min_size=4, max_size=4).map(_affine),
+        min_size=3,
+        max_size=3,
+    )
+
+
+def _per_term_eval(f, point):
+    """poly_eval's definition: every power computed afresh with **."""
+    acc = LCFraction(LC_ZERO)
+    for m, c in f.terms.items():
+        val = LC_ONE
+        for v, e in m.exps:
+            val = val * point[v] ** e
+        acc = acc + LCFraction(val) * c
+    return acc.to_lcnumber()
+
+
+class TestPowerCache:
+    # substitution and evaluation cache each variable's powers for one call;
+    # the per-term ** algorithm is the reference
+    @given(polys(max_vars=3, max_degree=6, max_terms=5), _substitutions(gaussians()))
+    @settings(max_examples=60, deadline=None)
+    def test_substitution_standard(self, f, mapping):
+        assert AffineSubstitution(mapping).apply(f) == compose_polys(f, mapping)
+
+    @given(
+        extended_polys(max_vars=3, max_degree=6, max_terms=5, limited=False),
+        _substitutions(lc_numbers(max_terms=2)),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_substitution_extended(self, f, mapping):
+        assert AffineSubstitution(mapping).apply(f) == compose_polys(f, mapping)
+
+    @given(polys(max_vars=2, max_degree=6, max_terms=5), _substitutions(lc_numbers(max_terms=2)))
+    @settings(max_examples=30, deadline=None)
+    def test_substitution_mixed_domains(self, f, mapping):
+        assert AffineSubstitution(mapping).apply(f) == compose_polys(f, mapping)
+
+    def test_powers_requested_out_of_order(self):
+        f = P("z1^5 + z1 + z1^3*z2^2 + z2^6 + z1^2").to_standard()
+        mapping = {1: P("z1 + 2").to_standard(), 2: P("z1 - z2").to_standard()}
+        assert AffineSubstitution(mapping).apply(f) == compose_polys(f, mapping)
+        p = pt({1: "1 + eps", 2: "eps^(1/3) - 2"})
+        assert poly_eval(f, p) == _per_term_eval(f, p)
+
+    def test_lone_large_exponent(self):
+        # i^1000001 = i: a sparse exponent costs O(log e) products
+        f = P("z1^1000001 + z1^2 - 2*z2^1000000").to_standard()
+        assert poly_eval(f, pt({1: "i", 2: "-1"})) == parse_lc("-3 + i")
+
+    @given(
+        extended_polys(max_vars=3, max_degree=6, max_terms=5, limited=False),
+        st.lists(lc_numbers(max_terms=2), min_size=3, max_size=3),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_eval(self, f, values):
+        p = PointAssignment({1: values[0], 2: values[1], 3: values[2]})
+        assert poly_eval(f, p) == _per_term_eval(f, p)
+
+    @given(
+        polys(max_vars=2, max_degree=6, max_terms=4),
+        lc_numbers(max_terms=2),
+        lc_numbers(max_terms=2),
+        lc_numbers(max_terms=2),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_eval_with_fraction_coefficients(self, f, whole, num, x):
+        # LCFraction coefficients take the frac_acc path: a whole one, and
+        # c*z1^3 - c*z1^3*z2 with c = num/(1 + eps), a finite sum at z2 = 1
+        c = LCFraction(num, L("1 + eps"))
+        g = f.to_extended() + Poly(
+            EXTENDED,
+            {
+                MONO_ONE: LCFraction(whole),
+                Monomial(((1, 3),)): c,
+                Monomial(((1, 3), (2, 1))): -c,
+            },
+        )
+        p = PointAssignment({1: x, 2: LC_ONE})
+        assert poly_eval(g, p) == _per_term_eval(g, p)
+
+    def test_unassigned_variable_in_a_later_term(self):
+        z1, z2 = Monomial(((1, 2),)), Monomial(((1, 3), (2, 1)))
+        f = Poly(EXTENDED, {z1: LC_ONE, z2: L("eps")})
+        assert list(f.terms) == [z1, z2]
+        with pytest.raises(UnassignedVariable, match="z2"):
+            poly_eval(f, pt({1: "1 + eps"}))
+        with pytest.raises(UnassignedVariable, match="z2"):
+            AffineSubstitution({1: P("z1 + eps")}).apply(f)
 
 
 ORDER_KEYS = (grevlex_key, lex_key, elimination_key({2}), elimination_key({1, 3}))

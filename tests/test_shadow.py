@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from _oracles import compose_polys, eval_coeffs, poly_from_roots
-from _strategies import gaussians, limited_lc, polys
+from _strategies import gaussians, lc_numbers, limited_lc, polys
 from epsgeom.errors import (
     EmptyOpen,
     InvalidInput,
@@ -18,10 +18,18 @@ from epsgeom.gaussian import GaussianRational
 from epsgeom.groebner import Ideal, ideal_member, radical_member
 from epsgeom.levicivita import INF, LC_ZERO, LCNumber, TruncationOrder, lc_st
 from epsgeom.parser import parse_lc, parse_poly
-from epsgeom.poly import Monomial, Poly, poly_eval, poly_shadow
+from epsgeom.poly import (
+    EXTENDED,
+    AffineSubstitution,
+    Monomial,
+    Poly,
+    poly_eval,
+    poly_shadow,
+)
 from epsgeom.shadow import (
     PointAssignment,
     VarietyPresentation,
+    _taylor_shift,
     halo_member,
     newton_puiseux_lift,
     open_shadow_witness,
@@ -37,6 +45,10 @@ def pt(values):
 
 def P(text):
     return parse_poly(text)
+
+
+def L(text):
+    return parse_lc(text)
 
 
 LINE = VarietyPresentation((1, 2), [P("z1").to_standard()])
@@ -172,6 +184,92 @@ class TestNewtonPuiseuxLift:
             )
             value = eval_coeffs(coeffs, xi[1])
             assert (not value) or value.valuation() > 16
+
+
+def _shift_reference(c, s, t):
+    """Coefficients of f(s + t*z) through AffineSubstitution, the old route."""
+    f = Poly(EXTENDED, {Monomial(((1, k),)): ck for k, ck in enumerate(c)})
+    sub = AffineSubstitution(
+        {1: Poly.constant(s) + Poly.variable(1, EXTENDED).scale(t)}
+    )
+    g = sub.apply(f)
+    return [g.coefficient(Monomial(((1, k),))) for k in range(len(c))]
+
+
+class TestTaylorShift:
+    @given(
+        st.lists(lc_numbers(max_terms=3), min_size=1, max_size=8),
+        lc_numbers(max_terms=3),
+        lc_numbers(max_terms=3, nonzero=True),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_matches_substitution(self, c, s, t):
+        shifted = list(c)
+        _taylor_shift(shifted, s, t)
+        assert shifted == _shift_reference(c, s, t)
+
+    def test_examples(self):
+        # (z - 1)^3 at z -> 1 + eps*z is eps^3*z^3; z^2 + z at z -> -1 + z
+        c = [L("-1"), L("3"), L("-3"), L("1")]
+        _taylor_shift(c, L("1"), L("eps"))
+        assert c == [LC_ZERO, LC_ZERO, LC_ZERO, L("eps^3")]
+        c = [LC_ZERO, L("1"), L("1")]
+        _taylor_shift(c, L("-1"), L("1"))
+        assert c == [LC_ZERO, L("-1"), L("1")]
+        c = [L("eps^(1/2)")]
+        _taylor_shift(c, L("2 + eps"), L("eps^(-1/3)"))
+        assert c == [L("eps^(1/2)")]
+
+
+def _cluster_instances(rng, count):
+    """Factored f of degree 5-6 with a cluster of roots a + O(eps^(1/3))."""
+    third = Fraction(1, 3)
+    out = []
+    while len(out) < count:
+        a = GaussianRational(rng.choice((-2, -1, 1, 2)), rng.choice((-1, 0, 0, 1)))
+        degree = rng.randint(5, 6)
+        roots = []
+        for _ in range(rng.randint(1, 3)):
+            r = LCNumber.from_gaussian(a) + LCNumber.term(
+                GaussianRational(rng.choice((-2, -1, 1, 2)), rng.choice((0, 1))), third
+            )
+            if rng.random() < 0.5:
+                r = r + LCNumber.term(GaussianRational(rng.randint(-2, 2)), 2 * third)
+            roots.append(r)
+        while len(roots) < degree:
+            q = rng.choice((-1, 0, third, 1))
+            r = LCNumber.term(GaussianRational(rng.randint(-3, 3), rng.randint(-1, 1)), q)
+            if not r.is_limited() or lc_st(r) != a:
+                roots.append(r)
+        out.append((a, roots))
+    return out
+
+
+class TestLiftDegreeFiveAndSix:
+    def test_cluster_at_a_nonzero_shadow_root(self):
+        t = TruncationOrder()
+        for a, roots in _cluster_instances(random.Random(8008), 12):
+            coeffs = poly_from_roots(roots)
+            f = Poly(EXTENDED, {Monomial(((1, k),)): ck for k, ck in enumerate(coeffs)})
+            assert f.total_degree() in (5, 6)
+            xi = newton_puiseux_lift(f, a, t)
+            assert lc_st(xi[1]) == a
+            value = eval_coeffs(coeffs, xi[1])
+            assert (not value) or value.valuation() > t.order
+            assert any((xi[1] - r).is_infinitesimal() for r in roots)
+
+    def test_series_root_of_degree_six(self):
+        # (z - 1)^3 * (z + 1) * (z^2 - 2) + 2*eps: the roots at 1 are
+        # 1 + c*eps^(1/3) + ... with c^3 = 1, infinite series cut at the
+        # truncation order
+        f = P("(z1 - 1)^3*(z1 + 1)*(z1^2 - 2) + 2*eps")
+        xi = newton_puiseux_lift(f, 1)
+        assert lc_st(xi[1]) == GaussianRational(1)
+        assert xi[1].terms[1][0] == Fraction(1, 3)
+        assert poly_eval(f, xi).valuation() > 16
+        xi = newton_puiseux_lift(f, 1, TruncationOrder(Fraction(7, 3)))
+        assert lc_st(xi[1]) == GaussianRational(1)
+        assert poly_eval(f, xi).valuation() > Fraction(7, 3)
 
 
 class TestOpenWitness:
