@@ -176,6 +176,13 @@ def _normalised(a, b, d):
     return _new(a, b, d)
 
 
+def gaussian_integers(coeffs):
+    """(den, pairs): the least common denominator of the Q(i) numbers coeffs,
+    and the Gaussian integers den * c as (re, im) int pairs, in order."""
+    den = math.lcm(*(c._d for c in coeffs))
+    return den, [(c._a * (den // c._d), c._b * (den // c._d)) for c in coeffs]
+
+
 def _coerce(x):
     if isinstance(x, GaussianRational):
         return x
@@ -391,8 +398,7 @@ def gaussian_poly_roots(coeffs):
             candidates = [(-coeffs[1] + s) / two_a, (-coeffs[1] - s) / two_a]
     elif deg >= 3:
         # scale to Z[i] and enumerate p/q with p | constant, q | leading
-        den = math.lcm(*(c._d for c in coeffs))
-        zi = [(c._a * (den // c._d), c._b * (den // c._d)) for c in coeffs]
+        zi = gaussian_integers(coeffs)[1]
         seen = set()
         for p in gaussian_int_divisors(zi[0]):
             for q in gaussian_int_divisors(zi[-1]):

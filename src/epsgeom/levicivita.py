@@ -196,14 +196,7 @@ class LCNumber:
     def __pow__(self, k):
         if not isinstance(k, int) or k < 0:
             raise InvalidInput("LCNumber powers take nonnegative integers")
-        out = LC_ONE
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
+        return square_and_multiply(self, k, LC_ONE)
 
     def __bool__(self):
         return bool(self.terms)
@@ -268,6 +261,28 @@ class LCNumber:
         if self.is_unlimited():
             raise UnlimitedValue("standard part of an unlimited value")
         return self.coefficient(0)
+
+
+def square_and_multiply(x, k, one):
+    """x ** k for an int k >= 0, with one returned for k == 0.
+
+    Right to left over the bits of k: the result starts as the power at the
+    lowest set bit rather than as one * x, and squaring stops at the top bit,
+    so k >= 1 costs exactly k.bit_length() + popcount(k) - 2 products.
+    """
+    if not k:
+        return one
+    while not k & 1:
+        x = x * x
+        k >>= 1
+    out = x
+    k >>= 1
+    while k:
+        x = x * x
+        if k & 1:
+            out = out * x
+        k >>= 1
+    return out
 
 
 def _exponent(q):

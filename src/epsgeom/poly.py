@@ -16,7 +16,14 @@ from .errors import (
     UnlimitedCoefficient,
     ZeroPolynomial,
 )
-from .gaussian import GaussianRational, QI_ONE, QI_ZERO
+from .gaussian import (
+    GaussianRational,
+    QI_ONE,
+    QI_ZERO,
+    _new,
+    _normalised,
+    gaussian_integers,
+)
 from .levicivita import (
     LC_ONE,
     LC_ZERO,
@@ -24,6 +31,7 @@ from .levicivita import (
     LCNumber,
     _unit_inverse,
     lc_abs_cmp,
+    square_and_multiply,
 )
 
 STANDARD = "standard"
@@ -47,11 +55,11 @@ class Monomial:
         object.__setattr__(self, "deg", sum(e for _, e in pairs))
 
     @staticmethod
-    def _raw(pairs):
-        # pairs already sorted, merged, and positive
-        out = object.__new__(Monomial)
-        object.__setattr__(out, "exps", pairs)
-        object.__setattr__(out, "deg", sum(e for _, e in pairs))
+    def _raw(pairs, deg=None):
+        # pairs already sorted, merged, and positive; deg their exponent sum
+        out = _object_new(Monomial)
+        _set_exps(out, pairs)
+        _set_deg(out, sum(e for _, e in pairs) if deg is None else deg)
         return out
 
     def __setattr__(self, name, value):
@@ -119,6 +127,9 @@ class Monomial:
         return Monomial._raw(tuple(sorted(acc.items())))
 
 
+_object_new = object.__new__
+_set_exps = Monomial.exps.__set__
+_set_deg = Monomial.deg.__set__
 MONO_ONE = Monomial()
 
 
@@ -267,32 +278,45 @@ class Poly:
         if isinstance(other, (GaussianRational, LCNumber, LCFraction, int, Fraction)):
             return self.scale(other)
         a, b = self._unify(other)
-        acc = {}
-        for ma, ca in a.terms.items():
-            for mb, cb in b.terms.items():
-                m = ma.mul(mb)
-                p = ca * cb
-                s = acc.get(m)
-                s = p if s is None else s + p
-                if s:
-                    acc[m] = s
-                else:
-                    acc.pop(m, None)
-        return Poly(a.domain, acc)
+        ta, tb = a.terms, b.terms
+        if len(ta) <= 1 or len(tb) <= 1:
+            # a term times a polynomial: the products have distinct
+            # monomials, so there is nothing to collect or cancel
+            return Poly(
+                a.domain,
+                {ma.mul(mb): ca * cb for ma, ca in ta.items() for mb, cb in tb.items()},
+            )
+        # Each monomial packs into one int, a field per variable that occurs
+        # and the degree on top. A product's exponents are at most the sum of
+        # the total degrees, so fields that wide never carry and a monomial
+        # product is an int add.
+        variables = sorted({v for m in (*ta, *tb) for v, _ in m.exps})
+        width = (max(m.deg for m in ta) + max(m.deg for m in tb)).bit_length()
+        fields = [(v, i * width) for i, v in enumerate(variables)]
+        top = len(fields) * width
+        shift = dict(fields)
+        product = _gaussian_product if a.domain == STANDARD else _product
+        acc = product(
+            _pack(ta, shift, top), ta.values(), _pack(tb, shift, top), tb.values()
+        )
+        mask = (1 << width) - 1
+        terms = {}
+        for k, c in acc.items():
+            pairs = []
+            for v, sh in fields:
+                e = k >> sh & mask
+                if e:
+                    pairs.append((v, e))
+            terms[Monomial._raw(tuple(pairs), k >> top)] = c
+        return Poly(a.domain, terms)
 
     __rmul__ = __mul__
 
     def __pow__(self, k):
         if not isinstance(k, int) or k < 0:
             raise InvalidInput("polynomial powers take nonnegative integers")
-        out = Poly.constant(QI_ONE) if self.domain == STANDARD else Poly.constant(LC_ONE)
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
+        one = QI_ONE if self.domain == STANDARD else LC_ONE
+        return square_and_multiply(self, k, Poly.constant(one))
 
     def scale(self, c):
         if isinstance(c, (int, Fraction)):
@@ -355,6 +379,69 @@ class Poly:
 
 
 QI_ZERO_FOR = {STANDARD: QI_ZERO, EXTENDED: LC_ZERO}
+
+
+# The two product loops below sum the products in the schoolbook order and
+# drop a term as soon as it cancels, so the output keeps the insertion order
+# of the plain loop over (Monomial, coefficient) pairs.
+
+
+def _gaussian_product(ka, ca, kb, cb):
+    """Packed product over Q(i), on Z[i] pairs over one common denominator;
+    each output coefficient is normalised once."""
+    da, za = gaussian_integers(ca)
+    db, zb = gaussian_integers(cb)
+    right = list(zip(kb, zb))
+    acc = {}
+    get = acc.get
+    for x, (ar, ai) in zip(ka, za):
+        for y, (br, bi) in right:
+            k = x + y
+            re = ar * br - ai * bi
+            im = ar * bi + ai * br
+            s = get(k)
+            if s is None:
+                acc[k] = (re, im)
+            else:
+                re += s[0]
+                im += s[1]
+                if re or im:
+                    acc[k] = (re, im)
+                else:
+                    del acc[k]
+    den = da * db
+    norm = _new if den == 1 else _normalised
+    return {k: norm(re, im, den) for k, (re, im) in acc.items()}
+
+
+def _product(ka, ca, kb, cb):
+    """Packed product over any coefficient ring."""
+    right = list(zip(kb, cb))
+    acc = {}
+    get = acc.get
+    for x, a in zip(ka, ca):
+        for y, b in right:
+            k = x + y
+            p = a * b
+            s = get(k)
+            s = p if s is None else s + p
+            if s:
+                acc[k] = s
+            else:
+                del acc[k]
+    return acc
+
+
+def _pack(monomials, shift, top):
+    """Each monomial as one int: exponent e of variable v at bit shift[v],
+    and the degree at bit top."""
+    out = []
+    for m in monomials:
+        k = m.deg << top
+        for v, e in m.exps:
+            k += e << shift[v]
+        out.append(k)
+    return out
 
 
 def _power(powers, v, x, e):

@@ -177,6 +177,25 @@ def compose_polys(h, components):
     return out
 
 
+def reference_poly_mul(f, g):
+    """The schoolbook product: one Monomial.mul and one coefficient product
+    per pair of terms, summed in a dict that drops a term when it cancels."""
+    if f.domain != g.domain:
+        f, g = f.to_extended(), g.to_extended()
+    acc = {}
+    for ma, ca in f.terms.items():
+        for mb, cb in g.terms.items():
+            m = ma.mul(mb)
+            p = ca * cb
+            s = acc.get(m)
+            s = p if s is None else s + p
+            if s:
+                acc[m] = s
+            else:
+                acc.pop(m, None)
+    return Poly(f.domain, acc)
+
+
 # Reference comparators for the monomial orders: cmp(m, n) is -1, 0 or 1.
 # The library defines each order once, as a sort key; these are the
 # comparator definitions those keys must agree with.

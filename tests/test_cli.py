@@ -2,6 +2,7 @@
 
 import argparse
 import json
+import signal
 import sys
 import threading
 from fractions import Fraction
@@ -431,21 +432,144 @@ def open_witness_argvs(draw):
     return ["open-witness", "--poly=" + poly, "--at=" + at, "--seed", str(draw(st.integers(0, 9)))]
 
 
+def _assert_contract(argvs):
+    """Each argv prints one JSON line within 5 s, with exit 0, 1 or 2 and
+    never an `internal` error."""
+
+    @given(argvs)
+    @settings(max_examples=100, deadline=5000)
+    def check(argv):
+        code, out = run_command(argv)
+        assert code in (0, 1, 2)
+        assert "\n" not in out and "Traceback" not in out
+        body = json.loads(out)
+        assert body["ok"] is (code == 0)
+        if code:
+            assert body["error"]["code"] != "internal", body["error"]["message"]
+
+    check()
+
+
 class TestLiftingArgvProperty:
     @pytest.mark.parametrize(
         "argvs", [lift_argvs(), verify_closure_argvs(), open_witness_argvs()],
         ids=["lift", "verify-closure", "open-witness"],
     )
     def test_one_json_line_and_a_contract_exit_code(self, argvs):
-        @given(argvs)
-        @settings(max_examples=100, deadline=5000)
-        def check(argv):
-            code, out = run_command(argv)
-            assert code in (0, 1, 2)
-            assert "\n" not in out and "Traceback" not in out
-            body = json.loads(out)
-            assert body["ok"] is (code == 0)
-            if code:
-                assert body["error"]["code"] != "internal", body["error"]["message"]
+        _assert_contract(argvs)
 
-        check()
+
+# Well-formed argvs for the ideal commands. One generator may be a
+# parenthesised power, up to ^12, of a linear form in z1 and z2, so powers run
+# through the parser; the others are small polynomials in z1 and z2 with Z[i]
+# coefficients, and targets may also use z3. Orders and --keep values include
+# ones the commands reject.
+
+
+def _linear_text(draw):
+    terms = ["(%s)*z%d" % (format_gaussian(draw(small_gaussians)), v) for v in (1, 2)]
+    return " + ".join(terms + ["(%s)" % format_gaussian(draw(small_gaussians))])
+
+
+@st.composite
+def small_poly_texts(draw, nvars=3):
+    terms = []
+    for _ in range(draw(st.integers(1, 3))):
+        exps = draw(st.lists(st.integers(0, 2), min_size=nvars, max_size=nvars).filter(lambda e: sum(e) <= 2))
+        mono = "".join("*z%d^%d" % (v, e) for v, e in enumerate(exps, start=1) if e)
+        terms.append("(%s)%s" % (format_gaussian(draw(small_gaussians)), mono))
+    return " + ".join(terms)
+
+
+@st.composite
+def ideal_texts(draw):
+    gens = draw(st.lists(small_poly_texts(2), min_size=0, max_size=2))
+    if draw(st.booleans()):
+        gens.insert(draw(st.integers(0, len(gens))), "(%s)^%d" % (_linear_text(draw), draw(st.integers(1, 12))))
+    return "; ".join(gens)
+
+
+ORDER_FLAGS = [
+    [], ["--order", "lex"], ["--order", "grevlex"], ["--order", "elimination(z1)"],
+    ["--order", "elimination(z2, z3)"], ["--order", "revlex"],
+]
+order_flags = st.sampled_from(ORDER_FLAGS)
+# radical membership runs away under lex and elimination orders (see
+# test_runaway), so its argvs keep to grevlex
+radical_order_flags = st.sampled_from([[], ["--order", "grevlex"], ["--order", "revlex"]])
+
+
+@st.composite
+def groebner_argvs(draw):
+    return ["groebner", "--ideal=" + draw(ideal_texts())] + draw(order_flags)
+
+
+@st.composite
+def member_argvs(draw, command):
+    poly = draw(small_poly_texts())
+    if draw(st.booleans()):
+        poly = "(%s)^%d*(%s)" % (_linear_text(draw), draw(st.integers(1, 12)), poly)
+    if command == "member" and draw(st.booleans()):
+        poly += " + eps*z1"
+    orders = radical_order_flags if command == "radical-member" else order_flags
+    return [command, "--ideal=" + draw(ideal_texts()), "--poly=" + poly] + draw(orders)
+
+
+@st.composite
+def contract_argvs(draw):
+    keep = str(draw(st.integers(-1, 3)))
+    return ["contract", "--ideal=" + draw(ideal_texts()), "--keep", keep] + draw(order_flags)
+
+
+class TestIdealArgvProperty:
+    @pytest.mark.parametrize(
+        "argvs",
+        [groebner_argvs(), member_argvs("member"), member_argvs("radical-member"), contract_argvs()],
+        ids=["groebner", "member", "radical-member", "contract"],
+    )
+    def test_one_json_line_and_a_contract_exit_code(self, argvs):
+        _assert_contract(argvs)
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="no resource bound yet: each basis runs for 48 s to over 100 s "
+        "(ROADMAP items 3 and 5)",
+    )
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            [
+                "radical-member",
+                "--ideal=((-2)*z1 + (-3+2*i)*z2 + (-1+i))^8",
+                "--poly=((-1+i)*z1 + (-2*i)*z2 + (3))^3*((3+2*i)*z1*z3)",
+                "--order", "lex",
+            ],
+            [
+                "radical-member",
+                "--ideal=((1-2*i)*z1 + (-3-i)*z2 + (-2-2*i))^7",
+                "--poly=((1-2*i)*z1 + (3-2*i)*z2 + (1))*((-3)*z1 + 1)",
+                "--order", "elimination(z1)",
+            ],
+            [
+                "groebner",
+                "--ideal=(-2-i)*z1^2 + (-2*i)*z2*z3; ((3+2*i)*z1 + (-3-2*i)*z2 + (-2-i))^7",
+                "--order", "lex",
+            ],
+        ],
+        ids=["radical-member-lex", "radical-member-elimination", "groebner-lex-3-variables"],
+    )
+    def test_runaway(self, argv):
+        # the radical-member argvs take under 0.1 s under grevlex, which is
+        # why that property keeps to grevlex; ideal generators in the
+        # properties use z1 and z2 only, which keeps out the third argv
+        def timeout(signum, frame):
+            raise TimeoutError("past 5 s")
+
+        previous = signal.signal(signal.SIGALRM, timeout)
+        signal.alarm(5)
+        try:
+            code, out = run_command(argv)
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+        assert code in (0, 1) and json.loads(out).get("error", {}).get("code") != "internal"

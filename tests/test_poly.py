@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _oracles import compose_polys
+from _oracles import compose_polys, reference_poly_mul
 from _strategies import (
     extended_polys,
     gaussians,
@@ -327,6 +327,139 @@ class TestPowerCache:
             poly_eval(f, pt({1: "1 + eps"}))
         with pytest.raises(UnassignedVariable, match="z2"):
             AffineSubstitution({1: P("z1 + eps")}).apply(f)
+
+
+# variables 0 (the auxiliary one) to 1000, and coefficients from a small set
+# so that products often cancel
+WIDE_VARS = [0, 1, 2, 1000]
+kernel_monomials = st.lists(
+    st.tuples(st.sampled_from(WIDE_VARS), st.integers(1, 4)), max_size=3
+).map(Monomial)
+unit_gaussians = st.sampled_from(
+    [GaussianRational(1), GaussianRational(-1), GaussianRational(0, 1), GaussianRational(0, -1)]
+)
+fraction_gaussians = st.sampled_from(
+    [GaussianRational(Fraction(1, 3)), GaussianRational(0, Fraction(1, 2)),
+     GaussianRational(Fraction(-2, 3), Fraction(3, 4))]
+)
+
+
+def _kernel_polys(coeffs, domain="standard"):
+    return st.dictionaries(kernel_monomials, coeffs, max_size=5).map(
+        lambda terms: Poly(domain, terms)
+    )
+
+
+kernel_standard = _kernel_polys(st.one_of(unit_gaussians, fraction_gaussians, gaussians()))
+kernel_extended = _kernel_polys(
+    st.one_of(
+        unit_gaussians.map(LCNumber.from_gaussian),
+        lc_numbers(max_terms=2),
+        st.tuples(lc_numbers(max_terms=2), lc_numbers(max_terms=2, nonzero=True)).map(
+            lambda nd: LCFraction(*nd)
+        ),
+    ),
+    EXTENDED,
+)
+
+
+def _same(f, g):
+    # equal terms in the same insertion order, with the same coefficient reprs,
+    # and each monomial's degree its exponent sum
+    degrees = all(m.deg == sum(e for _, e in m.exps) for m in f.terms)
+    return degrees and repr(f) == repr(g)
+
+
+def _products(k):
+    return 0 if k == 0 else k.bit_length() + bin(k).count("1") - 2
+
+
+class TestProductKernel:
+    # Poly.__mul__ multiplies packed exponents, over Z[i] pairs in the
+    # standard domain; the schoolbook loop is the reference
+    @given(kernel_standard, kernel_standard)
+    @settings(max_examples=150, deadline=None)
+    def test_standard(self, f, g):
+        assert _same(f * g, reference_poly_mul(f, g))
+
+    @given(kernel_extended, kernel_extended)
+    @settings(max_examples=100, deadline=None)
+    def test_extended(self, f, g):
+        assert _same(f * g, reference_poly_mul(f, g))
+
+    @given(kernel_standard, kernel_extended)
+    @settings(max_examples=60, deadline=None)
+    def test_mixed_domains(self, f, g):
+        assert _same(f * g, reference_poly_mul(f, g))
+        assert _same(g * f, reference_poly_mul(g, f))
+
+    def test_non_integral_coefficients(self):
+        f = P("1/3*z1 + 1/2*i*z2 - 1/3")
+        g = P("3*z1 - 2*i*z2 + 1/2")
+        assert f * g == P("z1^2 + 5/6*i*z1*z2 - 5/6*z1 + z2^2 + 11/12*i*z2 - 1/6")
+        assert _same(f * g, reference_poly_mul(f, g))
+
+    def test_term_cancels_and_comes_back(self):
+        # z1^2 gets +1, then -1 (and is dropped), then +1 again, so it is
+        # inserted after z1^3 and z1^4 has not been seen yet
+        f, g = P("1 + z1 + z1^2"), P("z1^2 - z1 + 1")
+        out = f * g
+        assert out == P("1 + z1^2 + z1^4")
+        assert _same(out, reference_poly_mul(f, g))
+        h = L("1 + eps")
+        fe, ge = f.scale(h), g.scale(h)
+        assert _same(fe * ge, reference_poly_mul(fe, ge))
+
+    def test_zero_factors_and_products(self):
+        f = P("z1 - i*z1000")
+        assert not f * Poly.zero()
+        assert not Poly.zero(EXTENDED) * f
+        assert (f * Poly.zero()).domain == "standard"
+        assert (f * Poly.zero(EXTENDED)).domain == EXTENDED
+        # every term cancels against its twin: a zero sum of two products
+        assert not f * P("z0 + 1") - P("z0 + 1") * f
+
+    def test_auxiliary_and_wide_variables(self):
+        f, g = P("z0*z1000 - 1"), P("z0^2 + z1000^3*z1")
+        assert f * g == P("z0^3*z1000 + z0*z1*z1000^4 - z0^2 - z1*z1000^3")
+        assert _same(f * g, reference_poly_mul(f, g))
+
+    def test_lone_large_exponent(self):
+        f, g = P("z1^1000000 + z2"), P("z1^1000000 - z2")
+        assert _same(f * g, P("z1^2000000 - z2^2"))
+        assert _same(f * g, reference_poly_mul(f, g))
+
+    @pytest.mark.parametrize("k", range(10))
+    def test_powers_match_repeated_products(self, k):
+        for base, one in (
+            (P("z1 - 1/2*i*z2 + 1/3"), Poly.constant(1)),
+            (P("(1 + eps^(1/3))*z1 + i*eps^(-1)"), Poly.constant(LC_ONE)),
+        ):
+            want = one
+            for _ in range(k):
+                want = want * base
+            assert base ** k == want
+        x = L("1 - i*eps^(1/2) + 2*eps")
+        want = LC_ONE
+        for _ in range(k):
+            want = want * x
+        assert x ** k == want
+
+    @pytest.mark.parametrize("k", range(10))
+    def test_power_product_count(self, k, monkeypatch):
+        # square-and-multiply makes bit_length + popcount - 2 products
+        for cls, x in ((Poly, P("z1 + i*z2 - 1")), (LCNumber, L("1 + eps^(1/2)"))):
+            calls = []
+            mul = cls.__mul__
+
+            def counting(a, b, mul=mul, calls=calls):
+                calls.append(None)
+                return mul(a, b)
+
+            monkeypatch.setattr(cls, "__mul__", counting)
+            x ** k
+            monkeypatch.undo()
+            assert len(calls) == _products(k), cls.__name__
 
 
 ORDER_KEYS = (grevlex_key, lex_key, elimination_key({2}), elimination_key({1, 3}))
