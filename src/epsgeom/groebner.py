@@ -17,16 +17,25 @@ product is an int add, the position-over-term order is an int compare, and
 divisibility is a guard-bit mask.  Polynomials are packed where they enter
 the engine and unpacked where they leave, and a module whose terms outgrow
 the layout's fields moves to a wider one, so results stay exact.
+
+Over Q(i) the engine's data are primitive Gaussian-integer pairs (a, b), and
+a reduction step scales the vector it reduces rather than dividing by the
+divisor's lead (see _ZiKernel).  Q(i) numbers appear only where data enter
+the engine and where the monic basis, remainders and cofactor rows leave it.
+The LCFraction field keeps dividing, on monic vectors (_LcKernel); the pair
+loop, inter-reduction and syzygy rows are shared by both.
 """
 
 from __future__ import annotations
 
 import functools
 import heapq
+import math
 from dataclasses import dataclass
+from itertools import chain
 
 from .errors import InvalidInput, ReservedVariableInUse
-from .gaussian import GaussianRational, QI_ONE
+from .gaussian import _new, _normalised, gaussian_integers
 from .levicivita import LC_ONE, LCFraction, LCNumber, _unit_inverse, lc_lcm
 from .poly import (
     EXTENDED,
@@ -116,12 +125,13 @@ LEX = MonomialOrder("lex")
 
 # --- internal vector-polynomial layer ----------------------------------------
 #
-# A vector polynomial is a dict {term: field coefficient}.  A term is one int
+# A vector polynomial is a dict {term: coefficient}, each coefficient in the
+# form of the field's kernel (see below).  A term is one int
 # that packs a position and a monomial under a _Layout.  The module order is
 # position-over-term (smaller position ranks higher, monomials compared by
 # the session order within a position), and a larger int is a larger term.
 # A monomial is the term at position 0, and multiplying a term by it adds
-# the two ints.  Terms are packed where polynomials enter (_vec_from_polys)
+# the two ints.  Terms are packed where polynomials enter (a kernel's entry)
 # and unpacked where they leave (_vec_to_polys).
 
 # field width in bits that a layout starts from; it doubles on overflow
@@ -234,30 +244,349 @@ def _variables(polys):
     return {v for f in polys for m in f.terms for v, _ in m.exps}
 
 
-def _field_one(domain):
-    return QI_ONE if domain == STANDARD else _FRAC_ONE
+# --- coefficient kernels ---------------------------------------------------------
+#
+# The engine runs over one of two fields, each behind a kernel with the same
+# operations; the pair loop, the inter-reduction and the syzygy rows below are
+# shared.  A kernel keeps vectors {term: coefficient} in its own form, and a
+# reduction returns an int multiplier m with
+#     m * vec = sum_i q_i * g_i + remainder.
+# Each basis element g_i has an int d_i and, with cofactors, a row U_i over the
+# input positions with d_i * g_i = sum_k U_i[k] * column_k, so no row is ever
+# divided inside the engine.
+#
+# _ZiKernel runs Q(i) on Gaussian-integer pairs (a, b).  Vectors are stored
+# primitive (integer content 1), and a reduction step scales the remainder
+# instead of dividing by the divisor's lead, as in Bareiss's integer-preserving
+# elimination (Math. Comp. 22, 1968).  Q(i) numbers appear only where data
+# enter (entry and _eps_slices clear denominators) and where they leave (exit
+# divides by a multiplier, monic by the leading coefficient).  _LcKernel runs
+# the LCFraction field by division: its vectors are monic, and d_i = m = 1.
+#
+# Pair order, the choice of divisor and both pair criteria read terms only, so
+# a Z[i] run visits the same terms as a dividing run, and each of its vectors
+# is a nonzero scalar multiple of the dividing run's vector at the same step.
+# Reduced bases, normal forms and rows are therefore the same once made monic
+# or divided by their multipliers.
 
 
-def _to_field(c, domain):
-    if domain == STANDARD:
-        if not isinstance(c, GaussianRational):
-            raise InvalidInput("standard coefficients must be GaussianRational")
-        return c
-    if isinstance(c, LCFraction):
-        return c
-    if isinstance(c, GaussianRational):
-        return LCFraction(LCNumber.from_gaussian(c))
-    return LCFraction(c)
+def _clear(vec):
+    """(zvec, den) with zvec = den * vec over Z[i], for a vec of Q(i) numbers."""
+    den, pairs = gaussian_integers(vec.values())
+    return dict(zip(vec, pairs)), den
 
 
-def _vec_from_polys(cols, domain, layout):
-    vec = {}
-    for pos, f in enumerate(cols):
-        if f.domain != domain:
-            f = f.to_extended()
-        for m, c in f.terms.items():
-            vec[layout.term(pos, m)] = _to_field(c, domain)
-    return vec
+class _ZiKernel:
+    """Q(i) on primitive Gaussian-integer pairs, reduced by scaling."""
+
+    one = (1, 0)
+
+    @staticmethod
+    def entry(cols, layout):
+        """(vec, den): den * cols as a Z[i] vector, den a positive int."""
+        vec = {}
+        for pos, f in enumerate(cols):
+            for m, c in f.terms.items():
+                vec[layout.term(pos, m)] = c
+        return _clear(vec)
+
+    @staticmethod
+    def exit(vec, den):
+        """vec / den as Q(i) numbers, for a nonzero int den."""
+        if den == 1:
+            return {x: _new(a, b, 1) for x, (a, b) in vec.items()}
+        return {x: _normalised(a, b, den) for x, (a, b) in vec.items()}
+
+    @staticmethod
+    def monic(vec):
+        """vec over its leading coefficient, as Q(i) numbers."""
+        la, lb = vec[max(vec)]
+        if not lb:
+            return _ZiKernel.exit(vec, la)
+        n = la * la + lb * lb
+        return {
+            x: _normalised(a * la + b * lb, b * la - a * lb, n)
+            for x, (a, b) in vec.items()
+        }
+
+    @staticmethod
+    def times(c, n):
+        return c if n == 1 else (c[0] * n, c[1] * n)
+
+    @staticmethod
+    def scale(vec, n):
+        if n == 1:
+            return dict(vec)
+        return {x: (a * n, b * n) for x, (a, b) in vec.items()}
+
+    @staticmethod
+    def cross(ci, cj):
+        """(ai, aj) with ai*ci + aj*cj = 0: the leads crossed, over their gcd."""
+        k = math.gcd(*ci, *cj)
+        return (cj[0] // k, cj[1] // k), (-ci[0] // k, -ci[1] // k)
+
+    @staticmethod
+    def normalise(vec, lead, row, d):
+        """(vec / c, row / g, d * c / g): the vector primitive, d * vec = row . cols
+        kept, and the common factor g of d and the row removed."""
+        c = math.gcd(*chain.from_iterable(vec.values()))
+        if c != 1:
+            vec = {x: (a // c, b // c) for x, (a, b) in vec.items()}
+            d *= c
+        if row is not None and d != 1:
+            g = math.gcd(d, *chain.from_iterable(row.values()))
+            if g != 1:
+                row = {x: (a // g, b // g) for x, (a, b) in row.items()}
+                d //= g
+        return vec, row, d
+
+    @staticmethod
+    def reducer(vec, lead):
+        la, lb = vec[lead]
+        return vec, lead, (la, lb, la * la + lb * lb)
+
+    @staticmethod
+    def axpy(acc, coeff, mono, vec, guard):
+        """acc += coeff * x^mono * vec, in place; raises _Overflow."""
+        ca, cb = coeff
+        for x, (a, b) in vec.items():
+            key = x + mono
+            if key & guard:
+                raise _Overflow
+            pa = ca * a - cb * b
+            pb = ca * b + cb * a
+            s = acc.get(key)
+            if s is None:
+                acc[key] = (pa, pb)
+            else:
+                pa += s[0]
+                pb += s[1]
+                if pa or pb:
+                    acc[key] = (pa, pb)
+                else:
+                    del acc[key]
+
+    @staticmethod
+    def divmod(vec, basis, layout, track=True):
+        """Full fraction-free reduction of vec by reducers (vec, lead, (a, b, norm)).
+
+        Returns (m, quotients, remainder) with m * vec = sum q_i * g_i +
+        remainder, m a positive int; quotients[i] is {monomial: coefficient}.
+        The terms still to reduce and the remainder so far are one int
+        vector R over a multiplier r, standing for R / r.  A step on a term c
+        with divisor lead L takes the quotient c * conj(L) / norm(L) in lowest
+        terms, and scales R and r by whatever denominator is left, so no step
+        divides and a unit lead scales nothing.  Before a scaling, the factor
+        r shares with R's content is taken out, so r stays the least common
+        denominator of the Q(i) values R / r stands for.  Each quotient term
+        is kept over the r of its step.  The remainder has no term divisible
+        by a basis lead.  Raises _Overflow.
+        """
+        p = dict(vec)
+        rem = {}
+        quots = [{} for _ in basis] if track else None
+        r = 1
+        top, guard = layout.top, layout.guard
+        leads = {}
+        for idx, (_, lead, _) in enumerate(basis):
+            leads.setdefault(lead >> top, []).append((idx, lead))
+        gcd, flat = math.gcd, chain.from_iterable
+        push, pop = heapq.heappush, heapq.heappop
+        # lazy-deletion max-heap of negated terms, as in _LcKernel.divmod
+        heap = [-x for x in p]
+        heapq.heapify(heap)
+        while p:
+            x = -pop(heap)
+            c = p.get(x)
+            if c is None:
+                continue
+            for hit, lead in leads.get(x >> top, ()):
+                t = x - lead
+                if not t & guard:
+                    break
+            else:
+                rem[x] = c
+                del p[x]
+                continue
+            g, _, (la, lb, n) = basis[hit]
+            ca, cb = c
+            qa = ca * la + cb * lb
+            qb = cb * la - ca * lb
+            if n != 1:
+                k = gcd(qa, qb, n)
+                if k != n and r != 1:
+                    h = gcd(r, *flat(p.values()), *flat(rem.values()))
+                    if h != 1:
+                        r //= h
+                        p = {y: (a // h, b // h) for y, (a, b) in p.items()}
+                        rem = {y: (a // h, b // h) for y, (a, b) in rem.items()}
+                        ca, cb = p[x]
+                        qa = ca * la + cb * lb
+                        qb = cb * la - ca * lb
+                        k = gcd(qa, qb, n)
+                qa //= k
+                qb //= k
+                s = n // k
+                if s != 1:
+                    r *= s
+                    p = {y: (a * s, b * s) for y, (a, b) in p.items()}
+                    rem = {y: (a * s, b * s) for y, (a, b) in rem.items()}
+            if track:
+                # each term is reached once, so each quotient term is new
+                quots[hit][t] = (qa, qb, r)
+            for x2, (a2, b2) in g.items():
+                key = x2 + t
+                if key & guard:
+                    raise _Overflow
+                va = qa * a2 - qb * b2
+                vb = qa * b2 + qb * a2
+                old = p.get(key)
+                if old is None:
+                    p[key] = (-va, -vb)
+                    push(heap, -key)
+                else:
+                    va = old[0] - va
+                    vb = old[1] - vb
+                    if va or vb:
+                        p[key] = (va, vb)
+                    else:
+                        del p[key]
+        if not track:
+            return r, None, rem
+        # one multiplier over every quotient term and the remainder
+        m = math.lcm(r, *{e for d in quots for _, _, e in d.values()})
+        if m != r:
+            f = m // r
+            rem = {y: (a * f, b * f) for y, (a, b) in rem.items()}
+        quots = [
+            {y: (a * (m // e), b * (m // e)) for y, (a, b, e) in d.items()}
+            for d in quots
+        ]
+        return m, quots, rem
+
+
+class _LcKernel:
+    """The LCFraction field by division: monic vectors, d_i = m = 1."""
+
+    one = _FRAC_ONE
+
+    @staticmethod
+    def entry(cols, layout):
+        vec = {}
+        for pos, f in enumerate(cols):
+            for m, c in f.to_extended().terms.items():
+                vec[layout.term(pos, m)] = c if isinstance(c, LCFraction) else LCFraction(c)
+        return vec, 1
+
+    @staticmethod
+    def exit(vec, den):
+        # den is a product of multipliers and d_i, all 1 here
+        return vec
+
+    @staticmethod
+    def monic(vec):
+        return vec
+
+    @staticmethod
+    def times(c, n):
+        # n is +-1: a quotient of d_i = 1, times a sign
+        return c if n == 1 else -c
+
+    @staticmethod
+    def scale(vec, n):
+        return dict(vec)
+
+    @staticmethod
+    def cross(ci, cj):
+        return cj, -ci
+
+    @staticmethod
+    def normalise(vec, lead, row, d):
+        """The vector made monic, the row divided by the same lead."""
+        one = _FRAC_ONE
+        c = vec[lead]
+        if c != one:
+            inv = one / c
+            vec = {x: inv * cc for x, cc in vec.items()}
+            if row is not None:
+                row = {x: inv * cc for x, cc in row.items()}
+        return vec, row, d
+
+    @staticmethod
+    def reducer(vec, lead):
+        return vec, lead, _FRAC_ONE
+
+    @staticmethod
+    def axpy(acc, coeff, mono, vec, guard):
+        """acc += coeff * x^mono * vec, in place; raises _Overflow."""
+        for x, c in vec.items():
+            key = x + mono
+            if key & guard:
+                raise _Overflow
+            s = acc.get(key)
+            p = coeff * c
+            s = p if s is None else s + p
+            if s:
+                acc[key] = s
+            else:
+                acc.pop(key, None)
+
+    @staticmethod
+    def divmod(vec, basis, layout, track=True):
+        """Full reduction of vec by reducers (vec, lead, lead_coeff).
+
+        Returns (1, quotients, remainder); quotients[i] is {monomial: coeff}.
+        The remainder has no term divisible by any basis leading term, so
+        against a reduced basis it is the unique normal form.  Raises
+        _Overflow.
+        """
+        p = dict(vec)
+        rem = {}
+        quots = [{} for _ in basis] if track else None
+        top, guard = layout.top, layout.guard
+        # divisor index: the leads at each position, in basis order
+        leads = {}
+        for idx, (_, lead, _) in enumerate(basis):
+            leads.setdefault(lead >> top, []).append((idx, lead))
+        push, pop = heapq.heappush, heapq.heappop
+        # lazy-deletion max-heap of negated terms: every live term of p has at
+        # least one entry, and entries whose term is gone are skipped on pop
+        heap = [-x for x in p]
+        heapq.heapify(heap)
+        while p:
+            x = -pop(heap)
+            if x not in p:
+                continue
+            c = p[x]
+            for hit, lead in leads.get(x >> top, ()):
+                t = x - lead
+                if not t & guard:
+                    break
+            else:
+                rem[x] = c
+                del p[x]
+                continue
+            g, _, gc = basis[hit]
+            q = c / gc
+            if track:
+                quots[hit][t] = q
+            for x2, c2 in g.items():
+                key = x2 + t
+                if key & guard:
+                    raise _Overflow
+                s = p.get(key)
+                if s is None:
+                    v = -(q * c2)
+                    if v:
+                        p[key] = v
+                        push(heap, -key)
+                else:
+                    v = s - q * c2
+                    if v:
+                        p[key] = v
+                    else:
+                        del p[key]
+        return 1, quots, rem
 
 
 def _collapse(c):
@@ -268,6 +597,7 @@ def _collapse(c):
 
 
 def _vec_to_polys(vec, rank, domain, layout):
+    """Polys of a vector of field values (a kernel's exit or monic form)."""
     rows = [{} for _ in range(rank)]
     for x, c in vec.items():
         pos, m = layout.split(x)
@@ -275,96 +605,43 @@ def _vec_to_polys(vec, rank, domain, layout):
     return [Poly(domain, r) for r in rows]
 
 
-def _vp_axpy(acc, coeff, mono, vec, guard):
-    """acc += coeff * x^mono * vec, in place; raises _Overflow."""
-    for x, c in vec.items():
-        key = x + mono
-        if key & guard:
-            raise _Overflow
-        s = acc.get(key)
-        p = coeff * c
-        s = p if s is None else s + p
-        if s:
-            acc[key] = s
-        else:
-            acc.pop(key, None)
+# --- the shared engine -----------------------------------------------------------
 
 
-def _vp_divmod(vec, basis, layout, track=True):
-    """Full reduction of vec by basis entries (vec, lead, lead_coeff).
+def _row_lcm(f, quots, rows):
+    """lcm of f and the d_t of each rows[t] = (d_t, U_t) with a nonzero quotient."""
+    return math.lcm(f, *(rows[t][0] for t, qd in enumerate(quots) if qd))
 
-    Returns (quotients, remainder); quotients[i] is {monomial: coeff}.  The
-    remainder has no term divisible by any basis leading term, so against a
-    reduced basis it is the unique normal form.  Raises _Overflow.
+
+def _lift(kernel, acc, quots, rows, f, sign, guard):
+    """acc += sign * sum over t of (f / d_t) * q_t * U_t, for rows[t] = (d_t, U_t).
+
+    With m * vec = sum q_t * g_t + rem, that sum applied to the columns is
+    f * (m * vec - rem).
     """
-    p = dict(vec)
-    rem = {}
-    quots = [{} for _ in basis] if track else None
-    top, guard = layout.top, layout.guard
-    # divisor index: the leads at each position, in basis order
-    leads = {}
-    for idx, (_, lead, _) in enumerate(basis):
-        leads.setdefault(lead >> top, []).append((idx, lead))
-    push, pop = heapq.heappush, heapq.heappop
-    # lazy-deletion max-heap of negated terms: every live term of p has at
-    # least one entry, and entries whose term is gone are skipped on pop
-    heap = [-x for x in p]
-    heapq.heapify(heap)
-    while p:
-        x = -pop(heap)
-        if x not in p:
-            continue
-        c = p[x]
-        for hit, lead in leads.get(x >> top, ()):
-            t = x - lead
-            if not t & guard:
-                break
-        else:
-            rem[x] = c
-            del p[x]
-            continue
-        g, _, gc = basis[hit]
-        q = c / gc
-        if track:
-            d = quots[hit]
-            s = d.get(t)
-            s = q if s is None else s + q
-            if s:
-                d[t] = s
-            else:
-                d.pop(t, None)
-        for x2, c2 in g.items():
-            key = x2 + t
-            if key & guard:
-                raise _Overflow
-            s = p.get(key)
-            if s is None:
-                v = -(q * c2)
-                if v:
-                    p[key] = v
-                    push(heap, -key)
-            else:
-                v = s - q * c2
-                if v:
-                    p[key] = v
-                else:
-                    del p[key]
-    return quots, rem
+    axpy, times = kernel.axpy, kernel.times
+    for t, qd in enumerate(quots):
+        if qd:
+            d, row = rows[t]
+            n = sign * (f // d)
+            for mono, qc in qd.items():
+                axpy(acc, times(qc, n), mono, row, guard)
 
 
-def _buchberger_pairs(vecs, layout, domain, cofactors=True, syzygies=False):
+def _buchberger_pairs(inputs, layout, kernel, cofactors=True, syzygies=False):
     """The Buchberger pair loop: an unreduced module Groebner basis.
 
-    Returns (G, U, S).  G lists (vec, lead) with monic leads in insertion
-    order, the nonzero inputs first; U[i] is a vector over the input
-    positions with G[i] = sum over inputs of U[i] applied to vecs (empty when
-    cofactors=False).  S is empty unless syzygies=True (which needs
+    inputs lists (vec, den), vec being den * column in the kernel's form.
+    Returns (G, U, S).  G lists (vec, lead) in insertion order, the nonzero
+    inputs first, each normalised by the kernel; U[i] is (d_i, row_i) with
+    d_i * G[i] = sum over inputs of row_i applied to the columns (U is empty
+    when cofactors=False).  S is empty unless syzygies=True (which needs
     cofactors); then it holds syzygy rows over the input positions:
-      - an S-pair with t_i*g_i - t_j*g_j = sum q_t*g_t (no remainder) gives
-        t_i*U_i - t_j*U_j - sum q_t*U_t, also when the S-polynomial is
-        empty, as for a repeated input;
+      - an S-pair with a_i*t_i*g_i + a_j*t_j*g_j = sum q_t*g_t (no
+        remainder) gives the same combination of the rows, also when the
+        S-polynomial is empty, as for a repeated input;
       - a pair skipped by the product criterion (scalar inputs only) gives
-        the Koszul row g_j*U_i - g_i*U_j;
+        the Koszul row d_j*g_j*U_i - d_i*g_i*U_j;
       - a pair dropped by the chain criterion gives nothing: its lead-term
         syzygy combines those of two pairs treated before it (Gebauer &
         Moeller, J. Symb. Comp. 1988);
@@ -376,27 +653,22 @@ def _buchberger_pairs(vecs, layout, domain, cofactors=True, syzygies=False):
     through U.  Every nonzero input is an element of G with a scaled unit U
     row, so S generates the syzygy module of the nonzero inputs.
     """
-    one = _field_one(domain)
     top, guard = layout.top, layout.guard
     fields = (1 << top) - 1
+    axpy, times = kernel.axpy, kernel.times
     G = []
     U = []
     S = []
     view = []
-    scalar = all(x >> top == 0 for v in vecs for x in v)
+    scalar = all(x >> top == 0 for v, _ in inputs for x in v)
 
-    def insert(vec, row):
+    def insert(vec, row, d):
         lead = max(vec)
-        c = vec[lead]
-        if c != one:
-            inv = one / c
-            vec = {x: inv * cc for x, cc in vec.items()}
-            if cofactors:
-                row = {x: inv * cc for x, cc in row.items()}
+        vec, row, d = kernel.normalise(vec, lead, row, d)
         G.append((vec, lead))
-        view.append((vec, lead, one))
+        view.append(kernel.reducer(vec, lead))
         if cofactors:
-            U.append(row)
+            U.append((d, row))
         return len(G) - 1
 
     # normal selection: pairs pop by (lcm degree, lcm order, i, j)
@@ -412,11 +684,9 @@ def _buchberger_pairs(vecs, layout, domain, cofactors=True, syzygies=False):
                 heapq.heappush(pairs, (layout.degree(lcm), lcm & fields, i, j))
                 pending.add((i, j))
 
-    for i, v in enumerate(vecs):
-        if not v:
-            continue
-        idx = insert(dict(v), {-i << top: one})
-        add_pairs(idx)
+    for i, (v, den) in enumerate(inputs):
+        if v:
+            add_pairs(insert(v, {-i << top: times(kernel.one, den)}, 1))
 
     def chain_skip(i, j, lcm):
         # Buchberger chain criterion: S(i,j) is redundant once some third
@@ -441,51 +711,54 @@ def _buchberger_pairs(vecs, layout, domain, cofactors=True, syzygies=False):
         # product criterion is only sound for scalar (rank-1) inputs
         if scalar and lcm == li + lj:
             if syzygies:
+                (di, ui), (dj, uj) = U[i], U[j]
                 row = {}
                 for m, c in gj.items():
-                    _vp_axpy(row, c, m, U[i], guard)
+                    axpy(row, times(c, dj), m, ui, guard)
                 for m, c in gi.items():
-                    _vp_axpy(row, -c, m, U[j], guard)
+                    axpy(row, times(c, -di), m, uj, guard)
                 if row:
                     S.append(row)
             continue
         if chain_skip(i, j, lcm):
             continue
         ti, tj = lcm - li, lcm - lj
+        ai, aj = kernel.cross(gi[li], gj[lj])
         s = {}
-        _vp_axpy(s, one, ti, gi, guard)
-        _vp_axpy(s, -one, tj, gj, guard)
-        quots, rem = _vp_divmod(s, view, layout, track=cofactors)
+        axpy(s, ai, ti, gi, guard)
+        axpy(s, aj, tj, gj, guard)
+        m, quots, rem = kernel.divmod(s, view, layout, track=cofactors)
         if not rem and not syzygies:
             continue
         srow = None
+        f = 1
         if cofactors:
+            # f * (m * s - rem) in columns: s's rows scaled, less the quotients'
+            (di, ui), (dj, uj) = U[i], U[j]
+            f = _row_lcm(math.lcm(di, dj), quots, U)
             srow = {}
-            _vp_axpy(srow, one, ti, U[i], guard)
-            _vp_axpy(srow, -one, tj, U[j], guard)
-            for t, qd in enumerate(quots):
-                for mono, qc in qd.items():
-                    _vp_axpy(srow, -qc, mono, U[t], guard)
+            axpy(srow, times(ai, m * (f // di)), ti, ui, guard)
+            axpy(srow, times(aj, m * (f // dj)), tj, uj, guard)
+            _lift(kernel, srow, quots, U, f, -1, guard)
         if rem:
-            add_pairs(insert(rem, srow))
+            add_pairs(insert(rem, srow, f))
         elif srow:
             S.append(srow)
     return G, U, S
 
 
-def _buchberger_vec(vecs, layout, domain, cofactors=True):
+def _buchberger_vec(inputs, layout, kernel, cofactors=True):
     """Reduced module Groebner basis with cofactor rows.
 
     The pair loop of _buchberger_pairs, then a minimal basis with
-    inter-reduced tails.  Returns (G, U): G is a list of (vec, lead) with
-    monic leads, sorted by descending leading term; U[i] is a vector over the
-    input positions with G[i] = sum over inputs of U[i] applied to vecs.
-    cofactors=False skips the U bookkeeping (it comes back empty); the basis
-    itself is identical.  Raises _Overflow.
+    inter-reduced tails.  Returns (G, U): G is a list of (vec, lead), each
+    normalised by the kernel, sorted by descending leading term; U[i] is
+    (d_i, row_i) with d_i * G[i] = sum over inputs of row_i applied to the
+    columns.  cofactors=False skips the U bookkeeping (it comes back empty);
+    the basis itself is identical.  Raises _Overflow.
     """
-    one = _field_one(domain)
     guard = layout.guard
-    G, U, _ = _buchberger_pairs(vecs, layout, domain, cofactors)
+    G, U, _ = _buchberger_pairs(inputs, layout, kernel, cofactors)
 
     # minimal set: leads pairwise non-divisible
     kept = []
@@ -495,24 +768,23 @@ def _buchberger_vec(vecs, layout, domain, cofactors=True):
             kept.append(t)
 
     # inter-reduce tails against the current state; leads never change
-    work = [
-        [dict(G[t][0]), G[t][1], dict(U[t]) if cofactors else None] for t in kept
-    ]
-    for idx in range(len(work)):
-        others = [
-            (w[0], w[1], one) for k, w in enumerate(work) if k != idx
-        ]
-        quots, rem = _vp_divmod(work[idx][0], others, layout, track=cofactors)
+    work = [[G[t][0], G[t][1], U[t] if cofactors else None] for t in kept]
+    for idx, w in enumerate(work):
+        others = [v for k, v in enumerate(work) if k != idx]
+        m, quots, rem = kernel.divmod(
+            w[0], [kernel.reducer(v[0], v[1]) for v in others], layout, cofactors
+        )
+        row, d = None, 1
         if cofactors:
-            row = work[idx][2]
-            pos = 0
-            for k, w in enumerate(work):
-                if k == idx:
-                    continue
-                for mono, qc in quots[pos].items():
-                    _vp_axpy(row, -qc, mono, w[2], guard)
-                pos += 1
-        work[idx][0] = rem
+            # f * (m * vec - rem) in columns, with d * vec = row . columns
+            d, row = w[2]
+            rows = [v[2] for v in others]
+            f = _row_lcm(d, quots, rows)
+            row = kernel.scale(row, m * (f // d))
+            _lift(kernel, row, quots, rows, f, -1, guard)
+            d = f
+        w[0], row, d = kernel.normalise(rem, w[1], row, d)
+        w[2] = (d, row)
 
     work.sort(key=lambda w: w[1], reverse=True)
     return (
@@ -521,24 +793,25 @@ def _buchberger_vec(vecs, layout, domain, cofactors=True):
     )
 
 
-def _syzygy_rows(vecs, layout, domain):
-    """Generating rows (rank len(vecs)) of the syzygy module of vecs.
+def _syzygy_rows(inputs, layout, kernel):
+    """Generating rows (rank len(inputs)) of the syzygy module of the columns.
 
     A unit row for each zero input, plus the rows the pair loop records for
     the nonzero ones (see _buchberger_pairs).  Those inputs open the basis
     the loop builds, so no rows re-expressing inputs through the basis
     (identity minus V U) are needed, and no S-pair is reduced twice.
     """
-    one = _field_one(domain)
-    _, _, rows = _buchberger_pairs(vecs, layout, domain, syzygies=True)
-    return [{-i << layout.top: one} for i, v in enumerate(vecs) if not v] + rows
+    _, _, rows = _buchberger_pairs(inputs, layout, kernel, syzygies=True)
+    top = layout.top
+    return [{-i << top: kernel.one} for i, (v, _) in enumerate(inputs) if not v] + rows
 
 
-def _canonical_rows(rows, layout, domain):
+def _canonical_rows(rows, layout, kernel):
+    """The monic reduced basis of the module the rows span, as field values."""
     if not rows:
         return []
-    G, _ = _buchberger_vec(rows, layout, domain, cofactors=False)
-    return [vec for vec, _ in G]
+    G, _ = _buchberger_vec([(row, 1) for row in rows], layout, kernel, cofactors=False)
+    return [kernel.monic(vec) for vec, _ in G]
 
 
 # --- modules and ideals -------------------------------------------------------
@@ -558,10 +831,11 @@ def _denominator_lcm(coeffs):
 
 
 def _eps_slices(target, layout):
-    """(scale, {q: vec}): the Q(i) slices of scale * target by eps exponent.
+    """(scale, {q: (vec, den)}): the Z[i] slices of scale * target by eps exponent.
 
-    scale * target = sum of eps^q * vec_q, where scale is the lcm of the
-    target's LCFraction denominators (LC_ONE when it has none).
+    scale * target = sum of eps^q * vec_q / den_q, where scale is the lcm of
+    the target's LCFraction denominators (LC_ONE when it has none) and each
+    den_q clears the denominators of its slice.
     """
     polys = [f.to_extended() for f in target]
     scale = _denominator_lcm(c for f in polys for c in f.terms.values())
@@ -575,7 +849,7 @@ def _eps_slices(target, layout):
             x = layout.term(pos, m)
             for q, g in c.terms:
                 slices.setdefault(q, {})[x] = g
-    return scale, slices
+    return scale, {q: _clear(vec) for q, vec in slices.items()}
 
 
 def _eps_join(parts, scale):
@@ -595,11 +869,12 @@ class Module:
     The reduced Groebner basis is computed once, its cofactor rows only when
     member first needs them, and the canonical syzygies once.
 
-    The engine runs over Q(i) when every coefficient of the columns is
-    eps-free, whatever their declared domain, and over the LCFraction field
-    otherwise.  The Q(i) run makes the image of the same operations under the
-    field embedding Q(i) -> LCFraction, so its basis, rows and syzygies are
-    those of an LCFraction run; an extended module promotes them to LCNumber
+    The engine runs over Q(i) (_ZiKernel) when every coefficient of the
+    columns is eps-free, whatever their declared domain, and over the
+    LCFraction field (_LcKernel) otherwise.  The Q(i) run makes the image of
+    the same operations under the field embedding Q(i) -> LCFraction, up to
+    nonzero scalars, so its monic basis, rows and syzygies are those of an
+    LCFraction run; an extended module promotes them to LCNumber
     coefficients when it hands them out.  An extended target of a Q(i) basis
     is reduced one eps slice at a time (see _eps_slices): the divisor chosen
     for a term depends only on the term, so reduction by a fixed basis is
@@ -625,6 +900,7 @@ class Module:
         self.order = order
         self.domain = domain
         self._field = STANDARD if eps_free else EXTENDED
+        self._kernel = _ZiKernel if eps_free else _LcKernel
         self._field_columns = demoted if eps_free else columns
         self._layout = _layout(order, frozenset(_variables(flat)), _START_WIDTH)
         self._vecs = None
@@ -645,7 +921,7 @@ class Module:
                 (repack(vec), new.term(*old.split(lead))) for vec, lead in self._gb
             ]
         if self._rows is not None:
-            self._rows = [repack(row) for row in self._rows]
+            self._rows = [(d, repack(row)) for d, row in self._rows]
         self._layout = new
         self._vecs = None
 
@@ -661,7 +937,7 @@ class Module:
             try:
                 if self._vecs is None:
                     self._vecs = [
-                        _vec_from_polys(col, self._field, self._layout)
+                        self._kernel.entry(col, self._layout)
                         for col in self._field_columns
                     ]
                 return step()
@@ -672,7 +948,7 @@ class Module:
         """(G, U) over self._field; U is None unless cofactor rows were asked for."""
         if self._gb is None or (cofactors and self._rows is None):
             self._gb, rows = _buchberger_vec(
-                self._vecs, self._layout, self._field, cofactors
+                self._vecs, self._layout, self._kernel, cofactors
             )
             self._rows = rows if cofactors else None
         return self._gb, self._rows
@@ -685,24 +961,24 @@ class Module:
         """
         domain = EXTENDED if self.domain == EXTENDED else _lub_domain(target)
         G, U = self._basis_for(cofactors)
-        layout = self._layout
-        one = _field_one(self._field)
-        basis = [(vec, lead, one) for vec, lead in G]
+        kernel, layout = self._kernel, self._layout
+        basis = [kernel.reducer(vec, lead) for vec, lead in G]
 
-        def reduce(vec):
-            quots, rem = _vp_divmod(vec, basis, layout, track=cofactors)
+        def reduce(vec, den):
+            # (remainder, row) of vec / den, as field values
+            m, quots, rem = kernel.divmod(vec, basis, layout, track=cofactors)
+            if rem or not cofactors:
+                return kernel.exit(rem, m * den), {}
             row = {}
-            if cofactors and not rem:
-                for t, qd in enumerate(quots):
-                    for mono, qc in qd.items():
-                        _vp_axpy(row, qc, mono, U[t], layout.guard)
-            return rem, row
+            f = _row_lcm(1, quots, U)
+            _lift(kernel, row, quots, U, f, 1, layout.guard)
+            return rem, kernel.exit(row, m * den * f)
 
         if domain == self._field:
-            rem, row = reduce(_vec_from_polys(target, domain, layout))
+            rem, row = reduce(*kernel.entry(target, layout))
             return domain, rem, row
         scale, slices = _eps_slices(target, layout)
-        parts = [(q, reduce(slices[q])) for q in sorted(slices)]
+        parts = [(q, reduce(*slices[q])) for q in sorted(slices)]
         rem = _eps_join([(q, r) for q, (r, _) in parts], scale)
         if rem or not cofactors:
             return domain, rem, {}
@@ -725,12 +1001,12 @@ class Module:
         if self._syz is None:
 
             def step():
-                rows = _syzygy_rows(self._vecs, self._layout, self._field)
+                rows = _syzygy_rows(self._vecs, self._layout, self._kernel)
                 return tuple(
                     tuple(
                         _vec_to_polys(row, len(self.columns), self.domain, self._layout)
                     )
-                    for row in _canonical_rows(rows, self._layout, self._field)
+                    for row in _canonical_rows(rows, self._layout, self._kernel)
                 )
 
             self._syz = self._run(step)
@@ -751,8 +1027,9 @@ class Ideal(Module):
 
             def step():
                 G, _ = self._basis_for()
+                monic = self._kernel.monic
                 return [
-                    _vec_to_polys(vec, 1, self.domain, self._layout)[0]
+                    _vec_to_polys(monic(vec), 1, self.domain, self._layout)[0]
                     for vec, _ in G
                 ]
 

@@ -181,6 +181,15 @@ def _promote_coeff(c):
     return c
 
 
+def _standard_coeff(c):
+    """A standard-domain coefficient as a GaussianRational."""
+    if isinstance(c, GaussianRational):
+        return c
+    if isinstance(c, (int, Fraction)):
+        return GaussianRational(c)
+    raise InvalidInput("standard coefficients are Q(i) numbers, not %s" % type(c).__name__)
+
+
 def _coeff_domain(c):
     if isinstance(c, GaussianRational):
         return STANDARD
@@ -196,14 +205,21 @@ class Poly:
     __hash__ = None
 
     def __init__(self, domain, terms):
-        if domain not in (STANDARD, EXTENDED):
-            raise InvalidInput("unknown domain %r" % domain)
         cleaned = {}
-        for m, c in dict(terms).items():
-            if domain == EXTENDED and isinstance(c, GaussianRational):
-                c = LCNumber.from_gaussian(c)
-            if c:
-                cleaned[m] = c
+        if domain == STANDARD:
+            for m, c in dict(terms).items():
+                if type(c) is not GaussianRational:
+                    c = _standard_coeff(c)
+                if c:
+                    cleaned[m] = c
+        elif domain == EXTENDED:
+            for m, c in dict(terms).items():
+                if isinstance(c, GaussianRational):
+                    c = LCNumber.from_gaussian(c)
+                if c:
+                    cleaned[m] = c
+        else:
+            raise InvalidInput("unknown domain %r" % domain)
         object.__setattr__(self, "domain", domain)
         object.__setattr__(self, "terms", cleaned)
 

@@ -16,6 +16,7 @@ from epsgeom.gaussian import GaussianRational
 from epsgeom.groebner import Ideal, buchberger, ideal_member, syzygy_basis
 from epsgeom.levicivita import LCNumber, lc_classify, lc_st
 from epsgeom.parser import format_gaussian, format_lc, format_poly, parse_generators, parse_lc, parse_poly
+from epsgeom.poly import Monomial, Poly
 
 DEFAULT_CONFIG = {
     "truncation_order": "16",
@@ -573,3 +574,96 @@ class TestIdealArgvProperty:
             signal.alarm(0)
             signal.signal(signal.SIGALRM, previous)
         assert code in (0, 1) and json.loads(out).get("error", {}).get("code") != "internal"
+
+
+# Well-formed argvs for the module commands: rows and matrices of small
+# polynomials in z1 and z2 with Z[i] or rational coefficients and, now and
+# then, an eps term. These drive cofactor rows, syzygy rows and eps-slice
+# targets through the engine; standard-only commands reject eps entries.
+
+_entry_coeffs = st.one_of(
+    small_gaussians,
+    st.builds(GaussianRational, st.fractions(min_value=-3, max_value=3, max_denominator=5)),
+)
+
+
+@st.composite
+def entry_polys(draw, eps=True):
+    acc = Poly.zero("standard")
+    for _ in range(draw(st.integers(1, 2))):
+        exps = draw(st.lists(st.integers(0, 2), min_size=2, max_size=2).filter(lambda e: sum(e) <= 2))
+        mono = Monomial([(v, e) for v, e in enumerate(exps, start=1)])
+        acc = acc + Poly("standard", {mono: draw(_entry_coeffs)})
+    if eps and draw(st.integers(0, 3)) == 0:
+        acc = acc + Poly.constant(LCNumber.eps(draw(st.integers(1, 2)))) * Poly.variable(draw(st.integers(1, 2)))
+    return acc
+
+
+def _texts(polys):
+    return [format_poly(f) for f in polys]
+
+
+def _matrix_text(rows):
+    return json.dumps([_texts(r) for r in rows])
+
+
+@st.composite
+def entry_matrices(draw, eps=True):
+    nrows, ncols = draw(st.integers(1, 2)), draw(st.integers(1, 3))
+    if draw(st.integers(0, 7)) == 0:
+        return [[Poly.zero("standard")] * ncols for _ in range(nrows)]
+    return [[draw(entry_polys(eps)) for _ in range(ncols)] for _ in range(nrows)]
+
+
+@st.composite
+def syzygy_argvs(draw):
+    row = draw(st.lists(entry_polys(), min_size=1, max_size=3))
+    return ["syzygy", "--row=" + "; ".join(_texts(row))] + draw(order_flags)
+
+
+@st.composite
+def flat_witness_argvs(draw):
+    a = draw(st.lists(entry_polys(eps=False), min_size=2, max_size=3))
+    # x combines the Koszul syzygies a_j e_i - a_i e_j, each with a constant
+    # or an eps-power multiplier, so it solves sum a_i x_i = 0
+    x = [Poly.zero("extended") for _ in a]
+    for i in range(len(a)):
+        for j in range(i + 1, len(a)):
+            s = Poly.constant(LCNumber.eps(draw(st.integers(0, 2))) * LCNumber.from_gaussian(draw(small_gaussians)))
+            x[i] = x[i] + s * a[j]
+            x[j] = x[j] - s * a[i]
+    if draw(st.integers(0, 4)) == 0:
+        x[0] = x[0] + draw(entry_polys())
+    return ["flat-witness", "--row=" + "; ".join(_texts(a)), "--solution=" + "; ".join(_texts(x))]
+
+
+@st.composite
+def kernel_check_argvs(draw):
+    return ["kernel-check", "--matrix=" + _matrix_text(draw(entry_matrices()))]
+
+
+@st.composite
+def tensor_check_argvs(draw):
+    return ["tensor-check", "--matrix=" + _matrix_text(draw(entry_matrices()))]
+
+
+@st.composite
+def exact_check_argvs(draw):
+    # A = [[a*h_j], [b*h_j]] and B = [[b, -a]] make a complex, B*A = 0
+    a, b = draw(entry_polys()), draw(entry_polys(eps=False))
+    hs = draw(st.lists(entry_polys(eps=False), min_size=1, max_size=2))
+    first = [[a * h for h in hs], [b * h for h in hs]]
+    second = [[b, -a]]
+    if draw(st.integers(0, 4)) == 0:
+        second = draw(entry_matrices())
+    return ["exact-check", "--first=" + _matrix_text(first), "--second=" + _matrix_text(second)]
+
+
+class TestModuleArgvProperty:
+    @pytest.mark.parametrize(
+        "argvs",
+        [syzygy_argvs(), flat_witness_argvs(), kernel_check_argvs(), exact_check_argvs(), tensor_check_argvs()],
+        ids=["syzygy", "flat-witness", "kernel-check", "exact-check", "tensor-check"],
+    )
+    def test_one_json_line_and_a_contract_exit_code(self, argvs):
+        _assert_contract(argvs)

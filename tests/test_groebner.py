@@ -1,4 +1,5 @@
 import functools
+import math
 import random
 from fractions import Fraction
 from itertools import product
@@ -16,7 +17,7 @@ from _oracles import (
     cmp_lex,
     monomials_upto,
 )
-from _strategies import polys
+from _strategies import monomials, polys
 from epsgeom import groebner
 from epsgeom.errors import ReservedVariableInUse
 from epsgeom.gaussian import GaussianRational
@@ -584,19 +585,20 @@ class TestPackedTerms:
 
     def test_every_new_term_is_checked(self):
         layout = groebner._Layout(LEX, [1, 2], 3)
-        one = GaussianRational(1)
         z1, z2_3 = layout.term(0, _mono("z1")), layout.term(0, _mono("z2^3"))
         with pytest.raises(groebner._Overflow):
             layout.lcm(layout.term(0, _mono("z1^3")), z2_3)
-        with pytest.raises(groebner._Overflow):
-            groebner._vp_axpy({}, one, z1, {z2_3: one}, layout.guard)
-        # z1^3 fits, and so does the lead product z1^2 * z1, but not z1^2 * z2^3
-        with pytest.raises(groebner._Overflow):
-            groebner._vp_divmod(
-                {layout.term(0, _mono("z1^3")): one},
-                [({z1: one, z2_3: -one}, z1, one)],
-                layout,
-            )
+        for kernel in (groebner._ZiKernel, groebner._LcKernel):
+            one = kernel.one
+            with pytest.raises(groebner._Overflow):
+                kernel.axpy({}, one, z1, {z2_3: one}, layout.guard)
+            # z1^3 fits, and so does the lead product z1^2 * z1, but not z1^2 * z2^3
+            with pytest.raises(groebner._Overflow):
+                kernel.divmod(
+                    {layout.term(0, _mono("z1^3")): one},
+                    [kernel.reducer({z1: one, z2_3: kernel.times(one, -1)}, z1)],
+                    layout,
+                )
 
 
 def _engine_outputs(rng):
@@ -659,6 +661,11 @@ class TestWidening:
 # --- the field each Module runs its engine over -------------------------------
 
 
+def _basis_vecs(M):
+    """M's cached reduced basis, each element monic, as field values."""
+    return [M._kernel.monic(vec) for vec, _ in M._gb]
+
+
 def _with_basis(M, rank):
     """Cache M's basis and cofactor rows through a member call."""
     M.member([Poly.zero(M.domain)] * rank)
@@ -669,7 +676,7 @@ def _basis_polys(M):
     rank = len(M.columns[0])
     _with_basis(M, rank)
     return [
-        groebner._vec_to_polys(vec, rank, M.domain, M._layout) for vec, _ in M._gb
+        groebner._vec_to_polys(vec, rank, M.domain, M._layout) for vec in _basis_vecs(M)
     ]
 
 
@@ -685,24 +692,72 @@ def _refuse(*_):
     raise AssertionError("LCFraction arithmetic on eps-free data")
 
 
+# Where the fraction-free Z[i] kernel and the dividing one part ways:
+# coefficients with denominators up to 7, non-unit Gaussian-integer leads such
+# as 2+i, and zero and repeated columns.
+_field_parts = st.fractions(min_value=-7, max_value=7, max_denominator=7)
+_field_coeffs = st.one_of(
+    st.builds(GaussianRational, _field_parts, _field_parts),
+    st.sampled_from(
+        [GaussianRational(a, b) for a, b in ((2, 1), (1, -2), (3, 2), (1, 1), (0, 2), (-3, 0))]
+    ),
+)
+
+
+@st.composite
+def _field_polys(draw, max_terms=2):
+    acc = Poly.zero("standard")
+    for _ in range(draw(st.integers(min_value=0, max_value=max_terms))):
+        m = draw(monomials(max_vars=3, max_degree=2))
+        acc = acc + Poly("standard", {m: draw(_field_coeffs)})
+    return acc
+
+
 @st.composite
 def _qi_modules(draw):
     rank = draw(st.integers(min_value=1, max_value=2))
     ncols = draw(st.integers(min_value=1, max_value=3))
-    cols = [
-        [draw(polys(max_vars=3, max_degree=2, max_terms=2)) for _ in range(rank)]
-        for _ in range(ncols)
-    ]
+    cols = [[draw(_field_polys()) for _ in range(rank)] for _ in range(ncols)]
+    if draw(st.booleans()):
+        cols.insert(draw(st.integers(0, ncols)), [Poly.zero("standard")] * rank)
+    if draw(st.booleans()):
+        cols.append(list(draw(st.sampled_from(cols))))
     mults = [draw(polys(max_vars=2, max_degree=1, max_terms=2)) for _ in cols]
     inside = [
         sum((m * c[i] for m, c in zip(mults, cols)), Poly.zero("standard"))
         for i in range(rank)
     ]
-    other = [draw(polys(max_vars=3, max_degree=2, max_terms=2)) for _ in range(rank)]
+    other = [draw(_field_polys(max_terms=3)) for _ in range(rank)]
     order = draw(
-        st.sampled_from([GREVLEX, LEX, MonomialOrder("elimination", [1])])
+        st.sampled_from(
+            [
+                GREVLEX,
+                LEX,
+                MonomialOrder("elimination", [1]),
+                MonomialOrder("elimination", [2, 3]),
+            ]
+        )
     )
     return cols, order, [inside, other]
+
+
+def _dividing(M):
+    """M, its engine moved onto the LCFraction kernel, which divides.
+
+    M must be extended, so that its targets take the same route.
+    """
+    M._field, M._kernel, M._field_columns = EXTENDED, groebner._LcKernel, M.columns
+    return M
+
+
+def _remainder(M, target):
+    """target's remainder against M's basis, as extended Polys."""
+
+    def step():
+        _, rem, _ = M._reduce(target, cofactors=False)
+        return groebner._vec_to_polys(rem, len(target), EXTENDED, M._layout)
+
+    return M._run(step, target)
 
 
 class TestFieldChoice:
@@ -728,6 +783,69 @@ class TestFieldChoice:
         for out in basis + syz + [r for r in members if r is not None]:
             assert all(f.domain == "extended" for f in out)
 
+    @given(_qi_modules())
+    @settings(max_examples=40, deadline=None)
+    def test_fraction_free_kernel_matches_the_dividing_kernel(self, drawn):
+        cols, order, targets = drawn
+        M = Module(cols, order)
+        L = _dividing(Module(_lifted(cols), order))
+        assert M._kernel is groebner._ZiKernel
+        assert _lifted(_basis_polys(M)) == _basis_polys(L)
+        assert _lifted([list(v) for v in M.syzygies()]) == [list(v) for v in L.syzygies()]
+        for t in targets:
+            assert _lifted(M.member(t)) == L.member(_lifted(t))
+            assert _remainder(M, t) == _remainder(L, _lifted(t))
+        if len(cols[0]) == 1:
+            gens = [c[0] for c in cols]
+            I, J = Ideal(gens, order), _dividing(Ideal(_lifted(gens), order))
+            assert _lifted(I.groebner_basis()) == J.groebner_basis()
+            for t in targets:
+                assert I.normal_form(t[0]).to_extended() == J.normal_form(t[0].to_extended())
+
+    @pytest.mark.parametrize(
+        "gens, f, order",
+        [
+            (["2*z2 - 3-3/5*i"], "3*z2^3 + 3*z1*z2 + (1+i)*z1", GREVLEX),
+            (
+                ["(2+i)*z2 - 7/3+1/7*i"],
+                "7/5*z1*z2 + z1 + (2-i)*z2",
+                MonomialOrder("elimination", [1]),
+            ),
+            (
+                ["z2^2 + (-3/2-1/2*i)*z1", "4*z1^2 + (7+1/6*i)*z1"],
+                "(7/3-i)*z1*z2^2 + (2-i)*z1*z2 + 2",
+                MonomialOrder("elimination", [2, 3]),
+            ),
+        ],
+        ids=["grevlex", "elimination(z1)", "elimination(z2,z3)"],
+    )
+    def test_remainder_kept_through_a_rescaled_reduction(self, gens, f, order):
+        # terms reach the remainder, a later step scales the rest, and one
+        # after that takes a factor shared with the multiplier back out
+        gens, f = [std(g) for g in gens], std(f)
+        I, J = Ideal(gens, order), _dividing(Ideal(_lifted(gens), order))
+        assert I.normal_form(f).to_extended() == J.normal_form(f.to_extended())
+
+    @given(_qi_modules())
+    @settings(max_examples=30, deadline=None)
+    def test_cached_basis_is_primitive_and_tied_to_its_rows(self, drawn):
+        cols, order, _ = drawn
+        rank = len(cols[0])
+        bare = Module(cols, order)
+        G, _ = bare._run(bare._basis_for)
+        M = Module(cols, order)
+        _with_basis(M, rank)
+        assert [lead for _, lead in M._gb] == [lead for _, lead in G]
+        for vec, _ in G + M._gb:
+            assert math.gcd(*(x for pair in vec.values() for x in pair)) == 1
+        # d * element = row . columns, over Z[i]
+        exit = M._kernel.exit
+        for (vec, _), (d, row) in zip(M._gb, M._rows):
+            r = groebner._vec_to_polys(exit(row, 1), len(cols), "standard", M._layout)
+            lhs = groebner._vec_to_polys(exit(vec, 1), rank, "standard", M._layout)
+            rhs = _combination(r, cols)
+            assert [f.scale(d) for f in lhs] == [f.to_standard() for f in rhs]
+
 
 def _embedded_reduce(M, target):
     """The LCFraction path: target reduced by M's Q(i) basis embedded in LC.
@@ -736,25 +854,30 @@ def _embedded_reduce(M, target):
     """
 
     def embed(vec):
-        return {x: groebner._to_field(c, EXTENDED) for x, c in vec.items()}
+        return {x: LCFraction(LCNumber.from_gaussian(c)) for x, c in vec.items()}
 
     _with_basis(M, len(target))
 
     def step():
-        G, U = M._gb, M._rows
-        one = groebner._field_one(EXTENDED)
+        lc = groebner._LcKernel
+        # d * g = row . columns, so the monic element's row is row / (d * lead)
+        U = []
+        for (vec, lead), (d, row) in zip(M._gb, M._rows):
+            scale = GaussianRational(*vec[lead]) * d
+            U.append(embed({x: c / scale for x, c in M._kernel.exit(row, 1).items()}))
         layout = M._layout
-        quots, rem = groebner._vp_divmod(
-            groebner._vec_from_polys(target, EXTENDED, layout),
-            [(embed(vec), lead, one) for vec, lead in G],
+        m, quots, rem = lc.divmod(
+            lc.entry(target, layout)[0],
+            [lc.reducer(embed(vec), lead) for vec, (_, lead) in zip(_basis_vecs(M), M._gb)],
             layout,
         )
+        assert m == 1
         row = None
         if not rem:
             row = {}
             for t, qd in enumerate(quots):
                 for mono, qc in qd.items():
-                    groebner._vp_axpy(row, qc, mono, embed(U[t]), layout.guard)
+                    lc.axpy(row, qc, mono, U[t], layout.guard)
             row = groebner._vec_to_polys(row, len(M.columns), EXTENDED, layout)
         return groebner._vec_to_polys(rem, len(target), EXTENDED, layout), row
 

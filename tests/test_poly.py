@@ -15,6 +15,7 @@ from _strategies import (
     small_fractions,
 )
 from epsgeom.errors import (
+    InvalidInput,
     UnassignedVariable,
     UnlimitedCoefficient,
     ZeroPolynomial,
@@ -463,6 +464,24 @@ class TestProductKernel:
 
 
 ORDER_KEYS = (grevlex_key, lex_key, elimination_key({2}), elimination_key({1, 3}))
+
+
+class TestCoefficientTypes:
+    def test_int_and_fraction_coefficients_become_gaussian(self):
+        z1 = Monomial([(1, 1)])
+        f = Poly("standard", {z1: 1, MONO_ONE: Fraction(1, 2), Monomial([(2, 1)]): 0})
+        assert f.terms == {z1: GaussianRational(1), MONO_ONE: GaussianRational(Fraction(1, 2))}
+        assert all(type(c) is GaussianRational for c in f.terms.values())
+        # a product of two multi-term factors runs on the coefficients' triples
+        assert f * f == parse_poly("z1^2 + z1 + 1/4")
+        assert Poly("standard", {z1: 1, MONO_ONE: 2}) * Poly.variable(1) == parse_poly("z1^2 + 2*z1")
+
+    @pytest.mark.parametrize(
+        "coeff", [1.5, "1", LC_ONE, LCFraction(LC_ONE), None], ids=repr
+    )
+    def test_other_standard_coefficients_are_refused(self, coeff):
+        with pytest.raises(InvalidInput):
+            Poly("standard", {Monomial([(1, 1)]): coeff})
 
 
 class TestMonomialOrders:
