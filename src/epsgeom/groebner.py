@@ -24,6 +24,10 @@ divisor's lead (see _ZiKernel).  Q(i) numbers appear only where data enter
 the engine and where the monic basis, remainders and cofactor rows leave it.
 The LCFraction field keeps dividing, on monic vectors (_LcKernel); the pair
 loop, inter-reduction and syzygy rows are shared by both.
+
+Cofactor rows ride in the vectors as tag terms below the column positions
+(Cox, Little & O'Shea, GTM 185; Caboara & Traverso, ISSAC 1998), so ordinary
+reduction keeps them up to date; runs that need no rows carry no tags.
 """
 
 from __future__ import annotations
@@ -251,9 +255,8 @@ def _variables(polys):
 # shared.  A kernel keeps vectors {term: coefficient} in its own form, and a
 # reduction returns an int multiplier m with
 #     m * vec = sum_i q_i * g_i + remainder.
-# Each basis element g_i has an int d_i and, with cofactors, a row U_i over the
-# input positions with d_i * g_i = sum_k U_i[k] * column_k, so no row is ever
-# divided inside the engine.
+# No quotient is recorded: cofactor rows ride in the vectors as tag terms
+# (see _buchberger_pairs).
 #
 # _ZiKernel runs Q(i) on Gaussian-integer pairs (a, b).  Vectors are stored
 # primitive (integer content 1), and a reduction step scales the remainder
@@ -261,7 +264,7 @@ def _variables(polys):
 # elimination (Math. Comp. 22, 1968).  Q(i) numbers appear only where data
 # enter (entry and _eps_slices clear denominators) and where they leave (exit
 # divides by a multiplier, monic by the leading coefficient).  _LcKernel runs
-# the LCFraction field by division: its vectors are monic, and d_i = m = 1.
+# the LCFraction field by division: its vectors are monic, and m = 1.
 #
 # Pair order, the choice of divisor and both pair criteria read terms only, so
 # a Z[i] run visits the same terms as a dividing run, and each of its vectors
@@ -311,13 +314,7 @@ class _ZiKernel:
 
     @staticmethod
     def times(c, n):
-        return c if n == 1 else (c[0] * n, c[1] * n)
-
-    @staticmethod
-    def scale(vec, n):
-        if n == 1:
-            return dict(vec)
-        return {x: (a * n, b * n) for x, (a, b) in vec.items()}
+        return c[0] * n, c[1] * n
 
     @staticmethod
     def cross(ci, cj):
@@ -326,19 +323,10 @@ class _ZiKernel:
         return (cj[0] // k, cj[1] // k), (-ci[0] // k, -ci[1] // k)
 
     @staticmethod
-    def normalise(vec, lead, row, d):
-        """(vec / c, row / g, d * c / g): the vector primitive, d * vec = row . cols
-        kept, and the common factor g of d and the row removed."""
+    def normalise(vec, lead):
+        """vec over its integer content, so primitive."""
         c = math.gcd(*chain.from_iterable(vec.values()))
-        if c != 1:
-            vec = {x: (a // c, b // c) for x, (a, b) in vec.items()}
-            d *= c
-        if row is not None and d != 1:
-            g = math.gcd(d, *chain.from_iterable(row.values()))
-            if g != 1:
-                row = {x: (a // g, b // g) for x, (a, b) in row.items()}
-                d //= g
-        return vec, row, d
+        return vec if c == 1 else {x: (a // c, b // c) for x, (a, b) in vec.items()}
 
     @staticmethod
     def reducer(vec, lead):
@@ -367,24 +355,21 @@ class _ZiKernel:
                     del acc[key]
 
     @staticmethod
-    def divmod(vec, basis, layout, track=True):
+    def divmod(vec, basis, layout):
         """Full fraction-free reduction of vec by reducers (vec, lead, (a, b, norm)).
 
-        Returns (m, quotients, remainder) with m * vec = sum q_i * g_i +
-        remainder, m a positive int; quotients[i] is {monomial: coefficient}.
-        The terms still to reduce and the remainder so far are one int
-        vector R over a multiplier r, standing for R / r.  A step on a term c
-        with divisor lead L takes the quotient c * conj(L) / norm(L) in lowest
-        terms, and scales R and r by whatever denominator is left, so no step
-        divides and a unit lead scales nothing.  Before a scaling, the factor
-        r shares with R's content is taken out, so r stays the least common
-        denominator of the Q(i) values R / r stands for.  Each quotient term
-        is kept over the r of its step.  The remainder has no term divisible
-        by a basis lead.  Raises _Overflow.
+        Returns (m, remainder) with m * vec = sum q_i * g_i + remainder, m a
+        positive int.  The terms still to reduce and the remainder so far are
+        one int vector R over a multiplier r, standing for R / r.  A step on
+        a term c with divisor lead L takes the quotient c * conj(L) / norm(L)
+        in lowest terms, and scales R and r by whatever denominator is left,
+        so no step divides and a unit lead scales nothing.  Before a scaling,
+        the factor r shares with R's content is taken out, so r stays the
+        least common denominator of the Q(i) values R / r stands for.  The
+        remainder has no term divisible by a basis lead.  Raises _Overflow.
         """
         p = dict(vec)
         rem = {}
-        quots = [{} for _ in basis] if track else None
         r = 1
         top, guard = layout.top, layout.guard
         leads = {}
@@ -431,9 +416,6 @@ class _ZiKernel:
                     r *= s
                     p = {y: (a * s, b * s) for y, (a, b) in p.items()}
                     rem = {y: (a * s, b * s) for y, (a, b) in rem.items()}
-            if track:
-                # each term is reached once, so each quotient term is new
-                quots[hit][t] = (qa, qb, r)
             for x2, (a2, b2) in g.items():
                 key = x2 + t
                 if key & guard:
@@ -451,22 +433,11 @@ class _ZiKernel:
                         p[key] = (va, vb)
                     else:
                         del p[key]
-        if not track:
-            return r, None, rem
-        # one multiplier over every quotient term and the remainder
-        m = math.lcm(r, *{e for d in quots for _, _, e in d.values()})
-        if m != r:
-            f = m // r
-            rem = {y: (a * f, b * f) for y, (a, b) in rem.items()}
-        quots = [
-            {y: (a * (m // e), b * (m // e)) for y, (a, b, e) in d.items()}
-            for d in quots
-        ]
-        return m, quots, rem
+        return r, rem
 
 
 class _LcKernel:
-    """The LCFraction field by division: monic vectors, d_i = m = 1."""
+    """The LCFraction field by division: monic vectors, m = 1."""
 
     one = _FRAC_ONE
 
@@ -480,7 +451,7 @@ class _LcKernel:
 
     @staticmethod
     def exit(vec, den):
-        # den is a product of multipliers and d_i, all 1 here
+        # den is a product of multipliers, all 1 here
         return vec
 
     @staticmethod
@@ -489,32 +460,25 @@ class _LcKernel:
 
     @staticmethod
     def times(c, n):
-        # n is +-1: a quotient of d_i = 1, times a sign
-        return c if n == 1 else -c
-
-    @staticmethod
-    def scale(vec, n):
-        return dict(vec)
+        # n is -1: a sign, or minus an entry's den of 1
+        return -c
 
     @staticmethod
     def cross(ci, cj):
         return cj, -ci
 
     @staticmethod
-    def normalise(vec, lead, row, d):
-        """The vector made monic, the row divided by the same lead."""
-        one = _FRAC_ONE
+    def normalise(vec, lead):
+        """vec over its leading coefficient, so monic."""
         c = vec[lead]
-        if c != one:
-            inv = one / c
-            vec = {x: inv * cc for x, cc in vec.items()}
-            if row is not None:
-                row = {x: inv * cc for x, cc in row.items()}
-        return vec, row, d
+        if c == _FRAC_ONE:
+            return vec
+        inv = _FRAC_ONE / c
+        return {x: inv * cc for x, cc in vec.items()}
 
     @staticmethod
     def reducer(vec, lead):
-        return vec, lead, _FRAC_ONE
+        return vec, lead
 
     @staticmethod
     def axpy(acc, coeff, mono, vec, guard):
@@ -532,21 +496,19 @@ class _LcKernel:
                 acc.pop(key, None)
 
     @staticmethod
-    def divmod(vec, basis, layout, track=True):
-        """Full reduction of vec by reducers (vec, lead, lead_coeff).
+    def divmod(vec, basis, layout):
+        """Full reduction of vec by monic reducers (vec, lead).
 
-        Returns (1, quotients, remainder); quotients[i] is {monomial: coeff}.
-        The remainder has no term divisible by any basis leading term, so
-        against a reduced basis it is the unique normal form.  Raises
-        _Overflow.
+        Returns (1, remainder).  The remainder has no term divisible by any
+        basis leading term, so against a reduced basis it is the unique
+        normal form.  Raises _Overflow.
         """
         p = dict(vec)
         rem = {}
-        quots = [{} for _ in basis] if track else None
         top, guard = layout.top, layout.guard
         # divisor index: the leads at each position, in basis order
         leads = {}
-        for idx, (_, lead, _) in enumerate(basis):
+        for idx, (_, lead) in enumerate(basis):
             leads.setdefault(lead >> top, []).append((idx, lead))
         push, pop = heapq.heappush, heapq.heappop
         # lazy-deletion max-heap of negated terms: every live term of p has at
@@ -557,20 +519,17 @@ class _LcKernel:
             x = -pop(heap)
             if x not in p:
                 continue
-            c = p[x]
+            q = p[x]
             for hit, lead in leads.get(x >> top, ()):
                 t = x - lead
                 if not t & guard:
                     break
             else:
-                rem[x] = c
+                rem[x] = q
                 del p[x]
                 continue
-            g, _, gc = basis[hit]
-            q = c / gc
-            if track:
-                quots[hit][t] = q
-            for x2, c2 in g.items():
+            # the divisor is monic, so the quotient is the term's coefficient
+            for x2, c2 in basis[hit][0].items():
                 key = x2 + t
                 if key & guard:
                     raise _Overflow
@@ -586,7 +545,7 @@ class _LcKernel:
                         p[key] = v
                     else:
                         del p[key]
-        return 1, quots, rem
+        return 1, rem
 
 
 def _collapse(c):
@@ -608,67 +567,58 @@ def _vec_to_polys(vec, rank, domain, layout):
 # --- the shared engine -----------------------------------------------------------
 
 
-def _row_lcm(f, quots, rows):
-    """lcm of f and the d_t of each rows[t] = (d_t, U_t) with a nonzero quotient."""
-    return math.lcm(f, *(rows[t][0] for t, qd in enumerate(quots) if qd))
+def _split(vec, rank, top):
+    """(column part, tag part) of a tagged vec, the tags moved to input positions."""
+    shift = rank << top
+    cols = {x: c for x, c in vec.items() if x >> top > -rank}
+    return cols, {x + shift: c for x, c in vec.items() if x >> top <= -rank}
 
 
-def _lift(kernel, acc, quots, rows, f, sign, guard):
-    """acc += sign * sum over t of (f / d_t) * q_t * U_t, for rows[t] = (d_t, U_t).
-
-    With m * vec = sum q_t * g_t + rem, that sum applied to the columns is
-    f * (m * vec - rem).
-    """
-    axpy, times = kernel.axpy, kernel.times
-    for t, qd in enumerate(quots):
-        if qd:
-            d, row = rows[t]
-            n = sign * (f // d)
-            for mono, qc in qd.items():
-                axpy(acc, times(qc, n), mono, row, guard)
-
-
-def _buchberger_pairs(inputs, layout, kernel, cofactors=True, syzygies=False):
+def _buchberger_pairs(inputs, layout, kernel, rank=None, syzygies=False):
     """The Buchberger pair loop: an unreduced module Groebner basis.
 
     inputs lists (vec, den), vec being den * column in the kernel's form.
-    Returns (G, U, S).  G lists (vec, lead) in insertion order, the nonzero
-    inputs first, each normalised by the kernel; U[i] is (d_i, row_i) with
-    d_i * G[i] = sum over inputs of row_i applied to the columns (U is empty
-    when cofactors=False).  S is empty unless syzygies=True (which needs
-    cofactors); then it holds syzygy rows over the input positions:
-      - an S-pair with a_i*t_i*g_i + a_j*t_j*g_j = sum q_t*g_t (no
-        remainder) gives the same combination of the rows, also when the
-        S-polynomial is empty, as for a repeated input;
+    Returns (G, S).  G lists (vec, lead) in insertion order, the nonzero
+    inputs first, each normalised by the kernel.
+
+    A rank r turns tags on: input k gets one more term, its tag -den at
+    position r + k, below every column position.  Every vector is then a
+    combination of tagged inputs, so its column part g and its tag part u
+    (see _split) keep g + u . columns = 0.  No lead is a tag, so the
+    ordinary reduction keeps u up to date, and the column terms are
+    visited as in an untagged run.
+
+    S is empty unless syzygies=True (which needs tags); then it holds
+    syzygy rows over the input positions:
+      - an S-pair whose column part reduces to zero gives its tag part,
+        also when the S-polynomial's column part is empty, as for a
+        repeated input;
       - a pair skipped by the product criterion (scalar inputs only) gives
-        the Koszul row d_j*g_j*U_i - d_i*g_i*U_j;
+        the Koszul row g_j*u_i - g_i*u_j;
       - a pair dropped by the chain criterion gives nothing: its lead-term
         syzygy combines those of two pairs treated before it (Gebauer &
         Moeller, J. Symb. Comp. 1988);
       - a pair whose remainder becomes a basis element gives nothing: that
-        element's U row is defined by the same combination, so the row is
-        zero in input coordinates.
+        element's tags are the same combination, so the row is zero in
+        input coordinates.
     The recorded rows lift a generating set of the lead-term syzygies of the
     final G, so they generate its syzygy module (Schreyer's theorem), mapped
-    through U.  Every nonzero input is an element of G with a scaled unit U
-    row, so S generates the syzygy module of the nonzero inputs.
+    through the tags.  Every nonzero input is an element of G with a scaled
+    unit tag, so S generates the syzygy module of the nonzero inputs.
     """
     top, guard = layout.top, layout.guard
     fields = (1 << top) - 1
     axpy, times = kernel.axpy, kernel.times
     G = []
-    U = []
     S = []
     view = []
     scalar = all(x >> top == 0 for v, _ in inputs for x in v)
 
-    def insert(vec, row, d):
+    def insert(vec):
         lead = max(vec)
-        vec, row, d = kernel.normalise(vec, lead, row, d)
+        vec = kernel.normalise(vec, lead)
         G.append((vec, lead))
         view.append(kernel.reducer(vec, lead))
-        if cofactors:
-            U.append((d, row))
         return len(G) - 1
 
     # normal selection: pairs pop by (lcm degree, lcm order, i, j)
@@ -684,9 +634,11 @@ def _buchberger_pairs(inputs, layout, kernel, cofactors=True, syzygies=False):
                 heapq.heappush(pairs, (layout.degree(lcm), lcm & fields, i, j))
                 pending.add((i, j))
 
-    for i, (v, den) in enumerate(inputs):
+    for k, (v, den) in enumerate(inputs):
         if v:
-            add_pairs(insert(v, {-i << top: times(kernel.one, den)}, 1))
+            if rank is not None:
+                v = {**v, -(rank + k) << top: times(kernel.one, -den)}
+            add_pairs(insert(v))
 
     def chain_skip(i, j, lcm):
         # Buchberger chain criterion: S(i,j) is redundant once some third
@@ -711,12 +663,12 @@ def _buchberger_pairs(inputs, layout, kernel, cofactors=True, syzygies=False):
         # product criterion is only sound for scalar (rank-1) inputs
         if scalar and lcm == li + lj:
             if syzygies:
-                (di, ui), (dj, uj) = U[i], U[j]
+                (ci, ui), (cj, uj) = _split(gi, rank, top), _split(gj, rank, top)
                 row = {}
-                for m, c in gj.items():
-                    axpy(row, times(c, dj), m, ui, guard)
-                for m, c in gi.items():
-                    axpy(row, times(c, -di), m, uj, guard)
+                for m, c in cj.items():
+                    axpy(row, c, m, ui, guard)
+                for m, c in ci.items():
+                    axpy(row, times(c, -1), m, uj, guard)
                 if row:
                     S.append(row)
             continue
@@ -727,38 +679,26 @@ def _buchberger_pairs(inputs, layout, kernel, cofactors=True, syzygies=False):
         s = {}
         axpy(s, ai, ti, gi, guard)
         axpy(s, aj, tj, gj, guard)
-        m, quots, rem = kernel.divmod(s, view, layout, track=cofactors)
-        if not rem and not syzygies:
+        _, rem = kernel.divmod(s, view, layout)
+        if not rem:
             continue
-        srow = None
-        f = 1
-        if cofactors:
-            # f * (m * s - rem) in columns: s's rows scaled, less the quotients'
-            (di, ui), (dj, uj) = U[i], U[j]
-            f = _row_lcm(math.lcm(di, dj), quots, U)
-            srow = {}
-            axpy(srow, times(ai, m * (f // di)), ti, ui, guard)
-            axpy(srow, times(aj, m * (f // dj)), tj, uj, guard)
-            _lift(kernel, srow, quots, U, f, -1, guard)
-        if rem:
-            add_pairs(insert(rem, srow, f))
-        elif srow:
-            S.append(srow)
-    return G, U, S
+        if rank is None or max(rem) >> top > -rank:
+            add_pairs(insert(rem))
+        elif syzygies:
+            S.append(_split(rem, rank, top)[1])
+    return G, S
 
 
-def _buchberger_vec(inputs, layout, kernel, cofactors=True):
-    """Reduced module Groebner basis with cofactor rows.
+def _buchberger_vec(inputs, layout, kernel, rank=None):
+    """Reduced module Groebner basis, tagged when given a rank.
 
     The pair loop of _buchberger_pairs, then a minimal basis with
-    inter-reduced tails.  Returns (G, U): G is a list of (vec, lead), each
-    normalised by the kernel, sorted by descending leading term; U[i] is
-    (d_i, row_i) with d_i * G[i] = sum over inputs of row_i applied to the
-    columns.  cofactors=False skips the U bookkeeping (it comes back empty);
-    the basis itself is identical.  Raises _Overflow.
+    inter-reduced tails.  Returns G, a list of (vec, lead), each normalised
+    by the kernel, sorted by descending leading term.  A rank carries the
+    tags of _buchberger_pairs through; the column parts are the same either
+    way.  Raises _Overflow.
     """
-    guard = layout.guard
-    G, U, _ = _buchberger_pairs(inputs, layout, kernel, cofactors)
+    G, _ = _buchberger_pairs(inputs, layout, kernel, rank)
 
     # minimal set: leads pairwise non-divisible
     kept = []
@@ -768,40 +708,25 @@ def _buchberger_vec(inputs, layout, kernel, cofactors=True):
             kept.append(t)
 
     # inter-reduce tails against the current state; leads never change
-    work = [[G[t][0], G[t][1], U[t] if cofactors else None] for t in kept]
+    work = [list(G[t]) for t in kept]
     for idx, w in enumerate(work):
-        others = [v for k, v in enumerate(work) if k != idx]
-        m, quots, rem = kernel.divmod(
-            w[0], [kernel.reducer(v[0], v[1]) for v in others], layout, cofactors
-        )
-        row, d = None, 1
-        if cofactors:
-            # f * (m * vec - rem) in columns, with d * vec = row . columns
-            d, row = w[2]
-            rows = [v[2] for v in others]
-            f = _row_lcm(d, quots, rows)
-            row = kernel.scale(row, m * (f // d))
-            _lift(kernel, row, quots, rows, f, -1, guard)
-            d = f
-        w[0], row, d = kernel.normalise(rem, w[1], row, d)
-        w[2] = (d, row)
+        others = [kernel.reducer(*v) for k, v in enumerate(work) if k != idx]
+        _, rem = kernel.divmod(w[0], others, layout)
+        w[0] = kernel.normalise(rem, w[1])
 
     work.sort(key=lambda w: w[1], reverse=True)
-    return (
-        [(w[0], w[1]) for w in work],
-        [w[2] for w in work] if cofactors else [],
-    )
+    return [tuple(w) for w in work]
 
 
-def _syzygy_rows(inputs, layout, kernel):
+def _syzygy_rows(inputs, layout, kernel, rank):
     """Generating rows (rank len(inputs)) of the syzygy module of the columns.
 
     A unit row for each zero input, plus the rows the pair loop records for
     the nonzero ones (see _buchberger_pairs).  Those inputs open the basis
-    the loop builds, so no rows re-expressing inputs through the basis
-    (identity minus V U) are needed, and no S-pair is reduced twice.
+    the loop builds, so no rows re-expressing inputs through the basis are
+    needed, and no S-pair is reduced twice.
     """
-    _, _, rows = _buchberger_pairs(inputs, layout, kernel, syzygies=True)
+    _, rows = _buchberger_pairs(inputs, layout, kernel, rank, syzygies=True)
     top = layout.top
     return [{-i << top: kernel.one} for i, (v, _) in enumerate(inputs) if not v] + rows
 
@@ -810,7 +735,7 @@ def _canonical_rows(rows, layout, kernel):
     """The monic reduced basis of the module the rows span, as field values."""
     if not rows:
         return []
-    G, _ = _buchberger_vec([(row, 1) for row in rows], layout, kernel, cofactors=False)
+    G = _buchberger_vec([(row, 1) for row in rows], layout, kernel)
     return [kernel.monic(vec) for vec, _ in G]
 
 
@@ -866,8 +791,9 @@ def _eps_join(parts, scale):
 class Module:
     """Submodule spanned by columns (each a list of Poly), with cached bases.
 
-    The reduced Groebner basis is computed once, its cofactor rows only when
-    member first needs them, and the canonical syzygies once.
+    The reduced Groebner basis is computed once, and the canonical syzygies
+    once.  When member first needs cofactors, the basis is computed again
+    with tags (see _buchberger_pairs) and replaces the untagged one.
 
     The engine runs over Q(i) (_ZiKernel) when every coefficient of the
     columns is eps-free, whatever their declared domain, and over the
@@ -883,7 +809,7 @@ class Module:
 
     The engine runs on terms packed under self._layout.  A target with new
     variables, or a run whose terms overflow the fields, moves the module to
-    a wider layout; the cached basis and rows are repacked, not recomputed.
+    a wider layout; the cached basis is repacked, not recomputed.
     """
 
     def __init__(self, columns, order=GREVLEX):
@@ -891,6 +817,8 @@ class Module:
         flat = [f for col in columns for f in col]
         if not all(isinstance(f, Poly) for f in flat):
             raise InvalidInput("generators must be Poly")
+        if len({len(col) for col in columns}) > 1:
+            raise InvalidInput("columns have unequal lengths")
         domain = _lub_domain(flat)
         if domain == EXTENDED:
             columns = tuple(tuple(f.to_extended() for f in col) for col in columns)
@@ -899,17 +827,18 @@ class Module:
         self.columns = columns
         self.order = order
         self.domain = domain
+        self._rank = len(columns[0]) if columns else None
         self._field = STANDARD if eps_free else EXTENDED
         self._kernel = _ZiKernel if eps_free else _LcKernel
         self._field_columns = demoted if eps_free else columns
         self._layout = _layout(order, frozenset(_variables(flat)), _START_WIDTH)
         self._vecs = None
         self._gb = None
-        self._rows = None
+        self._tagged = False
         self._syz = None
 
     def _relayout(self, variables, width):
-        """Move to a new layout, repacking the cached basis and rows."""
+        """Move to a new layout, repacking the cached basis."""
         old = self._layout
         new = _layout(self.order, variables, width)
 
@@ -920,8 +849,6 @@ class Module:
             self._gb = [
                 (repack(vec), new.term(*old.split(lead))) for vec, lead in self._gb
             ]
-        if self._rows is not None:
-            self._rows = [(d, repack(row)) for d, row in self._rows]
         self._layout = new
         self._vecs = None
 
@@ -944,14 +871,13 @@ class Module:
             except _Overflow:
                 self._relayout(self._layout.variables, 2 * self._layout.width)
 
-    def _basis_for(self, cofactors=False):
-        """(G, U) over self._field; U is None unless cofactor rows were asked for."""
-        if self._gb is None or (cofactors and self._rows is None):
-            self._gb, rows = _buchberger_vec(
-                self._vecs, self._layout, self._kernel, cofactors
-            )
-            self._rows = rows if cofactors else None
-        return self._gb, self._rows
+    def _basis_for(self, tagged=False):
+        """The reduced basis over self._field, with tags if asked for."""
+        if self._gb is None or (tagged and not self._tagged):
+            rank = self._rank if tagged else None
+            self._gb = _buchberger_vec(self._vecs, self._layout, self._kernel, rank)
+            self._tagged = rank is not None
+        return self._gb
 
     def _reduce(self, target, cofactors):
         """(domain, remainder, row) of target against the basis.
@@ -960,19 +886,20 @@ class Module:
         when cofactors is set and the remainder is zero; else it is empty.
         """
         domain = EXTENDED if self.domain == EXTENDED else _lub_domain(target)
-        G, U = self._basis_for(cofactors)
+        G = self._basis_for(cofactors)
         kernel, layout = self._kernel, self._layout
         basis = [kernel.reducer(vec, lead) for vec, lead in G]
 
         def reduce(vec, den):
-            # (remainder, row) of vec / den, as field values
-            m, quots, rem = kernel.divmod(vec, basis, layout, track=cofactors)
+            # (remainder, row) of vec / den, as field values: with g_i =
+            # -u_i . columns, a zero column remainder leaves tags m * row
+            m, rem = kernel.divmod(vec, basis, layout)
+            tags = {}
+            if self._tagged:
+                rem, tags = _split(rem, self._rank, layout.top)
             if rem or not cofactors:
                 return kernel.exit(rem, m * den), {}
-            row = {}
-            f = _row_lcm(1, quots, U)
-            _lift(kernel, row, quots, U, f, 1, layout.guard)
-            return rem, kernel.exit(row, m * den * f)
+            return rem, kernel.exit(tags, m * den)
 
         if domain == self._field:
             rem, row = reduce(*kernel.entry(target, layout))
@@ -985,8 +912,13 @@ class Module:
         return domain, rem, _eps_join([(q, row) for q, (_, row) in parts], scale)
 
     def member(self, target):
-        """None, or cofactors r with target = sum r_i * columns_i."""
+        """None, or cofactors r with target = sum r_i * columns_i.
+
+        The target must have as many entries as each column.
+        """
         target = list(target)
+        if self.columns and len(target) != self._rank:
+            raise InvalidInput("target and columns have unequal lengths")
 
         def step():
             domain, rem, row = self._reduce(target, cofactors=True)
@@ -1001,7 +933,7 @@ class Module:
         if self._syz is None:
 
             def step():
-                rows = _syzygy_rows(self._vecs, self._layout, self._kernel)
+                rows = _syzygy_rows(self._vecs, self._layout, self._kernel, self._rank)
                 return tuple(
                     tuple(
                         _vec_to_polys(row, len(self.columns), self.domain, self._layout)
@@ -1026,11 +958,13 @@ class Ideal(Module):
         if self._gb_polys is None:
 
             def step():
-                G, _ = self._basis_for()
-                monic = self._kernel.monic
+                monic, top = self._kernel.monic, self._layout.top
+                vecs = [vec for vec, _ in self._basis_for()]
+                if self._tagged:
+                    vecs = [_split(vec, 1, top)[0] for vec in vecs]
                 return [
                     _vec_to_polys(monic(vec), 1, self.domain, self._layout)[0]
-                    for vec, _ in G
+                    for vec in vecs
                 ]
 
             polys = self._run(step)

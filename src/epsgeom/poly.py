@@ -190,6 +190,13 @@ def _standard_coeff(c):
     raise InvalidInput("standard coefficients are Q(i) numbers, not %s" % type(c).__name__)
 
 
+def _extended_coeff(c):
+    """An extended-domain coefficient, other than LCNumber and LCFraction, as one."""
+    if isinstance(c, (GaussianRational, int, Fraction)):
+        return LCNumber.from_gaussian(c)
+    raise InvalidInput("extended coefficients are LC numbers, not %s" % type(c).__name__)
+
+
 def _coeff_domain(c):
     if isinstance(c, GaussianRational):
         return STANDARD
@@ -214,8 +221,8 @@ class Poly:
                     cleaned[m] = c
         elif domain == EXTENDED:
             for m, c in dict(terms).items():
-                if isinstance(c, GaussianRational):
-                    c = LCNumber.from_gaussian(c)
+                if type(c) is not LCNumber and type(c) is not LCFraction:
+                    c = _extended_coeff(c)
                 if c:
                     cleaned[m] = c
         else:

@@ -19,7 +19,7 @@ from _oracles import (
 )
 from _strategies import monomials, polys
 from epsgeom import groebner
-from epsgeom.errors import ReservedVariableInUse
+from epsgeom.errors import InvalidInput, ReservedVariableInUse
 from epsgeom.gaussian import GaussianRational
 from epsgeom.groebner import (
     GREVLEX,
@@ -392,16 +392,29 @@ class TestIdealCache:
         assert I.contains(std("z1^2 - z2^2"))
         assert I.normal_form(std("z1")) == I.normal_form(std("z2"))
 
+    @pytest.mark.parametrize(
+        "gens, f",
+        [
+            (["z1^2 - z2", "z2^2 - z1"], "z1^3 - z1*z2"),
+            (["z1^2 - eps*z2", "z2^2 - z1"], "z1^3 - eps*z1*z2"),
+        ],
+    )
+    def test_basis_after_member_is_untagged(self, gens, f):
+        parse = ext if "eps" in f else std
+        I = Ideal([parse(g) for g in gens])
+        assert I.member([parse(f)]) is not None
+        assert I.groebner_basis() == Ideal([parse(g) for g in gens]).groebner_basis()
+
 
 @pytest.fixture
 def engine_runs(monkeypatch):
-    """The cofactors flag of every _buchberger_vec run, in call order."""
+    """Whether each _buchberger_vec run carried cofactor tags, in call order."""
     runs = []
     engine = groebner._buchberger_vec
 
-    def counted(vecs, order, domain, cofactors=True):
-        runs.append(cofactors)
-        return engine(vecs, order, domain, cofactors)
+    def counted(vecs, layout, kernel, rank=None):
+        runs.append(rank is not None)
+        return engine(vecs, layout, kernel, rank)
 
     monkeypatch.setattr(groebner, "_buchberger_vec", counted)
     return runs
@@ -463,6 +476,19 @@ class TestModule:
                 f = ext("eps") * f.to_extended()
                 assert ideal_member_cofactors(f, I) == ideal_member_cofactors(f, J)
                 assert I.normal_form(f) == J.normal_form(f)
+
+    def test_target_length_must_match_the_columns(self):
+        M = Module([[std("z1"), std("0")]])
+        assert M.member([std("z1"), std("0")]) == [std("1")]
+        for target in ([std("z1")], [std("z1"), std("0"), std("0")], []):
+            with pytest.raises(InvalidInput):
+                M.member(target)
+        with pytest.raises(InvalidInput):
+            module_member([[std("z1"), std("0")]], [ext("z1")])
+
+    def test_columns_must_have_one_length(self):
+        with pytest.raises(InvalidInput):
+            Module([[std("z1"), std("0")], [std("z2")]])
 
     def test_empty_module(self):
         M = Module([])
@@ -662,12 +688,13 @@ class TestWidening:
 
 
 def _basis_vecs(M):
-    """M's cached reduced basis, each element monic, as field values."""
-    return [M._kernel.monic(vec) for vec, _ in M._gb]
+    """M's cached reduced basis, tags dropped, each element monic, as field values."""
+    top = M._layout.top
+    return [M._kernel.monic(groebner._split(vec, M._rank, top)[0]) for vec, _ in M._gb]
 
 
 def _with_basis(M, rank):
-    """Cache M's basis and cofactor rows through a member call."""
+    """Cache M's basis, tagged with its cofactor rows, through a member call."""
     M.member([Poly.zero(M.domain)] * rank)
 
 
@@ -832,19 +859,21 @@ class TestFieldChoice:
         cols, order, _ = drawn
         rank = len(cols[0])
         bare = Module(cols, order)
-        G, _ = bare._run(bare._basis_for)
+        G = bare._run(bare._basis_for)
         M = Module(cols, order)
         _with_basis(M, rank)
         assert [lead for _, lead in M._gb] == [lead for _, lead in G]
+        # primitive over all terms, the tags included
         for vec, _ in G + M._gb:
             assert math.gcd(*(x for pair in vec.values() for x in pair)) == 1
-        # d * element = row . columns, over Z[i]
+        # column part = -(tag part) . columns, over Z[i]
         exit = M._kernel.exit
-        for (vec, _), (d, row) in zip(M._gb, M._rows):
-            r = groebner._vec_to_polys(exit(row, 1), len(cols), "standard", M._layout)
-            lhs = groebner._vec_to_polys(exit(vec, 1), rank, "standard", M._layout)
+        for vec, _ in M._gb:
+            part, tags = groebner._split(vec, rank, M._layout.top)
+            r = groebner._vec_to_polys(exit(tags, 1), len(cols), "standard", M._layout)
+            lhs = groebner._vec_to_polys(exit(part, 1), rank, "standard", M._layout)
             rhs = _combination(r, cols)
-            assert [f.scale(d) for f in lhs] == [f.to_standard() for f in rhs]
+            assert lhs == [(-f).to_standard() for f in rhs]
 
 
 def _embedded_reduce(M, target):
@@ -860,25 +889,19 @@ def _embedded_reduce(M, target):
 
     def step():
         lc = groebner._LcKernel
-        # d * g = row . columns, so the monic element's row is row / (d * lead)
-        U = []
-        for (vec, lead), (d, row) in zip(M._gb, M._rows):
-            scale = GaussianRational(*vec[lead]) * d
-            U.append(embed({x: c / scale for x, c in M._kernel.exit(row, 1).items()}))
+        # each tagged element made monic, its tags with it: the target's
+        # reduction then leaves its cofactor row in the remainder's tags
         layout = M._layout
-        m, quots, rem = lc.divmod(
+        m, rem = lc.divmod(
             lc.entry(target, layout)[0],
-            [lc.reducer(embed(vec), lead) for vec, (_, lead) in zip(_basis_vecs(M), M._gb)],
+            [lc.reducer(embed(M._kernel.monic(vec)), lead) for vec, lead in M._gb],
             layout,
         )
         assert m == 1
+        rem, tags = groebner._split(rem, M._rank, layout.top)
         row = None
         if not rem:
-            row = {}
-            for t, qd in enumerate(quots):
-                for mono, qc in qd.items():
-                    lc.axpy(row, qc, mono, U[t], layout.guard)
-            row = groebner._vec_to_polys(row, len(M.columns), EXTENDED, layout)
+            row = groebner._vec_to_polys(tags, len(M.columns), EXTENDED, layout)
         return groebner._vec_to_polys(rem, len(target), EXTENDED, layout), row
 
     return M._run(step, target)
@@ -962,3 +985,38 @@ class TestEpsSlices:
         I = Ideal([std("z1^2 - z2")])
         f = Poly(EXTENDED, {_mono("z1^3"): x, _mono("z2"): parse_lc("eps")})
         assert I.normal_form(f) == _embedded_reduce(I, [f])[0][0]
+
+
+def _small_eps_poly(rng):
+    """One or two terms of degree at most 1 in z1, z2, each coefficient c + d*eps^q."""
+    acc = Poly.zero(EXTENDED)
+    for _ in range(rng.randint(1, 2)):
+        c = LCNumber.from_gaussian(GaussianRational(rng.randint(-2, 2), rng.choice((0, 1))))
+        e = LCNumber.term(rng.choice((1, -1, 2)), rng.choice((1, Fraction(1, 2), -1)))
+        m = rng.choice(monomials_upto(range(1, 3), 1))
+        acc = acc + Poly(EXTENDED, {m: c + e})
+    return acc
+
+
+class TestEpsModules:
+    """Eps-carrying columns run the tagged LCFraction engine; checked by
+    reconstruction rather than against another run."""
+
+    def test_cofactors_and_syzygies_reconstruct(self):
+        rng = random.Random(4019)
+        for _ in range(32):
+            rank, ncols = rng.choice(((1, 1), (1, 2), (1, 3), (2, 1), (2, 2), (2, 3)))
+            cols = [[_small_eps_poly(rng) for _ in range(rank)] for _ in range(ncols)]
+            M = Module(cols)
+            assert M._kernel is groebner._LcKernel
+            mults = [_small_eps_poly(rng) for _ in cols]
+            inside = _combination(mults, cols)
+            outside = [_small_eps_poly(rng) for _ in range(rank)]
+            r = M.member(inside)
+            assert r is not None
+            assert _combination(r, cols) == inside
+            r = M.member(outside)
+            if r is not None:
+                assert _combination(r, cols) == outside
+            for s in M.syzygies():
+                assert not any(_combination(s, cols))

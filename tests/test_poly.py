@@ -22,7 +22,7 @@ from epsgeom.errors import (
 )
 from epsgeom.gaussian import GaussianRational
 from epsgeom.levicivita import LC_ONE, LC_ZERO, LCFraction, LCNumber, lc_st
-from epsgeom.parser import parse_lc, parse_poly
+from epsgeom.parser import format_poly, parse_lc, parse_poly
 from epsgeom.poly import (
     EXTENDED,
     MONO_ONE,
@@ -482,6 +482,24 @@ class TestCoefficientTypes:
     def test_other_standard_coefficients_are_refused(self, coeff):
         with pytest.raises(InvalidInput):
             Poly("standard", {Monomial([(1, 1)]): coeff})
+
+    def test_extended_coefficients_become_levi_civita(self):
+        z1 = Monomial([(1, 1)])
+        f = Poly(
+            "extended",
+            {z1: 1, MONO_ONE: Fraction(1, 2), Monomial([(2, 1)]): GaussianRational(0, 1)},
+        )
+        assert all(type(c) is LCNumber for c in f.terms.values())
+        assert f == parse_poly("z1 + 1/2 + i*z2").to_extended()
+        assert format_poly(f) == "z1 + i*z2 + 1/2"
+        assert Poly("extended", {z1: 0, MONO_ONE: LC_ZERO}).terms == {}
+        x = LCFraction(LC_ONE, parse_lc("1 + eps"))
+        assert Poly("extended", {z1: x}).terms == {z1: x}
+
+    @pytest.mark.parametrize("coeff", [1.5, "x", None, [1]], ids=repr)
+    def test_other_extended_coefficients_are_refused(self, coeff):
+        with pytest.raises(InvalidInput):
+            Poly("extended", {Monomial([(1, 1)]): coeff})
 
 
 class TestMonomialOrders:
