@@ -99,9 +99,10 @@ def point_shadow(p):
 def halo_member(p, a):
     """True iff every coordinate of p differs from a's by an infinitesimal."""
     if p.support() != a.support():
-        raise SupportMismatch(
-            "supports %r and %r differ" % (p.support(), a.support())
+        p_vars, a_vars = (
+            "{%s}" % ", ".join("z%d" % v for v in x.support()) for x in (p, a)
         )
+        raise SupportMismatch("supports %s and %s differ" % (p_vars, a_vars))
     return all((p[v] - a[v]).is_infinitesimal() for v in p.support())
 
 

@@ -2,7 +2,9 @@
 
 Deliberately naive: exact linear algebra over the Gaussian rationals and
 exhaustive small searches, kept clear of the Groebner machinery so a
-disagreement with the library points at a real bug.
+disagreement with the library points at a real bug.  The one exception is
+the two-domain transfer reference at the end, which runs the engine once per
+coefficient domain where epsgeom.transfer runs it once.
 """
 
 from fractions import Fraction
@@ -10,6 +12,8 @@ from itertools import product
 
 from epsgeom.errors import DivisionByZero
 from epsgeom.gaussian import GaussianRational, QI_ONE, QI_ZERO
+from epsgeom.groebner import Module, module_syzygies
+from epsgeom.parser import format_poly
 from epsgeom.poly import MONO_ONE, Monomial, Poly
 
 
@@ -374,3 +378,58 @@ def _reference_coerce(x):
     if isinstance(x, (int, Fraction)):
         return ReferenceGaussianRational(x)
     return NotImplemented
+
+
+# --- two-domain transfer reference -------------------------------------------
+# The transfer checks as they were when each ran the engine over standard and
+# over extended coefficients separately: both kernels, both spans, both
+# exactness verdicts.  The one-run checks must give the same reports.
+
+
+def reference_kernel_comparison(A):
+    """ker(A) over both domains, each kernel tested against the other's span.
+
+    Returns the kernel_extension_check report and, for each extended kernel
+    vector, its cofactors over the standard kernel (None outside its span).
+    """
+    cols = A.columns()
+    ker_std = module_syzygies(cols)
+    ker_ext = module_syzygies([[e.to_extended() for e in c] for c in cols])
+    std_span, ext_span = Module(ker_std), Module(ker_ext)
+    witnesses = [std_span.member(v) for v in ker_ext]
+    ext_in_std = all(r is not None for r in witnesses)
+    std_in_ext = all(ext_span.member(v) is not None for v in ker_std)
+    report = {
+        "shape": list(A.shape),
+        "standard_kernel": [[format_poly(g) for g in v] for v in ker_std],
+        "extended_kernel": [[format_poly(g) for g in v] for v in ker_ext],
+        "extended_in_standard_span": ext_in_std,
+        "standard_in_extended_span": std_in_ext,
+        "pass": ext_in_std and std_in_ext,
+    }
+    return report, witnesses
+
+
+def _reference_exact_over(cols_a, cols_b):
+    ker = module_syzygies(cols_b)
+    image, ker_span = Module(cols_a), Module(ker)
+    return all(image.member(v) is not None for v in ker) and all(
+        ker_span.member(c) is not None for c in cols_a
+    )
+
+
+def reference_exactness_transfer(A, B):
+    """The exactness_transfer_check report of a complex B*A = 0."""
+    exact_std = _reference_exact_over(A.columns(), B.columns())
+    exact_ext = _reference_exact_over(
+        A.to_extended().columns(), B.to_extended().columns()
+    )
+    agree = exact_std == exact_ext
+    return {
+        "shapes": {"first": list(A.shape), "second": list(B.shape)},
+        "complex": True,
+        "exact_standard": exact_std,
+        "exact_extended": exact_ext,
+        "verdicts_agree": bool(agree),
+        "pass": bool(agree),
+    }

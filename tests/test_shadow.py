@@ -74,7 +74,7 @@ class TestHalo:
         assert not halo_member(pt({1: "1 + eps"}), pt({1: "2"}))
 
     def test_support_mismatch(self):
-        with pytest.raises(SupportMismatch):
+        with pytest.raises(SupportMismatch, match=r"^supports \{z1, z2\} and \{z1\} differ$"):
             halo_member(pt({1: "1 + eps", 2: "0"}), pt({1: "1"}))
 
 

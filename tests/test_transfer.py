@@ -2,15 +2,21 @@ import random
 
 import pytest
 
-from _oracles import monomials_upto
+from _oracles import (
+    monomials_upto,
+    reference_exactness_transfer,
+    reference_kernel_comparison,
+)
+from epsgeom import groebner
 from epsgeom.errors import NotAComplex, NotASolution
 from epsgeom.gaussian import GaussianRational
-from epsgeom.groebner import Ideal, is_proper, syzygy_basis
+from epsgeom.groebner import Ideal, is_proper, module_syzygies, syzygy_basis
 from epsgeom.levicivita import LCNumber
-from epsgeom.parser import parse_poly
+from epsgeom.parser import format_poly, parse_poly
 from epsgeom.poly import Monomial, Poly
 from epsgeom.transfer import (
     PolyMatrix,
+    _kernel_comparison,
     exactness_transfer_check,
     flatness_witness,
     kernel_extension_check,
@@ -187,6 +193,93 @@ class TestTensorIso:
                 [[random_std_poly(rng, max_vars=2) for _ in range(cols)] for _ in range(rows)]
             )
             assert tensor_iso_check(P)["pass"]
+
+
+def random_complex(rng):
+    """(A, B) with B*A = 0: A spans ker(B), or a column of it is dropped or
+    multiplied by a polynomial."""
+    rows, cols = rng.randint(1, 2), rng.randint(2, 3)
+    B = PolyMatrix(
+        [[random_std_poly(rng, max_vars=2) for _ in range(cols)] for _ in range(rows)]
+    )
+    ker = module_syzygies(B.columns())
+    edit = rng.choice(["keep", "drop", "scale"])
+    if edit == "drop" and ker:
+        ker.pop(rng.randrange(len(ker)))
+    elif edit == "scale" and ker:
+        k = rng.randrange(len(ker))
+        f = random_std_poly(rng, max_vars=2, max_degree=1)
+        ker[k] = [f * g for g in ker[k]]
+    if not ker:
+        ker = [[Poly.zero("standard")] * cols]
+    A = PolyMatrix([[v[r] for v in ker] for r in range(cols)])
+    return A, B
+
+
+class TestTwoDomainReference:
+    """The one-run checks against the checks that ran each domain separately."""
+
+    def test_kernel_and_tensor_reports(self):
+        rng = random.Random(7006)
+        for _ in range(40):
+            rows, cols = rng.randint(1, 3), rng.randint(1, 3)
+            P = PolyMatrix(
+                [[random_std_poly(rng) for _ in range(cols)] for _ in range(rows)]
+            )
+            report, cofactors = reference_kernel_comparison(P)
+            assert kernel_extension_check(P) == report
+            # Poly equality ignores the domain; the cofactors are extended
+            got = _kernel_comparison(P)[1]
+            assert [r and [(g.domain, g) for g in r] for r in got] == [
+                r and [(g.domain, g) for g in r] for r in cofactors
+            ]
+            if P.is_zero():
+                continue
+            tensor = tensor_iso_check(P)
+            assert tensor["kernel_check"] == report
+            assert tensor["witnesses"] == [
+                None if r is None else [format_poly(g) for g in r] for r in cofactors
+            ]
+
+    def test_exactness_reports(self):
+        rng = random.Random(7007)
+        verdicts = []
+        for _ in range(24):
+            A, B = random_complex(rng)
+            report = exactness_transfer_check(A, B)
+            assert report == reference_exactness_transfer(A, B)
+            verdicts.append(report["exact_standard"])
+        assert verdicts.count(True) >= 5 and verdicts.count(False) >= 5
+
+
+@pytest.fixture
+def pair_runs(monkeypatch):
+    """The number of Buchberger pair-loop runs, counted as they happen."""
+    runs = []
+    loop = groebner._buchberger_pairs
+
+    def counted(*args, **kwargs):
+        runs.append(1)
+        return loop(*args, **kwargs)
+
+    monkeypatch.setattr(groebner, "_buchberger_pairs", counted)
+    return runs
+
+
+class TestEngineRuns:
+    def test_tensor_iso_runs_each_basis_once(self, pair_runs):
+        tensor_iso_check(PolyMatrix.from_strings([["z1", "z2"]]))
+        # the syzygy pair loop, the reduced basis of its rows and the
+        # tagged basis of the kernel's span; no run on extended columns
+        assert len(pair_runs) == 3
+
+    def test_exactness_runs_each_basis_once(self, pair_runs):
+        A = PolyMatrix.from_strings([["z2"], ["-z1"]])
+        B = PolyMatrix.from_strings([["z1", "z2"]])
+        exactness_transfer_check(A, B)
+        # ker(B) in two runs as above, then the tagged bases of im(A) and
+        # of the kernel's span
+        assert len(pair_runs) == 4
 
 
 class TestMaximalIdealCondition:
