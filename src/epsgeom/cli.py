@@ -212,31 +212,27 @@ def _resolve_config(ns):
                 )
             key, val = (s.strip() for s in line.split("=", 1))
             if key not in _CONFIG_FIELDS:
-                raise _UsageError("unknown config key %r" % key)
+                raise _UsageError("unknown config key: %s" % key)
             values[key] = val
     for f in _CONFIG_FIELDS:
         flag = getattr(ns, f, None)
         if flag is not None:
             values[f] = flag
-    try:
-        config = SessionConfig(
-            truncation_order=Fraction(values["truncation_order"]),
-            monomial_order=str(values["monomial_order"]),
-            seed=int(values["seed"]),
-            power_bound=int(values["power_bound"]),
-        )
-    except (ValueError, ZeroDivisionError) as ex:
-        raise _UsageError("bad config value: %s" % ex) from None
+    parsed = {}
+    for f, convert in zip(_CONFIG_FIELDS, (Fraction, str, int, int)):
+        try:
+            parsed[f] = convert(values[f])
+            if f == "monomial_order":
+                MonomialOrder.from_name(parsed[f])
+        except (ValueError, ZeroDivisionError, EpsgeomError):
+            raise _UsageError(
+                "bad config value: %s = %s" % (f, values[f])
+            ) from None
+    config = SessionConfig(**parsed)
     if config.truncation_order <= 0:
         raise _UsageError("truncation order must be positive")
     if config.power_bound < 0:
         raise _UsageError("power bound must be nonnegative")
-    try:
-        config.order()
-    except EpsgeomError:
-        raise _UsageError(
-            "unknown monomial order %r" % config.monomial_order
-        ) from None
     return config
 
 

@@ -4,12 +4,18 @@ Kernels, images and exactness of standard polynomial matrices are compared
 across the two coefficient fields; faithful flatness shows up concretely as
 the solvability of extended linear systems in terms of standard syzygies.
 Module runs eps-free columns over Q(i) whatever their domain (see Module),
-so an extended run would replay the standard one term for term: each check
-runs the engine once per basis and promotes its kernel or verdict.
+so an extended run would replay the standard one term for term.  So each
+check computes each Groebner basis once, and three facts hold by
+construction: the extended kernel is the standard one promoted, each
+promoted kernel vector has the unit vector as its cofactors over the
+standard kernel, and B*A = 0 is the inclusion im(A) in ker(B).  What is
+still computed is ker(A), the inclusion ker(B) in im(A) by membership, and
+flatness witnesses by membership in the span of the standard syzygies.
 """
 
 from .errors import InvalidInput, NotAComplex, NotASolution
 from .groebner import Module, module_syzygies, syzygy_basis
+from .levicivita import LC_ONE
 from .parser import format_poly, parse_poly
 from .poly import EXTENDED, STANDARD, Poly
 
@@ -57,13 +63,6 @@ class PolyMatrix:
     def columns(self):
         return [self.column(j) for j in range(self.shape[1])]
 
-    def to_extended(self):
-        if self.domain == EXTENDED:
-            return self
-        return PolyMatrix(
-            [[e.to_extended() for e in r] for r in self.entries]
-        )
-
     def is_zero(self):
         return not any(e for r in self.entries for e in r)
 
@@ -85,9 +84,6 @@ class PolyMatrix:
                 row.append(acc)
             out.append(row)
         return PolyMatrix(out)
-
-    def to_json(self):
-        return [[format_poly(e) for e in r] for r in self.entries]
 
     def __repr__(self):
         return "PolyMatrix(%dx%d, %s)" % (*self.shape, self.domain)
@@ -121,25 +117,29 @@ def flatness_witness(a, x):
 
 
 def _kernel_comparison(A):
-    """ker(A) over both domains, each kernel tested against the other's span.
+    """ker(A) over both domains, each kernel in the other's span.
 
-    The extended kernel is the standard one promoted (see the module
-    docstring), so its span has the same basis and one membership pass
-    tests both.  Returns the report and, for each extended kernel vector,
-    its cofactors over the standard kernel (None outside its span).
+    One engine run gives the monic reduced basis of the standard kernel.
+    The extended kernel is that basis promoted, and formats the same (an
+    eps^0 coefficient formats as its Q(i) value).  Reducing basis vector k
+    against the basis leaves cofactor 1 at k and 0 elsewhere, so both span
+    inclusions hold by construction.  Returns the report and, for each
+    extended kernel vector, its cofactors over the standard kernel.
     """
-    ker_std = module_syzygies(A.columns())
-    ker_ext = [[g.to_extended() for g in v] for v in ker_std]
-    span = Module(ker_std)
-    witnesses = [span.member(v) for v in ker_ext]
-    in_span = all(r is not None for r in witnesses)
+    ker = module_syzygies(A.columns())
+    kernel = [[format_poly(g) for g in v] for v in ker]
+    one, zero = Poly.constant(LC_ONE), Poly.zero(EXTENDED)
+    witnesses = [
+        [one if j == k else zero for j in range(len(ker))]
+        for k in range(len(ker))
+    ]
     report = {
         "shape": list(A.shape),
-        "standard_kernel": [[format_poly(g) for g in v] for v in ker_std],
-        "extended_kernel": [[format_poly(g) for g in v] for v in ker_ext],
-        "extended_in_standard_span": in_span,
-        "standard_in_extended_span": in_span,
-        "pass": in_span,
+        "standard_kernel": kernel,
+        "extended_kernel": kernel,
+        "extended_in_standard_span": True,
+        "standard_in_extended_span": True,
+        "pass": True,
     }
     return report, witnesses
 
@@ -147,28 +147,21 @@ def _kernel_comparison(A):
 def kernel_extension_check(A):
     """Compare ker(A) over standard and extended coefficients.
 
-    The standard kernel is computed once and promoted (_kernel_comparison);
-    membership of each promoted generator in the standard span is the
-    kernel half of the flatness transfer.
+    ker(A) is computed once; the extended kernel, and each kernel's
+    inclusion in the other's span, hold by construction (_kernel_comparison).
     """
     if A.domain != STANDARD:
         raise InvalidInput("expected a standard-domain matrix")
     return _kernel_comparison(A)[0]
 
 
-def _exact_over(cols_a, cols_b):
-    ker = module_syzygies(cols_b)
-    image, ker_span = Module(cols_a), Module(ker)
-    return all(image.member(v) is not None for v in ker) and all(
-        ker_span.member(c) is not None for c in cols_a
-    )
-
-
 def exactness_transfer_check(A, B):
     """Decide im(A) = ker(B) over both coefficient fields and compare.
 
-    Requires B*A = 0.  im(A) = ker(B) is decided once, over the standard
-    field, and promoted (see the module docstring), so the verdicts agree.
+    Requires B*A = 0, which is the inclusion im(A) in ker(B).  What is
+    computed is ker(B) and, by membership in im(A), the inclusion ker(B) in
+    im(A), once over the standard field; the extended verdict is the same
+    one promoted (see the module docstring), so the verdicts agree.
     """
     if A.domain != STANDARD or B.domain != STANDARD:
         raise InvalidInput("expected standard-domain matrices")
@@ -179,7 +172,8 @@ def exactness_transfer_check(A, B):
         )
     if not B.mul(A).is_zero():
         raise NotAComplex("B*A is not zero")
-    exact = _exact_over(A.columns(), B.columns())
+    ker, image = module_syzygies(B.columns()), Module(A.columns())
+    exact = all(image.member(v) is not None for v in ker)
     return {
         "shapes": {"first": list(A.shape), "second": list(B.shape)},
         "complex": True,
@@ -193,11 +187,12 @@ def exactness_transfer_check(A, B):
 def tensor_iso_check(P):
     """Check the base-change map for the module presented by P.
 
-    Surjectivity is structural (generators map onto generators), so the
-    verified content is injectivity: every extended-domain relation among
-    the presented module's generators must be an extended combination of
-    the standard relations, with the combinations reported as witnesses.
-    A zero presentation (free module) passes outright.
+    Surjectivity is structural (generators map onto generators), and so is
+    injectivity: every extended-domain relation among the presented
+    module's generators is an extended combination of the standard
+    relations, since the extended kernel is the standard one promoted.  The
+    combinations, unit vectors (_kernel_comparison), are the witnesses; what
+    is computed is ker(P).  A zero presentation (free module) passes outright.
     """
     if P.domain != STANDARD:
         raise InvalidInput("expected a standard-domain matrix")
@@ -211,9 +206,7 @@ def tensor_iso_check(P):
             "pass": True,
         }
     kc, cofactors = _kernel_comparison(P)
-    witnesses = [
-        None if r is None else [format_poly(g) for g in r] for r in cofactors
-    ]
+    witnesses = [[format_poly(g) for g in r] for r in cofactors]
     return {
         "shape": list(P.shape),
         "free": False,

@@ -422,7 +422,8 @@ def reference_exactness_transfer(A, B):
     """The exactness_transfer_check report of a complex B*A = 0."""
     exact_std = _reference_exact_over(A.columns(), B.columns())
     exact_ext = _reference_exact_over(
-        A.to_extended().columns(), B.to_extended().columns()
+        [[e.to_extended() for e in c] for c in A.columns()],
+        [[e.to_extended() for e in c] for c in B.columns()],
     )
     agree = exact_std == exact_ext
     return {

@@ -305,6 +305,21 @@ class TestConfig:
         assert code == 2
         code, _ = run("st", "eps", "--order", "mystery")
         assert code == 2
+        # a bad value is named by its key and its raw text, from a flag or a file
+        for flag, message in [
+            ("--truncation-order=1/0", "truncation_order = 1/0"),
+            ("--truncation-order=abc", "truncation_order = abc"),
+            ("--seed=x", "seed = x"),
+            ("--power-bound=1.5", "power_bound = 1.5"),
+            ("--order=mystery", "monomial_order = mystery"),
+        ]:
+            code, body = run("st", "eps", flag)
+            assert code == 2
+            assert body["error"]["message"] == "bad config value: " + message
+        cfg.write_text("seed = x\n")
+        code, body = run("st", "eps", "--config", str(cfg))
+        assert code == 2
+        assert body["error"]["message"] == "bad config value: seed = x"
 
     def test_order_flag_reaches_groebner(self):
         _, grev = run("groebner", "--ideal", "z1^2 - z2")
@@ -664,6 +679,97 @@ class TestModuleArgvProperty:
         "argvs",
         [syzygy_argvs(), flat_witness_argvs(), kernel_check_argvs(), exact_check_argvs(), tensor_check_argvs()],
         ids=["syzygy", "flat-witness", "kernel-check", "exact-check", "tensor-check"],
+    )
+    def test_one_json_line_and_a_contract_exit_code(self, argvs):
+        _assert_contract(argvs)
+
+
+# Argvs for the expression, variety and family commands. Expressions are sums
+# of terms built from Gaussian constants, eps powers (fractional and negative)
+# and variable powers; a term may be a parenthesised power, up to ^12, of a
+# short sum. Now and then an atom is malformed. Lists may be empty, and the
+# config flags include values the CLI rejects.
+
+EXPR_ATOMS = ["eps", "i", "2/3", "eps^(1/2)", "eps^(-2)", "eps^(-1/3)", "(1+i*eps)"]
+VARIABLE_ATOMS = ["z1", "z2", "z3", "z1^2", "z2^3"]
+MALFORMED_ATOMS = ["eps^(1/0)", "z1^(1/2)", "2/0", "z1^(-1)", "eps^", "(z1", "z0", "1/eps"]
+CONFIG_FLAGS = [[], ["--truncation-order=1/2"], ["--power-bound=0"], ["--power-bound=3"], ["--order=lex"]]
+BAD_CONFIG_FLAGS = [
+    ["--truncation-order=1/0"], ["--power-bound=-1"], ["--power-bound=-7"], ["--power-bound=1.5"], ["--seed=x"],
+]
+
+
+def _one_in_five(draw):
+    # hypothesis favours the ends of a range; a middle value keeps the rate
+    return draw(st.integers(0, 4)) == 3
+
+
+@st.composite
+def config_flags(draw):
+    return draw(st.sampled_from(BAD_CONFIG_FLAGS if _one_in_five(draw) else CONFIG_FLAGS))
+
+
+@st.composite
+def maybe_malformed(draw, texts):
+    return draw(st.sampled_from(MALFORMED_ATOMS) if _one_in_five(draw) else texts)
+
+
+@st.composite
+def expr_texts(draw, variables=True):
+    atoms = EXPR_ATOMS + (VARIABLE_ATOMS if variables else [])
+
+    def term():
+        factors = ["(%s)" % format_gaussian(draw(small_gaussians))]
+        for _ in range(draw(st.integers(0, 2))):
+            factors.append(draw(maybe_malformed(st.sampled_from(atoms))))
+        return "*".join(factors)
+
+    terms = [term() for _ in range(draw(st.integers(1, 3)))]
+    if draw(st.booleans()):
+        inner = " + ".join(term() for _ in range(draw(st.integers(1, 2))))
+        terms.append("(%s)^%d" % (inner, draw(st.integers(1, 12))))
+    return " + ".join(terms)
+
+
+@st.composite
+def expression_argvs(draw):
+    command = draw(st.sampled_from(["st", "classify", "shadow-poly", "normalize"]))
+    expr = draw(expr_texts(variables=command in ("shadow-poly", "normalize") or draw(st.booleans())))
+    return [command, expr] + draw(config_flags())
+
+
+@st.composite
+def reduce_on_variety_argvs(draw):
+    variety = "; ".join(draw(st.lists(small_poly_texts(2), min_size=0, max_size=2)))
+    argv = ["reduce-on-variety", "--poly=" + draw(expr_texts()), "--variety=" + variety]
+    ambient = draw(st.sampled_from([None, "1,2", "1,2,3", "", "2", "a,b", "0", "-1"]))
+    if ambient is not None:
+        argv.append("--ambient=" + ambient)
+    return argv + draw(config_flags())
+
+
+@st.composite
+def domain_witness_argvs(draw):
+    dens = draw(st.lists(maybe_malformed(small_poly_texts(2)), min_size=0, max_size=3))
+    return ["domain-witness", "--denominators=" + "; ".join(dens)] + draw(config_flags())
+
+
+@st.composite
+def family_argvs(draw):
+    # eps, 1+eps and z1 are not standard values, 0 is not a valid parameter
+    values = st.one_of(small_gaussians.map(format_gaussian), st.sampled_from(["eps", "1+eps", "z1", "1/2", "0"]))
+    params = draw(st.lists(maybe_malformed(values), min_size=0, max_size=3))
+    argv = [draw(st.sampled_from(["family-build", "family-check"])), "--parameters=" + "; ".join(params)]
+    if draw(st.booleans()):
+        argv.append("--extra")
+    return argv + draw(config_flags())
+
+
+class TestRemainingArgvProperty:
+    @pytest.mark.parametrize(
+        "argvs",
+        [expression_argvs(), reduce_on_variety_argvs(), domain_witness_argvs(), family_argvs()],
+        ids=["expression", "reduce-on-variety", "domain-witness", "family"],
     )
     def test_one_json_line_and_a_contract_exit_code(self, argvs):
         _assert_contract(argvs)
