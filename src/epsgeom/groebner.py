@@ -23,11 +23,13 @@ a reduction step scales the vector it reduces rather than dividing by the
 divisor's lead (see _ZiKernel).  Q(i) numbers appear only where data enter
 the engine and where the monic basis, remainders and cofactor rows leave it.
 The LCFraction field keeps dividing, on monic vectors (_LcKernel); the pair
-loop, inter-reduction and syzygy rows are shared by both.
+loop and inter-reduction are shared by both.
 
 Cofactor rows ride in the vectors as tag terms below the column positions
 (Cox, Little & O'Shea, GTM 185; Caboara & Traverso, ISSAC 1998), so ordinary
-reduction keeps them up to date; runs that need no rows carry no tags.
+reduction keeps them up to date; runs that need no rows carry no tags.  The
+syzygies of the columns are the tag-only part of one tagged run's reduced
+basis.
 """
 
 from __future__ import annotations
@@ -251,9 +253,9 @@ def _variables(polys):
 # --- coefficient kernels ---------------------------------------------------------
 #
 # The engine runs over one of two fields, each behind a kernel with the same
-# operations; the pair loop, the inter-reduction and the syzygy rows below are
-# shared.  A kernel keeps vectors {term: coefficient} in its own form, and a
-# reduction returns an int multiplier m with
+# operations; the pair loop and the inter-reduction below are shared.  A
+# kernel keeps vectors {term: coefficient} in its own form, and a reduction
+# returns an int multiplier m with
 #     m * vec = sum_i q_i * g_i + remainder.
 # No quotient is recorded: cofactor rows ride in the vectors as tag terms
 # (see _buchberger_pairs).
@@ -269,8 +271,8 @@ def _variables(polys):
 # Pair order, the choice of divisor and both pair criteria read terms only, so
 # a Z[i] run visits the same terms as a dividing run, and each of its vectors
 # is a nonzero scalar multiple of the dividing run's vector at the same step.
-# Reduced bases, normal forms and rows are therefore the same once made monic
-# or divided by their multipliers.
+# Reduced bases, normal forms, rows and syzygies are therefore the same once
+# made monic or divided by their multipliers.
 
 
 def _clear(vec):
@@ -578,39 +580,31 @@ def _buchberger_pairs(inputs, layout, kernel, rank=None, syzygies=False):
     """The Buchberger pair loop: an unreduced module Groebner basis.
 
     inputs lists (vec, den), vec being den * column in the kernel's form.
-    Returns (G, S).  G lists (vec, lead) in insertion order, the nonzero
-    inputs first, each normalised by the kernel.
+    Returns G, a list of (vec, lead) in insertion order, the nonzero
+    inputs first (all of them with syzygies), each normalised by the kernel.
 
     A rank r turns tags on: input k gets one more term, its tag -den at
     position r + k, below every column position.  Every vector is then a
     combination of tagged inputs, so its column part g and its tag part u
-    (see _split) keep g + u . columns = 0.  No lead is a tag, so the
-    ordinary reduction keeps u up to date, and the column terms are
-    visited as in an untagged run.
+    (see _split) keep g + u . columns = 0.  A vector whose lead is a tag is
+    tag-only, a syzygy of the columns.  Without syzygies such remainders are
+    dropped: no lead is a tag, so the ordinary reduction keeps u up to date,
+    and the column terms are visited as in an untagged run.
 
-    S is empty unless syzygies=True (which needs tags); then it holds
-    syzygy rows over the input positions:
-      - an S-pair whose column part reduces to zero gives its tag part,
-        also when the S-polynomial's column part is empty, as for a
-        repeated input;
-      - a pair skipped by the product criterion (scalar inputs only) gives
-        the Koszul row g_j*u_i - g_i*u_j;
-      - a pair dropped by the chain criterion gives nothing: its lead-term
-        syzygy combines those of two pairs treated before it (Gebauer &
-        Moeller, J. Symb. Comp. 1988);
-      - a pair whose remainder becomes a basis element gives nothing: that
-        element's tags are the same combination, so the row is zero in
-        input coordinates.
-    The recorded rows lift a generating set of the lead-term syzygies of the
-    final G, so they generate its syzygy module (Schreyer's theorem), mapped
-    through the tags.  Every nonzero input is an element of G with a scaled
-    unit tag, so S generates the syzygy module of the nonzero inputs.
+    syzygies=True (which needs tags) builds a Groebner basis of the whole
+    tagged module: zero inputs are inserted too, as their unit syzygies, and
+    so is every nonzero remainder.  Under position-over-term order with the
+    column positions first, its tag-only elements are a Groebner basis of
+    the syzygy module (elimination; Cox, Little & O'Shea, GTM 185, ch. 5).
+    The product criterion (scalar inputs only) then needs one vector more:
+    S(i, j) = k - tail_j*g_i + tail_i*g_j with the Koszul vector
+    k = g_j*u_i - g_i*u_j, each summand below the lcm, so the skip is sound
+    once k is reduced and its nonzero remainder inserted.
     """
     top, guard = layout.top, layout.guard
     fields = (1 << top) - 1
     axpy, times = kernel.axpy, kernel.times
     G = []
-    S = []
     view = []
     scalar = all(x >> top == 0 for v, _ in inputs for x in v)
 
@@ -635,7 +629,7 @@ def _buchberger_pairs(inputs, layout, kernel, rank=None, syzygies=False):
                 pending.add((i, j))
 
     for k, (v, den) in enumerate(inputs):
-        if v:
+        if v or syzygies:
             if rank is not None:
                 v = {**v, -(rank + k) << top: times(kernel.one, -den)}
             add_pairs(insert(v))
@@ -660,17 +654,22 @@ def _buchberger_pairs(inputs, layout, kernel, rank=None, syzygies=False):
         gi, li = G[i]
         gj, lj = G[j]
         lcm = layout.lcm(li, lj)
-        # product criterion is only sound for scalar (rank-1) inputs
-        if scalar and lcm == li + lj:
+        # product criterion is only sound for scalar (rank-1) column leads
+        if scalar and lcm == li + lj and not li >> top:
             if syzygies:
-                (ci, ui), (cj, uj) = _split(gi, rank, top), _split(gj, rank, top)
-                row = {}
-                for m, c in cj.items():
-                    axpy(row, c, m, ui, guard)
-                for m, c in ci.items():
-                    axpy(row, times(c, -1), m, uj, guard)
-                if row:
-                    S.append(row)
+                # the Koszul vector, from the column terms (position 0) and tags
+                ui = {x: c for x, c in gi.items() if x >> top}
+                uj = {x: c for x, c in gj.items() if x >> top}
+                k = {}
+                for m, c in gj.items():
+                    if not m >> top:
+                        axpy(k, c, m, ui, guard)
+                for m, c in gi.items():
+                    if not m >> top:
+                        axpy(k, times(c, -1), m, uj, guard)
+                _, rem = kernel.divmod(k, view, layout)
+                if rem:
+                    add_pairs(insert(rem))
             continue
         if chain_skip(i, j, lcm):
             continue
@@ -680,25 +679,25 @@ def _buchberger_pairs(inputs, layout, kernel, rank=None, syzygies=False):
         axpy(s, ai, ti, gi, guard)
         axpy(s, aj, tj, gj, guard)
         _, rem = kernel.divmod(s, view, layout)
-        if not rem:
-            continue
-        if rank is None or max(rem) >> top > -rank:
+        if rem and (syzygies or rank is None or max(rem) >> top > -rank):
             add_pairs(insert(rem))
-        elif syzygies:
-            S.append(_split(rem, rank, top)[1])
-    return G, S
+    return G
 
 
-def _buchberger_vec(inputs, layout, kernel, rank=None):
+def _buchberger_vec(inputs, layout, kernel, rank=None, syzygies=False):
     """Reduced module Groebner basis, tagged when given a rank.
 
     The pair loop of _buchberger_pairs, then a minimal basis with
     inter-reduced tails.  Returns G, a list of (vec, lead), each normalised
     by the kernel, sorted by descending leading term.  A rank carries the
     tags of _buchberger_pairs through; the column parts are the same either
-    way.  Raises _Overflow.
+    way.  With syzygies, G is the tag-only part of the tagged module's
+    reduced basis: no column lead divides a tag term, so those elements
+    minimalise and inter-reduce among themselves.  Raises _Overflow.
     """
-    G, _ = _buchberger_pairs(inputs, layout, kernel, rank)
+    G = _buchberger_pairs(inputs, layout, kernel, rank, syzygies)
+    if syzygies:
+        G = [g for g in G if g[1] >> layout.top <= -rank]
 
     # minimal set: leads pairwise non-divisible
     kept = []
@@ -716,27 +715,6 @@ def _buchberger_vec(inputs, layout, kernel, rank=None):
 
     work.sort(key=lambda w: w[1], reverse=True)
     return [tuple(w) for w in work]
-
-
-def _syzygy_rows(inputs, layout, kernel, rank):
-    """Generating rows (rank len(inputs)) of the syzygy module of the columns.
-
-    A unit row for each zero input, plus the rows the pair loop records for
-    the nonzero ones (see _buchberger_pairs).  Those inputs open the basis
-    the loop builds, so no rows re-expressing inputs through the basis are
-    needed, and no S-pair is reduced twice.
-    """
-    _, rows = _buchberger_pairs(inputs, layout, kernel, rank, syzygies=True)
-    top = layout.top
-    return [{-i << top: kernel.one} for i, (v, _) in enumerate(inputs) if not v] + rows
-
-
-def _canonical_rows(rows, layout, kernel):
-    """The monic reduced basis of the module the rows span, as field values."""
-    if not rows:
-        return []
-    G = _buchberger_vec([(row, 1) for row in rows], layout, kernel)
-    return [kernel.monic(vec) for vec, _ in G]
 
 
 # --- modules and ideals -------------------------------------------------------
@@ -791,9 +769,10 @@ def _eps_join(parts, scale):
 class Module:
     """Submodule spanned by columns (each a list of Poly), with cached bases.
 
-    The reduced Groebner basis is computed once, and the canonical syzygies
-    once.  When member first needs cofactors, the basis is computed again
-    with tags (see _buchberger_pairs) and replaces the untagged one.
+    The reduced Groebner basis is computed once, and the syzygies once, as
+    the tag-only part of a tagged run's reduced basis (see _buchberger_pairs).
+    When member first needs cofactors, the basis is computed again with tags
+    and replaces the untagged one.
 
     The engine runs over Q(i) (_ZiKernel) when every coefficient of the
     columns is eps-free, whatever their declared domain, and over the
@@ -929,16 +908,16 @@ class Module:
         return self._run(step, target)
 
     def syzygies(self):
-        """Canonical syzygy generators of the columns, as tuples of Poly."""
+        """The monic reduced basis of the columns' syzygies, as tuples of Poly."""
         if self._syz is None:
 
             def step():
-                rows = _syzygy_rows(self._vecs, self._layout, self._kernel, self._rank)
+                layout, rank, kernel = self._layout, self._rank, self._kernel
+                G = _buchberger_vec(self._vecs, layout, kernel, rank, syzygies=True)
+                rows = [kernel.monic(_split(vec, rank, layout.top)[1]) for vec, _ in G]
                 return tuple(
-                    tuple(
-                        _vec_to_polys(row, len(self.columns), self.domain, self._layout)
-                    )
-                    for row in _canonical_rows(rows, self._layout, self._kernel)
+                    tuple(_vec_to_polys(row, len(self.columns), self.domain, layout))
+                    for row in rows
                 )
 
             self._syz = self._run(step)

@@ -124,10 +124,9 @@ def family_checks(spec, power_bound=6):
     ideal = Ideal(gens)
     proper = ideal.is_proper()
 
+    # an ideal holding z0^k holds every higher power, so one test covers all
     z0 = Poly.variable(spec.pole_variable)
-    powers_excluded = all(
-        not ideal_member(z0 ** k, ideal) for k in range(1, power_bound + 1)
-    )
+    powers_excluded = power_bound < 1 or not ideal_member(z0 ** power_bound, ideal)
 
     if spec.include_extra:
         c = GaussianRational(_fresh_positive_integer(spec.parameters))
@@ -257,6 +256,8 @@ class RationalMap:
 
     def take(self, count):
         """The first `count` components as (numerator, denominator) pairs."""
+        if count < 0:
+            raise InvalidInput("cannot take %d components" % count)
         while len(self._taken) < count:
             try:
                 num, den = next(self._source)
@@ -278,6 +279,8 @@ class RationalMap:
 
     def component(self, i):
         """1-based component access."""
+        if i < 1:
+            raise InvalidInput("components are numbered from 1, not %d" % i)
         return self.take(i)[i - 1]
 
 

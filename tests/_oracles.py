@@ -145,6 +145,72 @@ def brute_force_kernel(columns, degree):
     return basis
 
 
+def _pot_lead(vec, key):
+    """(position, monomial) of vec's lead under position-over-term order."""
+    for pos, f in enumerate(vec):
+        if f:
+            return pos, max(f.terms, key=key)
+    return None
+
+
+def _pot_normal_form(vec, leads, vectors, key):
+    """vec with every term divisible by a lead reduced away, largest first.
+
+    The vectors are monic, so each quotient is a term's coefficient.
+    """
+    vec = list(vec)
+    while True:
+        hits = [
+            (-pos, key(m), pos, m, j)
+            for pos, f in enumerate(vec)
+            for m in f.terms
+            for j, (lp, lm) in enumerate(leads)
+            if lp == pos and lm.divides(m)
+        ]
+        if not hits:
+            return vec
+        _, _, pos, m, j = max(hits, key=lambda h: h[:2])
+        q = Poly(vec[pos].domain, {m.div(leads[j][1]): vec[pos].terms[m]})
+        vec = [f - q * g for f, g in zip(vec, vectors[j])]
+
+
+def is_monic_reduced_basis(vectors, order):
+    """Is vectors a monic reduced Groebner basis, listed by descending lead?
+
+    Position-over-term order: a vector's lead is its largest term, under
+    order.key(), at its smallest nonzero position.  Checked from the terms
+    alone: each lead coefficient is 1, no term of a vector is divisible by
+    another vector's lead at the same position, and the S-vector of each
+    pair of leads at one position reduces to zero by plain division
+    (Buchberger's criterion).  Together with the module's span this fixes
+    the vectors: a module has one monic reduced basis.
+    """
+    key = order.key()
+    vectors = [list(v) for v in vectors]
+    leads = [_pot_lead(v, key) for v in vectors]
+    if None in leads or any(v[p].terms[m] != 1 for v, (p, m) in zip(vectors, leads)):
+        return False
+    ranks = [(-p, key(m)) for p, m in leads]
+    if any(a <= b for a, b in zip(ranks, ranks[1:])):
+        return False
+    for i, v in enumerate(vectors):
+        for j, (p, lm) in enumerate(leads):
+            if j != i and any(lm.divides(m) for m in v[p].terms):
+                return False
+    for i, (p, mi) in enumerate(leads):
+        for j in range(i + 1, len(vectors)):
+            if leads[j][0] != p:
+                continue
+            mj = leads[j][1]
+            lcm, one = mi.lcm(mj), vectors[i][p].terms[mi]
+            ti = Poly(vectors[i][p].domain, {lcm.div(mi): one})
+            tj = Poly(vectors[j][p].domain, {lcm.div(mj): one})
+            s = [ti * f - tj * g for f, g in zip(vectors[i], vectors[j])]
+            if any(_pot_normal_form(s, leads, vectors, key)):
+                return False
+    return True
+
+
 def poly_from_roots(roots):
     """Ascending coefficients of prod (z - r), by plain list convolution."""
     coeffs = [QI_ONE]

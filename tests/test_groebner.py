@@ -1,6 +1,7 @@
 import functools
 import math
 import random
+import signal
 from fractions import Fraction
 from itertools import product
 
@@ -15,6 +16,7 @@ from _oracles import (
     cmp_elimination,
     cmp_grevlex,
     cmp_lex,
+    is_monic_reduced_basis,
     monomials_upto,
 )
 from _strategies import monomials, polys
@@ -221,6 +223,60 @@ class TestSyzygyExamples:
     def test_single_nonzero(self):
         assert syzygy_basis([std("z1")]).generators == ()
 
+    def test_elimination_row_in_one_run(self):
+        # a second Buchberger run over rows recorded by the pair loop took
+        # 71 s here; read off the one tagged basis it takes well under 1 s
+        row = [
+            "-2*i*z2^2*z3 - 3*z1*z2",
+            "z2*z3^2 - 2*i*z1^2",
+            "-2*i*z1*z3 + 1/2",
+            "-3*z1^2",
+            "-z1*z2*z3 + z2*z3 - 1",
+        ]
+        expected = [
+            [
+                "1",
+                "0",
+                "(6+4*i)*z2^2*z3 - 16*z2*z3 - 6*z2 + 16",
+                "(8/3-4*i)*z2^2*z3^2 + z2^2*z3 + 32/3*i*z2*z3^2",
+                "(-8+12*i)*z1*z2*z3 - 3*z1*z2 - 32*i*z1*z3 - 3*z2 + 8",
+            ],
+            [
+                "0",
+                "1",
+                "-8*i*z2*z3^3 - 2*z2*z3^2 + 8*i*z3^2",
+                "-16/3*z2*z3^4 - 2/3*i",
+                "16*z1*z3^3 + 4*i*z3^2",
+            ],
+            [
+                "0",
+                "0",
+                "-z2*z3 + z1 + 1",
+                "2/3*i*z2*z3^2 - 1/6*z2*z3 - 2/3*i*z3",
+                "-2*i*z1*z3 + 1/2*z1 + 1/2",
+            ],
+            [
+                "0",
+                "0",
+                "z2^2*z3^2 - 2*z2*z3 + 1",
+                "-2/3*i*z2^2*z3^3 + 1/6*z2^2*z3^2 + 2/3*i*z2*z3^2",
+                "2*i*z1*z2*z3^2 - 1/2*z1*z2*z3 - 2*i*z1*z3 - 1/2*z2*z3 + 1/2",
+            ],
+            ["0", "0", "0", "z1*z2*z3 - z2*z3 + 1", "-3*z1^2"],
+        ]
+
+        def timeout(signum, frame):
+            raise TimeoutError("past 5 s")
+
+        previous = signal.signal(signal.SIGALRM, timeout)
+        signal.alarm(5)
+        try:
+            b = syzygy_basis([std(f) for f in row], MonomialOrder.from_name("elimination(z1)"))
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+        assert [[format_poly(g) for g in beta] for beta in b.generators] == expected
+
 
 class TestBuchbergerCriterion:
     def test_spolys_reduce_to_zero(self):
@@ -330,6 +386,7 @@ class TestModuleSyzygyOracle:
                 lift = Poly.to_extended if domain == "extended" else Poly.to_standard
                 work = [[lift(f) for f in col] for col in columns]
                 kernel = module_syzygies(work)
+                assert is_monic_reduced_basis(kernel, GREVLEX), (shape, variant)
                 for vec in kernel:
                     for pos in range(rows):
                         acc = Poly.zero(domain)
@@ -342,6 +399,40 @@ class TestModuleSyzygyOracle:
                         shape,
                         variant,
                     )
+
+    @pytest.mark.parametrize(
+        "order", [GREVLEX, LEX, MonomialOrder("elimination", [1])], ids=lambda o: o.name
+    )
+    @pytest.mark.parametrize("domain", ["standard", "eps"])
+    def test_kernel_is_the_monic_reduced_basis(self, order, domain):
+        # the one reduced basis of the kernel, checked from its terms: with
+        # the span, whatever computes it must give these vectors
+        rng = random.Random(4020)
+        for shape in ((1, 2), (1, 3), (1, 4), (2, 2), (2, 3)):
+            for variant in ("plain", "repeated column", "zero column"):
+                rows, cols = shape
+                if domain == "eps":
+                    columns = [[_small_eps_poly(rng) for _ in range(rows)] for _ in range(cols)]
+                else:
+                    columns = [
+                        [random_std_poly(rng, max_vars=2, max_degree=2) for _ in range(rows)]
+                        for _ in range(cols)
+                    ]
+                if variant == "repeated column":
+                    columns[-1] = list(columns[0])
+                elif variant == "zero column":
+                    columns[1] = [Poly.zero(columns[0][0].domain) for _ in range(rows)]
+                kernels = [module_syzygies(columns, order)]
+                if rows == 1:
+                    beta = syzygy_basis([col[0] for col in columns], order)
+                    kernels.append([list(g) for g in beta.generators])
+                for kernel in kernels:
+                    assert is_monic_reduced_basis(kernel, order), (shape, variant)
+                    for vec in kernel:
+                        assert not any(_combination(vec, columns)), (shape, variant)
+                if domain == "standard":
+                    for sol in brute_force_kernel(columns, 2):
+                        assert module_member(kernels[0], sol, order) is not None
 
 
 class TestDeterminism:

@@ -269,22 +269,22 @@ def pair_runs(monkeypatch):
 class TestEngineRuns:
     def test_kernel_extension_runs_each_basis_once(self, pair_runs):
         kernel_extension_check(PolyMatrix.from_strings([["z1", "z2"]]))
-        # the syzygy pair loop and the reduced basis of its rows; the
+        # one tagged pair loop, whose reduced basis holds the kernel; the
         # extended kernel and the span witnesses need no run
-        assert len(pair_runs) == 2
+        assert len(pair_runs) == 1
 
     def test_tensor_iso_runs_each_basis_once(self, pair_runs):
         tensor_iso_check(PolyMatrix.from_strings([["z1", "z2"]]))
-        # ker(P) in two runs as above, and nothing more
-        assert len(pair_runs) == 2
+        # ker(P) in one run as above, and nothing more
+        assert len(pair_runs) == 1
 
     def test_exactness_runs_each_basis_once(self, pair_runs):
         A = PolyMatrix.from_strings([["z2"], ["-z1"]])
         B = PolyMatrix.from_strings([["z1", "z2"]])
         exactness_transfer_check(A, B)
-        # ker(B) in two runs as above, then the tagged basis of im(A);
+        # ker(B) in one run as above, then the tagged basis of im(A);
         # im(A) in ker(B) is B*A = 0, so the kernel's span needs no run
-        assert len(pair_runs) == 3
+        assert len(pair_runs) == 2
 
 
 class TestMaximalIdealCondition:

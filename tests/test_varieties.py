@@ -1,4 +1,6 @@
+import json
 import random
+import signal
 from fractions import Fraction
 
 import pytest
@@ -6,8 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from _strategies import gaussians
+from epsgeom.cli import run_command
 from epsgeom.errors import (
     DuplicateParameter,
+    InvalidInput,
     ReservedVariableInUse,
     ZeroDenominator,
     ZeroParameter,
@@ -163,6 +167,18 @@ class TestDomainWitness:
             for _, den in phi.take(count):
                 assert poly_eval(den, w) != LCNumber()
 
+    def test_component_indices_start_at_one(self):
+        phi = RationalMap.from_denominators([std("z1"), std("z1 - 1"), std("z2")])
+        assert phi.take(0) == []
+        assert phi.component(3) == (Poly.constant(1), std("z2"))
+        for i in (0, -1, -3):
+            with pytest.raises(InvalidInput):
+                phi.component(i)
+        for count in (-1, -5):
+            with pytest.raises(InvalidInput):
+                phi.take(count)
+        assert len(phi.take(3)) == 3
+
     def test_random_denominators(self):
         rng = random.Random(6002)
         pool = ["z1", "z1 - 1", "z2", "z1 + z2", "z1*z2 - 1", "z2^2 - 3"]
@@ -235,3 +251,38 @@ class TestFamilyChecks:
             )
             for g in build_family(spec):
                 assert poly_eval(g, point) == LCNumber()
+
+    def test_one_power_decides_every_power_bound(self):
+        rng = random.Random(6004)
+        for _ in range(4):
+            params = []
+            while len(params) < rng.randint(1, 3):
+                a = qi(rng.randint(-3, 3), rng.randint(-1, 1))
+                if a and a not in params:
+                    params.append(a)
+            spec = FamilySpec(params, include_extra=rng.random() < 0.5)
+            ideal = Ideal(build_family(spec))
+            z0 = Poly.variable(spec.pole_variable)
+            for bound in range(9):
+                every = all(
+                    not ideal_member(z0 ** k, ideal) for k in range(1, bound + 1)
+                )
+                assert family_checks(spec, bound)["pole_powers_excluded"] == every
+
+    def test_huge_power_bound_is_one_membership(self):
+        def timeout(signum, frame):
+            raise TimeoutError("past 5 s")
+
+        previous = signal.signal(signal.SIGALRM, timeout)
+        signal.alarm(5)
+        try:
+            code, out = run_command(
+                ["family-check", "--parameters=1; 2", "--power-bound=100000000"]
+            )
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+        assert code == 0
+        result = json.loads(out)["result"]
+        assert result["power_bound"] == 100000000
+        assert result["pole_powers_excluded"] and result["pass"]
