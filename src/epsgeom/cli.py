@@ -34,7 +34,7 @@ from .parser import (
     parse_point,
     parse_poly,
 )
-from .poly import max_abs_normalize, poly_eval, poly_shadow
+from .poly import max_abs_normalize, poly_shadow
 from .shadow import (
     PointAssignment,
     VarietyPresentation,
@@ -325,7 +325,7 @@ def _cmd_lift(config, ns):
         f, parse_lc(ns.at), TruncationOrder(config.truncation_order)
     )
     v = xi.support()[0]
-    residual = poly_eval(f.to_extended(), xi).valuation()
+    residual = xi.value.valuation()
     return {
         "variable": "z%d" % v,
         "root": format_lc(xi[v]),
@@ -339,7 +339,7 @@ def _cmd_open_witness(config, ns):
     w = open_shadow_witness(f, at, seed=config.seed)
     return {
         "point": _point_json(w),
-        "value": format_lc(poly_eval(f.to_extended(), w)),
+        "value": format_lc(w.value),
     }
 
 

@@ -85,6 +85,16 @@ class PointAssignment:
         return tuple(sorted(self.values))
 
 
+class EvaluatedPoint(PointAssignment):
+    """A point that also carries `value`, a polynomial's value there."""
+
+    __slots__ = ("value",)
+
+    def __init__(self, values, value):
+        super().__init__(values)
+        object.__setattr__(self, "value", value)
+
+
 def point_shadow(p):
     """Coordinate-wise standard part."""
     out = {}
@@ -234,6 +244,10 @@ def newton_puiseux_lift(f, a, t=TruncationOrder()):
     extract its largest constructible root, recenter, repeat until the
     residual valuation clears t.order.  The returned point ξ satisfies
     st(ξ) = a and valuation(f(ξ)) > t.order (often exactly zero).
+
+    ξ.value is f(ξ), exact: the loop keeps the coefficients of
+    fn(ξ + scale*z) with fn = f / u for one term u, and truncates none of
+    them, so their constant one is fn(ξ) and f(ξ) = u * fn(ξ).
     """
     if isinstance(a, (int, Fraction)):
         a = GaussianRational(a)
@@ -250,21 +264,25 @@ def newton_puiseux_lift(f, a, t=TruncationOrder()):
         raise InvalidInput("lifting needs a nonconstant univariate polynomial")
     v = support[0]
     fn = max_abs_normalize(f)
-    sh = poly_shadow(fn)
-    if poly_eval(sh, {v: LCNumber.from_gaussian(a)}):
-        raise NotAShadowRoot(
-            "z%d = %s is not a root of the shadow" % (v, format_gaussian(a))
-        )
+    # fn = f / u for one term u, read off any coefficient's leading term
+    m, fm = next(iter(fn.terms.items()))
+    (q, cf), (qn, cn) = f.terms[m].leading(), fm.leading()
+    u = LCNumber.term(cf / cn, q - qn)
 
     coeffs = _univar_coeffs(fn, v)
     c = [coeffs.get(k, LC_ZERO) for k in range(max(coeffs) + 1)]
     acc = LCNumber.from_gaussian(a)
     scale = LC_ONE
     _taylor_shift(c, acc, LC_ONE)
+    # c[0] = fn(a), and fn is limited, so st(c[0]) is its shadow's value at a
+    if c[0].valuation() <= 0:
+        raise NotAShadowRoot(
+            "z%d = %s is not a root of the shadow" % (v, format_gaussian(a))
+        )
     for _ in range(4096):
         v0 = c[0].valuation()
         if v0 > t.order:
-            return PointAssignment({v: acc})
+            return EvaluatedPoint({v: acc}, u * c[0])
         mu = None
         for k in range(1, len(c)):
             if c[k]:
@@ -299,7 +317,8 @@ def open_shadow_witness(f, a, seed=0):
     seeded small-integer directions, then an exhaustive grid that cannot miss
     (a nonzero polynomial cannot vanish on a large enough grid).  On the
     first direction with a nonzero restriction, u = c*eps works for some
-    c <= deg + 1.
+    c <= deg + 1.  The returned point's .value is f there, the nonzero
+    value the search tested: f(a) itself, or h(u) for the restriction h.
     """
     if not f:
         raise EmptyOpen("the zero polynomial cuts out an empty open set")
@@ -307,8 +326,8 @@ def open_shadow_witness(f, a, seed=0):
     for v in f.support():
         if v not in a:
             raise UnassignedVariable("point does not assign z%d" % v)
-    if poly_eval(f, a):
-        return a
+    if value := poly_eval(f, a):
+        return EvaluatedPoint(a.values, value)
     ambient = a.support()
     u = ambient[0]
     deg = f.total_degree()
@@ -336,9 +355,10 @@ def open_shadow_witness(f, a, seed=0):
             continue
         for c in range(1, h.degree_in(u) + 2):
             ueps = LCNumber.term(GaussianRational(c), 1)
-            if poly_eval(h, {u: ueps}):
-                return PointAssignment(
-                    {v: a[v] + ueps * LCNumber.from_gaussian(GaussianRational(d[v])) for v in ambient}
+            if value := poly_eval(h, {u: ueps}):
+                return EvaluatedPoint(
+                    {v: a[v] + ueps * LCNumber.from_gaussian(GaussianRational(d[v])) for v in ambient},
+                    value,
                 )
     raise InvalidInput("internal: witness grid search failed")
 
@@ -408,8 +428,7 @@ def verify_shadow_closure(roots, t=TruncationOrder()):
     wit_ok = True
     for aa in lhs:
         xi = newton_puiseux_lift(f, aa, t)
-        value = poly_eval(f, xi)
-        res_val = value.valuation() if value else INF
+        res_val = xi.value.valuation()
         in_halo = any((xi[v] - r).is_infinitesimal() for r in parsed)
         ok = (
             xi[v].standard_part() == aa

@@ -548,8 +548,8 @@ class TestIdealArgvProperty:
 
     @pytest.mark.xfail(
         strict=True,
-        reason="no resource bound yet: each basis runs for 48 s to over 100 s "
-        "(ROADMAP items 3 and 5)",
+        reason="no resource bound yet: on a 2-core box the three calls took "
+        "over 240 s, 13.4-13.6 s and over 240 s (ROADMAP items 2 and 4)",
     )
     @pytest.mark.parametrize(
         "argv",
@@ -575,8 +575,10 @@ class TestIdealArgvProperty:
         ids=["radical-member-lex", "radical-member-elimination", "groebner-lex-3-variables"],
     )
     def test_runaway(self, argv):
-        # the radical-member argvs take under 0.1 s under grevlex, which is
-        # why that property keeps to grevlex; ideal generators in the
+        # these two radical-member argvs take under 0.1 s under grevlex,
+        # which is why that property keeps to grevlex; that does not make
+        # grevlex fast for every radical-member argv (CHANGES.md names one
+        # of the property's that takes 16.7 s); ideal generators in the
         # properties use z1 and z2 only, which keeps out the third argv
         def timeout(signum, frame):
             raise TimeoutError("past 5 s")

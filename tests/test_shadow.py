@@ -147,10 +147,23 @@ class TestNewtonPuiseuxLift:
         assert lead[Fraction(2)] == GaussianRational(Fraction(-1, 8))
         residual = poly_eval(f, xi)
         assert residual.valuation() > 16
+        assert xi.value == residual
+
+    def test_value_of_an_unnormalised_poly(self):
+        # the lift runs on f / ((2+i)*eps^(-3)), and its value scales back
+        f = P("(2+i)*eps^(-3)*(z1^2 - 1 - eps^(1/4))")
+        t = TruncationOrder(Fraction(1, 2))
+        xi = newton_puiseux_lift(f, 1, t)
+        assert xi[1] != LCNumber.from_gaussian(GaussianRational(1))
+        assert xi.value == poly_eval(f, xi)
+        assert xi.value.valuation() + 3 > t.order
 
     def test_not_a_shadow_root(self):
         with pytest.raises(NotAShadowRoot, match=r"^z1 = 2 is not a root of the shadow$"):
             newton_puiseux_lift(P("z1^2 - 1").to_extended(), 2)
+        # the shadow is that of the normalised polynomial, z1^2 - 1
+        with pytest.raises(NotAShadowRoot, match=r"^z1 = 2 is not a root of the shadow$"):
+            newton_puiseux_lift(P("eps^2*z1^2 - eps^2"), 2)
 
     def test_random_factored_instances(self):
         rng = random.Random(5002)
@@ -184,6 +197,7 @@ class TestNewtonPuiseuxLift:
             )
             value = eval_coeffs(coeffs, xi[1])
             assert (not value) or value.valuation() > 16
+            assert xi.value == poly_eval(f, xi)
 
 
 def _shift_reference(c, s, t):
@@ -256,6 +270,7 @@ class TestLiftDegreeFiveAndSix:
             assert lc_st(xi[1]) == a
             value = eval_coeffs(coeffs, xi[1])
             assert (not value) or value.valuation() > t.order
+            assert xi.value == poly_eval(f, xi)
             assert any((xi[1] - r).is_infinitesimal() for r in roots)
 
     def test_series_root_of_degree_six(self):
@@ -267,9 +282,11 @@ class TestLiftDegreeFiveAndSix:
         assert lc_st(xi[1]) == GaussianRational(1)
         assert xi[1].terms[1][0] == Fraction(1, 3)
         assert poly_eval(f, xi).valuation() > 16
+        assert xi.value == poly_eval(f, xi)
         xi = newton_puiseux_lift(f, 1, TruncationOrder(Fraction(7, 3)))
         assert lc_st(xi[1]) == GaussianRational(1)
         assert poly_eval(f, xi).valuation() > Fraction(7, 3)
+        assert xi.value == poly_eval(f, xi)
 
 
 class TestOpenWitness:
@@ -295,6 +312,7 @@ class TestOpenWitness:
         xi = open_shadow_witness(f.to_extended(), a)
         assert halo_member(xi, a)
         assert poly_eval(f, xi) != LC_ZERO
+        assert xi.value == poly_eval(f, xi)
 
 
 class TestClosureReport:
