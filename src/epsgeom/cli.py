@@ -9,6 +9,7 @@ the result or a coded error.  Exit codes: 0 success, 1 domain error,
 import argparse
 import functools
 import json
+import os
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -548,7 +549,14 @@ def run_command(argv):
 
 def main(argv=None):
     code, out = run_command(sys.argv[1:] if argv is None else argv)
-    print(out)
+    try:
+        print(out, flush=True)
+    except BrokenPipeError:
+        # the reader has gone; stdout goes to devnull so that the flush at
+        # interpreter shutdown does not raise again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
     return code
 
 

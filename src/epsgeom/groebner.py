@@ -5,11 +5,12 @@ computations (syzygies, kernels).  Each Module runs it over the smallest
 field its generators need: Q(i) when every coefficient is eps-free, even for
 extended-domain data, and the LCFraction field otherwise.  An extended
 target of a Q(i) basis is reduced one eps-power slice at a time (see
-Module).  Finite-sum representatives of LCFraction results are restored at
-the public boundary via clear_denominators.  Everything is deterministic for a
-fixed generator order and monomial order: pair selection is the normal
-strategy (minimal lcm degree, ties by the monomial order, then indices), and
-reduced bases are sorted by descending leading term.
+Module).  Results are Polys, so a finite LCFraction result is an LCNumber;
+an Ideal's basis is also scaled to finite sums (clear_denominators).
+Everything is deterministic for a fixed generator order and monomial order:
+pair selection is the normal strategy (minimal lcm degree, ties by the
+monomial order, then indices), and reduced bases are sorted by descending
+leading term.
 
 Inside the engine each term (position, monomial) is one int, packed under a
 per-Module layout of its variables and order (see _Layout): a monomial
@@ -550,19 +551,12 @@ class _LcKernel:
         return 1, rem
 
 
-def _collapse(c):
-    if isinstance(c, LCFraction):
-        finite = c.to_lcnumber()
-        return finite if finite is not None else c
-    return c
-
-
 def _vec_to_polys(vec, rank, domain, layout):
     """Polys of a vector of field values (a kernel's exit or monic form)."""
     rows = [{} for _ in range(rank)]
     for x, c in vec.items():
         pos, m = layout.split(x)
-        rows[pos][m] = _collapse(c) if domain == EXTENDED else c
+        rows[pos][m] = c
     return [Poly(domain, r) for r in rows]
 
 
@@ -725,10 +719,10 @@ def _lub_domain(polys):
 
 
 def _denominator_lcm(coeffs):
-    """lcm of the LCFraction denominators among coeffs; LC_ONE when none."""
+    """lcm of the denominators of a Poly's LCFraction coeffs; LC_ONE when none."""
     scale = LC_ONE
     for c in coeffs:
-        if isinstance(c, LCFraction) and not c.den.is_one():
+        if isinstance(c, LCFraction):
             scale = lc_lcm(scale, c.den)
     return scale
 
@@ -742,13 +736,11 @@ def _eps_slices(target, layout):
     """
     polys = [f.to_extended() for f in target]
     scale = _denominator_lcm(c for f in polys for c in f.terms.values())
+    if not scale.is_one():
+        polys = [f.scale(scale) for f in polys]
     slices = {}
     for pos, f in enumerate(polys):
         for m, c in f.terms.items():
-            if not scale.is_one():
-                c = c * scale
-            if isinstance(c, LCFraction):
-                c = c.to_lcnumber()
             x = layout.term(pos, m)
             for q, g in c.terms:
                 slices.setdefault(q, {})[x] = g
@@ -930,27 +922,24 @@ class Ideal(Module):
     def __init__(self, generators, order=GREVLEX):
         super().__init__([[g] for g in generators], order)
         self.generators = tuple(col[0] for col in self.columns)
-        self._gb_polys = None
 
     def groebner_basis(self):
         """Reduced basis as Polys, descending leading terms, denominators cleared."""
-        if self._gb_polys is None:
 
-            def step():
-                monic, top = self._kernel.monic, self._layout.top
-                vecs = [vec for vec, _ in self._basis_for()]
-                if self._tagged:
-                    vecs = [_split(vec, 1, top)[0] for vec in vecs]
-                return [
-                    _vec_to_polys(monic(vec), 1, self.domain, self._layout)[0]
-                    for vec in vecs
-                ]
+        def step():
+            monic, top = self._kernel.monic, self._layout.top
+            vecs = [vec for vec, _ in self._basis_for()]
+            if self._tagged:
+                vecs = [_split(vec, 1, top)[0] for vec in vecs]
+            return [
+                _vec_to_polys(monic(vec), 1, self.domain, self._layout)[0]
+                for vec in vecs
+            ]
 
-            polys = self._run(step)
-            if self.domain == EXTENDED:
-                polys = [clear_denominators(p, self.order) for p in polys]
-            self._gb_polys = polys
-        return list(self._gb_polys)
+        polys = self._run(step)
+        if self.domain == EXTENDED:
+            polys = [clear_denominators(p, self.order) for p in polys]
+        return polys
 
     def normal_form(self, f):
         def step():
@@ -1095,14 +1084,6 @@ def clear_denominators(f, order=GREVLEX):
     scale = _denominator_lcm(f.terms.values())
     if not scale.is_one():
         f = f.scale(scale)
-    cleaned = {}
-    for m, c in f.terms.items():
-        if isinstance(c, LCFraction):
-            c = c.to_lcnumber()
-            if c is None:
-                raise InvalidInput("denominators did not clear")
-        cleaned[m] = c
-    f = Poly(EXTENDED, cleaned)
     lead_coeff = f.terms[max(f.terms, key=order.key())]
     unit = _unit_inverse(LCNumber((lead_coeff.leading(),)))
     return f.scale(unit)

@@ -223,11 +223,6 @@ def parse_lc(text):
     c = p.as_constant()
     if isinstance(c, GaussianRational):
         return LCNumber.from_gaussian(c)
-    if isinstance(c, LCFraction):
-        out = c.to_lcnumber()
-        if out is None:
-            raise InvalidInput("value is not a finite sum")
-        return out
     return c
 
 
@@ -348,11 +343,9 @@ def _poly_term_str(mono, coeff):
         sign, body = _gaussian_factor(coeff)
         return sign + (mono_str if not body else "%s*%s" % (body, mono_str))
     if isinstance(coeff, LCFraction):
-        collapsed = coeff.to_lcnumber()
-        if collapsed is None:
-            body = "(%s)/(%s)" % (format_lc(coeff.num), format_lc(coeff.den))
-            return body if mono_str is None else "%s*%s" % (body, mono_str)
-        coeff = collapsed
+        # an LCFraction here is not a finite sum
+        body = "(%s)/(%s)" % (format_lc(coeff.num), format_lc(coeff.den))
+        return body if mono_str is None else "%s*%s" % (body, mono_str)
     if mono_str is None:
         return format_lc(coeff)
     if coeff.is_term():

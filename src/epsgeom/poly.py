@@ -3,7 +3,9 @@
 Variables are natural-number indices with no upper bound; index 0 is reserved
 for the auxiliary variable used by radical membership.  Coefficients are
 GaussianRational ("standard" domain) or LCNumber / LCFraction ("extended"
-domain).  Monomials carry strictly positive integer exponents only.
+domain).  A Poly holds a finite Levi-Civita sum as an LCNumber, so its
+LCFraction coefficients are quotients that are not finite sums.  Monomials
+carry strictly positive integer exponents only.
 """
 
 from __future__ import annotations
@@ -191,7 +193,10 @@ def _standard_coeff(c):
 
 
 def _extended_coeff(c):
-    """An extended-domain coefficient, other than LCNumber and LCFraction, as one."""
+    """c as an LCNumber, or as an LCFraction when it is not a finite sum."""
+    if isinstance(c, LCFraction):
+        finite = c.to_lcnumber()
+        return c if finite is None else finite
     if isinstance(c, (GaussianRational, int, Fraction)):
         return LCNumber.from_gaussian(c)
     raise InvalidInput("extended coefficients are LC numbers, not %s" % type(c).__name__)
@@ -221,7 +226,7 @@ class Poly:
                     cleaned[m] = c
         elif domain == EXTENDED:
             for m, c in dict(terms).items():
-                if type(c) is not LCNumber and type(c) is not LCFraction:
+                if type(c) is not LCNumber:
                     c = _extended_coeff(c)
                 if c:
                     cleaned[m] = c
@@ -259,14 +264,10 @@ class Poly:
             return self
         out = {}
         for m, c in self.terms.items():
-            if isinstance(c, LCFraction):
-                c = c.to_lcnumber()
-                if c is None:
-                    return None
-            if c.is_term() and c.valuation() == 0:
-                out[m] = c.leading()[1]
-            else:
+            # an LCFraction here is not a finite sum
+            if isinstance(c, LCFraction) or not c.is_term() or c.valuation():
                 return None
+            out[m] = c.leading()[1]
         return Poly(STANDARD, out)
 
     # --- ring operations -----------------------------------------------------
@@ -552,9 +553,8 @@ def max_abs_normalize(f):
     best_m = None
     for m, c in f.terms.items():
         if isinstance(c, LCFraction):
-            c = c.to_lcnumber()
-            if c is None:
-                raise InvalidInput("normalize needs finite-sum coefficients")
+            # an LCFraction here is not a finite sum
+            raise InvalidInput("normalize needs finite-sum coefficients")
         if best_c is None:
             best_c, best_m = c, m
             continue
@@ -575,10 +575,10 @@ def split_inf_ap(f):
     inf_terms = {}
     ap_terms = {}
     for m, c in f.terms.items():
-        cc = c.to_lcnumber() if isinstance(c, LCFraction) else c
-        if cc is None or cc.is_unlimited():
+        # an LCFraction here is not a finite sum
+        if isinstance(c, LCFraction) or c.is_unlimited():
             raise UnlimitedCoefficient("coefficient of %s is unlimited" % m)
-        (inf_terms if cc.is_infinitesimal() else ap_terms)[m] = c
+        (inf_terms if c.is_infinitesimal() else ap_terms)[m] = c
     return Poly(EXTENDED, inf_terms), Poly(EXTENDED, ap_terms)
 
 

@@ -159,24 +159,12 @@ class VarietyReduction:
     iterations: int
 
 
-def _eps_term_budget(f):
-    return sum(
-        len(c.terms) if isinstance(c, LCNumber) else 1
-        for c in f.terms.values()
-    )
-
-
 def _finite_coeffs(f):
-    """Extended copy with every coefficient a finite sum, scaling untouched."""
+    """f in the extended domain; an LCFraction coefficient is not a finite sum."""
     f = f.to_extended()
-    out = {}
-    for m, c in f.terms.items():
-        if isinstance(c, LCFraction):
-            c = c.to_lcnumber()
-            if c is None:
-                raise InvalidInput("finite-sum coefficients required")
-        out[m] = c
-    return Poly(EXTENDED, out)
+    if any(isinstance(c, LCFraction) for c in f.terms.values()):
+        raise InvalidInput("finite-sum coefficients required")
+    return f
 
 
 def reduce_on_variety(f, X):
@@ -193,7 +181,7 @@ def reduce_on_variety(f, X):
     if not I.normal_form(f):
         return VarietyReduction(True, None, 0)
     g = f
-    budget = _eps_term_budget(f) + 2
+    budget = sum(len(c.terms) for c in f.terms.values()) + 2
     iterations = 0
     while True:
         iterations += 1

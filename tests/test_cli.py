@@ -2,15 +2,19 @@
 
 import argparse
 import json
+import os
 import signal
+import subprocess
 import sys
 import threading
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import epsgeom
 from epsgeom.cli import _HANDLERS, SessionConfig, main, run_command
 from epsgeom.gaussian import GaussianRational
 from epsgeom.groebner import Ideal, buchberger, ideal_member, syzygy_basis
@@ -385,6 +389,25 @@ class TestMain:
         assert code == 0
         out = capsys.readouterr().out
         assert json.loads(out)["result"] == "3"
+
+    def test_closed_stdout_is_not_a_traceback(self):
+        # the pipe's read end is closed before the child writes, so its
+        # print meets a broken pipe
+        read, write = os.pipe()
+        os.close(read)
+        src = str(Path(epsgeom.__file__).resolve().parents[1])
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "epsgeom", "verify-closure", "--roots=-3*eps^2"],
+                stdout=write,
+                stderr=subprocess.PIPE,
+                env=dict(os.environ, PYTHONPATH=src),
+                timeout=60,
+            )
+        finally:
+            os.close(write)
+        assert proc.stderr == b""
+        assert proc.returncode in (0, 1, 2)
 
 
 # Well-formed argvs for the lifting commands: roots c*eps^q (+ a standard

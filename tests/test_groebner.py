@@ -1089,6 +1089,13 @@ def _small_eps_poly(rng):
     return acc
 
 
+def _assert_one_form(polys):
+    """Every coefficient is an LCNumber or a quotient that is not a finite sum."""
+    for f in polys:
+        for c in f.terms.values():
+            assert type(c) is LCNumber or not c.den.is_one(), c
+
+
 class TestEpsModules:
     """Eps-carrying columns run the tagged LCFraction engine; checked by
     reconstruction rather than against another run."""
@@ -1106,8 +1113,17 @@ class TestEpsModules:
             r = M.member(inside)
             assert r is not None
             assert _combination(r, cols) == inside
+            _assert_one_form(r)
             r = M.member(outside)
             if r is not None:
                 assert _combination(r, cols) == outside
+                _assert_one_form(r)
             for s in M.syzygies():
                 assert not any(_combination(s, cols))
+                _assert_one_form(s)
+            if rank == 1:
+                I = Ideal([col[0] for col in cols])
+                rem = I.normal_form(outside[0])
+                assert not I.normal_form(inside[0])
+                assert not I.normal_form(outside[0] - rem)
+                _assert_one_form([rem])

@@ -38,7 +38,7 @@ from epsgeom.poly import (
     poly_shadow,
     split_inf_ap,
 )
-from epsgeom.shadow import PointAssignment
+from epsgeom.shadow import PointAssignment, newton_puiseux_lift
 
 
 def P(text):
@@ -493,8 +493,42 @@ class TestCoefficientTypes:
         assert f == parse_poly("z1 + 1/2 + i*z2").to_extended()
         assert format_poly(f) == "z1 + i*z2 + 1/2"
         assert Poly("extended", {z1: 0, MONO_ONE: LC_ZERO}).terms == {}
-        x = LCFraction(LC_ONE, parse_lc("1 + eps"))
+        one_eps = parse_lc("1 + eps")
+        x = LCFraction(LC_ONE, one_eps)
         assert Poly("extended", {z1: x}).terms == {z1: x}
+        # a finite LCFraction is stored as its LCNumber, also as a product's
+        # coefficient; only a quotient that is not a finite sum stays one
+        for finite in (
+            LCFraction(LC_ONE),
+            LCFraction(one_eps, one_eps),
+            LCFraction(parse_lc("eps - eps^3"), parse_lc("1 - eps")),
+        ):
+            g = Poly("extended", {z1: finite})
+            assert type(g.terms[z1]) is LCNumber
+            assert g.terms[z1] == finite
+        g = Poly("extended", {z1: x}) * Poly("extended", {MONO_ONE: one_eps})
+        assert g.terms == {z1: LC_ONE} and type(g.terms[z1]) is LCNumber
+
+    # 1/(1 + eps) is limited and appreciable, so each call refuses it only
+    # because it is a quotient that is not a finite sum
+    @pytest.mark.parametrize(
+        "call, outcome",
+        [
+            (Poly.to_standard, None),
+            (max_abs_normalize, InvalidInput),
+            (split_inf_ap, UnlimitedCoefficient),
+            (lambda f: newton_puiseux_lift(f, 1), InvalidInput),
+        ],
+        ids=["to_standard", "max_abs_normalize", "split_inf_ap", "newton_puiseux_lift"],
+    )
+    def test_a_coefficient_that_is_not_a_finite_sum(self, call, outcome):
+        x = LCFraction(LC_ONE, parse_lc("1 + eps"))
+        f = Poly("extended", {Monomial([(1, 1)]): x, MONO_ONE: -LC_ONE})
+        if outcome is None:
+            assert call(f) is None
+        else:
+            with pytest.raises(outcome):
+                call(f)
 
     @pytest.mark.parametrize("coeff", [1.5, "x", None, [1]], ids=repr)
     def test_other_extended_coefficients_are_refused(self, coeff):
