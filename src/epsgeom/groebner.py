@@ -601,12 +601,18 @@ def _buchberger_pairs(inputs, layout, kernel, rank=None, syzygies=False):
     G = []
     view = []
     scalar = all(x >> top == 0 for v, _ in inputs for x in v)
+    # a unit lead (term 0) in a scalar run that keeps no syzygies divides
+    # every other lead, so the reduced basis is that unit alone, its vector
+    # as inserted: the loop may stop there
+    unit = False
 
     def insert(vec):
+        nonlocal unit
         lead = max(vec)
         vec = kernel.normalise(vec, lead)
         G.append((vec, lead))
         view.append(kernel.reducer(vec, lead))
+        unit = unit or (lead == 0 and scalar and not syzygies)
         return len(G) - 1
 
     # normal selection: pairs pop by (lcm degree, lcm order, i, j)
@@ -642,7 +648,7 @@ def _buchberger_pairs(inputs, layout, kernel, rank=None, syzygies=False):
                 return True
         return False
 
-    while pairs:
+    while pairs and not unit:
         _, _, i, j = heapq.heappop(pairs)
         pending.discard((i, j))
         gi, li = G[i]
@@ -709,6 +715,21 @@ def _buchberger_vec(inputs, layout, kernel, rank=None, syzygies=False):
 
     work.sort(key=lambda w: w[1], reverse=True)
     return [tuple(w) for w in work]
+
+
+def _tagged_reduced(rows, rank, kernel, top):
+    """The tagged basis of rows, a reduced basis by descending lead, with no run.
+
+    On rows, _buchberger_vec(..., rank) would insert row k with its tag at
+    position rank + k, reduce each S-vector's column part to zero and keep
+    every row: its basis is row k tagged -lc(row k), up to nonzero scalars.
+    """
+    G = []
+    for k, row in enumerate(rows):
+        lead = max(row)
+        vec = {**row, -(rank + k) << top: kernel.times(row[lead], -1)}
+        G.append((kernel.normalise(vec, lead), lead))
+    return G
 
 
 # --- modules and ideals -------------------------------------------------------
@@ -850,14 +871,19 @@ class Module:
             self._tagged = rank is not None
         return self._gb
 
-    def _reduce(self, target, cofactors):
-        """(domain, remainder, row) of target against the basis.
+    def _reduce(self, target, cofactors, against=None):
+        """(domain, remainder, row) of target against the cached basis.
 
-        row, over the column positions, has target = sum row_i * columns_i
-        when cofactors is set and the remainder is zero; else it is empty.
+        against=(G, rank) reduces against G instead, a basis whose tags sit
+        at positions rank and up.  row, over the tag positions, has target =
+        sum row_i * input_i (the columns, for the cached basis) when
+        cofactors is set and the remainder is zero; else it is empty.
         """
         domain = EXTENDED if self.domain == EXTENDED else _lub_domain(target)
-        G = self._basis_for(cofactors)
+        if against is None:
+            G = self._basis_for(cofactors)
+            against = G, self._rank if self._tagged else None
+        G, rank = against
         kernel, layout = self._kernel, self._layout
         basis = [kernel.reducer(vec, lead) for vec, lead in G]
 
@@ -866,8 +892,8 @@ class Module:
             # -u_i . columns, a zero column remainder leaves tags m * row
             m, rem = kernel.divmod(vec, basis, layout)
             tags = {}
-            if self._tagged:
-                rem, tags = _split(rem, self._rank, layout.top)
+            if rank is not None:
+                rem, tags = _split(rem, rank, layout.top)
             if rem or not cofactors:
                 return kernel.exit(rem, m * den), {}
             return rem, kernel.exit(tags, m * den)
@@ -899,21 +925,44 @@ class Module:
 
         return self._run(step, target)
 
+    def _syzygy_rows(self):
+        """Reduced basis of the columns' syzygies in kernel form, one tagged run."""
+        layout, rank = self._layout, self._rank
+        G = _buchberger_vec(self._vecs, layout, self._kernel, rank, syzygies=True)
+        return [_split(vec, rank, layout.top)[1] for vec, _ in G]
+
     def syzygies(self):
         """The monic reduced basis of the columns' syzygies, as tuples of Poly."""
         if self._syz is None:
 
             def step():
-                layout, rank, kernel = self._layout, self._rank, self._kernel
-                G = _buchberger_vec(self._vecs, layout, kernel, rank, syzygies=True)
-                rows = [kernel.monic(_split(vec, rank, layout.top)[1]) for vec, _ in G]
+                n, monic, layout = len(self.columns), self._kernel.monic, self._layout
                 return tuple(
-                    tuple(_vec_to_polys(row, len(self.columns), self.domain, layout))
-                    for row in rows
+                    tuple(_vec_to_polys(monic(row), n, self.domain, layout))
+                    for row in self._syzygy_rows()
                 )
 
             self._syz = self._run(step)
         return self._syz
+
+    def _syzygy_member(self, target):
+        """None, or r with target = sum r_k * syzygies()[k], in one engine run.
+
+        The syzygies are a reduced basis under the same order, so they give
+        their own tagged basis (_tagged_reduced), with no second run and no
+        Polys in between.  The target must have one entry per column.
+        """
+        target = list(target)
+
+        def step():
+            n, kernel, layout = len(self.columns), self._kernel, self._layout
+            G = _tagged_reduced(self._syzygy_rows(), n, kernel, layout.top)
+            domain, rem, row = self._reduce(target, cofactors=True, against=(G, n))
+            if rem:
+                return None
+            return _vec_to_polys(row, len(G), domain, layout)
+
+        return self._run(step, target)
 
 
 class Ideal(Module):
@@ -952,9 +1001,8 @@ class Ideal(Module):
         return not self.normal_form(f)
 
     def is_proper(self):
-        return not any(
-            g.is_constant() and g for g in self.groebner_basis()
-        )
+        """True iff 1 is not in the ideal: no basis lead is the unit term 0."""
+        return self._run(lambda: all(lead for _, lead in self._basis_for()))
 
     def support(self):
         vs = set()

@@ -23,8 +23,8 @@ from fractions import Fraction
 
 from .errors import InvalidInput, ParseError
 from .gaussian import GaussianRational, QI_I
-from .levicivita import LC_ONE, LCFraction, LCNumber
-from .poly import EXTENDED, MONO_ONE, Poly
+from .levicivita import LCFraction, LCNumber
+from .poly import EXTENDED, Poly
 
 _OPS = set("+-*^()=,;/")
 

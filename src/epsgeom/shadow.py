@@ -37,7 +37,6 @@ from .levicivita import (
 from .parser import format_gaussian, format_lc, format_poly
 from .poly import (
     EXTENDED,
-    MONO_ONE,
     AffineSubstitution,
     Poly,
     max_abs_normalize,
@@ -209,6 +208,12 @@ def _univar_coeffs(f, v):
     return out
 
 
+def _horner_pass(c, s, i):
+    """Pass i of the shift by s in place: after pass 0, c[0] is f(s)."""
+    for j in range(len(c) - 2, i - 1, -1):
+        c[j] = c[j] + s * c[j + 1]
+
+
 def _taylor_shift(c, s, t):
     """Turn the ascending coefficients c of f(z) into those of f(s + t*z).
 
@@ -217,8 +222,7 @@ def _taylor_shift(c, s, t):
     """
     n = len(c) - 1
     for i in range(n):
-        for j in range(n - 1, i - 1, -1):
-            c[j] = c[j] + s * c[j + 1]
+        _horner_pass(c, s, i)
     tj = t
     for j in range(1, n + 1):
         c[j] = c[j] * tj
@@ -261,12 +265,16 @@ def newton_puiseux_lift(f, a, t=TruncationOrder()):
     c = [coeffs.get(k, LC_ZERO) for k in range(max(coeffs) + 1)]
     acc = LCNumber.from_gaussian(a)
     scale = LC_ONE
-    _taylor_shift(c, acc, LC_ONE)
-    # c[0] = fn(a), and fn is limited, so st(c[0]) is its shadow's value at a
+    # the first shift, z -> a + z, one Horner pass at a time: after the
+    # first pass c[0] = fn(a), and fn is limited, so st(c[0]) is its
+    # shadow's value at a
+    _horner_pass(c, acc, 0)
     if c[0].valuation() <= 0:
         raise NotAShadowRoot(
             "z%d = %s is not a root of the shadow" % (v, format_gaussian(a))
         )
+    for i in range(1, len(c) - 1):
+        _horner_pass(c, acc, i)
     for _ in range(4096):
         v0 = c[0].valuation()
         if v0 > t.order:

@@ -10,11 +10,14 @@ construction: the extended kernel is the standard one promoted, each
 promoted kernel vector has the unit vector as its cofactors over the
 standard kernel, and B*A = 0 is the inclusion im(A) in ker(B).  What is
 still computed is ker(A), the inclusion ker(B) in im(A) by membership, and
-flatness witnesses by membership in the span of the standard syzygies.
+flatness witnesses by membership in the span of the standard syzygies.  A
+witness needs one run too: the syzygy run's reduced basis is the tagged
+basis of their span, and a solution in that span solves sum a_i*x_i = 0
+by construction, so the sum is formed only for an x outside it.
 """
 
 from .errors import InvalidInput, NotAComplex, NotASolution
-from .groebner import Module, module_syzygies, syzygy_basis
+from .groebner import Ideal, Module, module_syzygies
 from .levicivita import LC_ONE
 from .parser import format_poly, parse_poly
 from .poly import EXTENDED, STANDARD, Poly
@@ -96,6 +99,13 @@ def flatness_witness(a, x):
     r satisfies x = sum r_i * beta_i where beta is the canonical standard
     syzygy basis of a.  That such r always exist is the flatness of the
     coefficient extension.
+
+    One engine run gives beta, and x is reduced against beta as its own
+    tagged basis (Module._syzygy_member); beta is not computed again.  Found
+    r, x = sum r_i * beta_i solves the row, since each beta_i does, so no
+    product is formed.  Only when x is outside beta's span is sum a_i*x_i
+    formed: NotASolution if it is nonzero.  So a non-solution pays for the
+    syzygy run before it raises, as every solution with the same row does.
     """
     a = list(a)
     x = list(x)
@@ -103,15 +113,13 @@ def flatness_witness(a, x):
         raise InvalidInput("coefficient row and solution have unequal lengths")
     if any(g.domain != STANDARD for g in a):
         raise InvalidInput("the coefficient row must be standard")
-    acc = Poly.zero(EXTENDED)
-    for g, xi in zip(a, x):
-        acc = acc + g * xi
-    if acc:
-        raise NotASolution("sum a_i*x_i is not zero")
-    beta = syzygy_basis(a)
-    target = [xi.to_extended() for xi in x]
-    r = Module(beta.generators).member(target)
+    r = Ideal(a)._syzygy_member([xi.to_extended() for xi in x])
     if r is None:
+        acc = Poly.zero(EXTENDED)
+        for g, xi in zip(a, x):
+            acc = acc + g * xi
+        if acc:
+            raise NotASolution("sum a_i*x_i is not zero")
         raise InvalidInput("internal: solution escapes the standard syzygies")
     return r
 

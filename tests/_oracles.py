@@ -2,19 +2,20 @@
 
 Deliberately naive: exact linear algebra over the Gaussian rationals and
 exhaustive small searches, kept clear of the Groebner machinery so a
-disagreement with the library points at a real bug.  The one exception is
-the two-domain transfer reference at the end, which runs the engine once per
-coefficient domain where epsgeom.transfer runs it once.
+disagreement with the library points at a real bug.  The exceptions are
+the transfer references at the end: the two-domain checks, which run the
+engine once per coefficient domain where epsgeom.transfer runs it once, and
+the flatness witness that checks the solution by products and then runs the
+engine twice where epsgeom.transfer runs it once.
 """
 
 from fractions import Fraction
-from itertools import product
 
-from epsgeom.errors import DivisionByZero
-from epsgeom.gaussian import GaussianRational, QI_ONE, QI_ZERO
-from epsgeom.groebner import Module, module_syzygies
+from epsgeom.errors import DivisionByZero, InvalidInput, NotASolution
+from epsgeom.gaussian import QI_ONE, QI_ZERO
+from epsgeom.groebner import Module, module_syzygies, syzygy_basis
 from epsgeom.parser import format_poly
-from epsgeom.poly import MONO_ONE, Monomial, Poly
+from epsgeom.poly import EXTENDED, MONO_ONE, STANDARD, Monomial, Poly
 
 
 def monomials_upto(variables, degree):
@@ -500,3 +501,30 @@ def reference_exactness_transfer(A, B):
         "verdicts_agree": bool(agree),
         "pass": bool(agree),
     }
+
+
+def reference_flatness_witness(a, x):
+    """Express an extended solution of sum a_i*x_i = 0 over standard syzygies.
+
+    a is a standard scalar row, x an extended solution vector; the result
+    r satisfies x = sum r_i * beta_i where beta is the canonical standard
+    syzygy basis of a.  That such r always exist is the flatness of the
+    coefficient extension.
+    """
+    a = list(a)
+    x = list(x)
+    if len(a) != len(x):
+        raise InvalidInput("coefficient row and solution have unequal lengths")
+    if any(g.domain != STANDARD for g in a):
+        raise InvalidInput("the coefficient row must be standard")
+    acc = Poly.zero(EXTENDED)
+    for g, xi in zip(a, x):
+        acc = acc + g * xi
+    if acc:
+        raise NotASolution("sum a_i*x_i is not zero")
+    beta = syzygy_basis(a)
+    target = [xi.to_extended() for xi in x]
+    r = Module(beta.generators).member(target)
+    if r is None:
+        raise InvalidInput("internal: solution escapes the standard syzygies")
+    return r

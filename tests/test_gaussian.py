@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from _oracles import ReferenceGaussianRational, eval_coeffs, poly_from_roots
-from _strategies import gaussians, small_fractions
+from _strategies import gaussians
 from epsgeom.errors import DivisionByZero
 from epsgeom.gaussian import (
     QI_I,

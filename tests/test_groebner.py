@@ -3,7 +3,6 @@ import math
 import random
 import signal
 from fractions import Fraction
-from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -29,7 +28,6 @@ from epsgeom.groebner import (
     Ideal,
     Module,
     MonomialOrder,
-    SyzygyBasis,
     buchberger,
     contraction,
     eliminate,
@@ -205,6 +203,39 @@ class TestProperExamples:
 
     def test_zero_ideal(self):
         assert is_proper(Ideal([]))
+
+    @pytest.mark.parametrize(
+        "gens",
+        [["z1", "eps*z1 - 1 - eps"], ["z1^2 - eps", "z1"], ["(1 + eps)*z1^2 - z2", "z2"]],
+    )
+    def test_extended(self, gens):
+        I = Ideal([ext(g) for g in gens])
+        assert is_proper(I) == (not any(g.is_constant() for g in I.groebner_basis()))
+
+    def test_leads_agree_with_the_basis_polys(self):
+        # is_proper reads the cached basis's leads, and a scalar run stops at
+        # its first unit lead: the basis, the verdict and member's cofactors
+        # must be those of the whole run
+        rng = random.Random(6017)
+        improper = 0
+        for _ in range(40):
+            gens = list(random_ideal(rng).generators)
+            if gens and rng.random() < 0.6:
+                gens.append(std("1") - random_std_poly(rng) * gens[0])
+            for order in (GREVLEX, LEX):
+                basis = Ideal(gens, order).groebner_basis()
+                proper = not any(g.is_constant() and g for g in basis)
+                assert Ideal(gens, order).is_proper() == proper
+                if proper:
+                    continue
+                improper += 1
+                assert basis == [std("1")]
+                r = Ideal(gens, order).member([std("3 + z1")])
+                total = Poly.zero("standard")
+                for c, g in zip(r, gens):
+                    total = total + c * g
+                assert total == std("3 + z1")
+        assert improper >= 20
 
 
 class TestSyzygyExamples:

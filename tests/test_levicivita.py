@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _strategies import gaussians, lc_numbers, limited_lc
+from _strategies import lc_numbers, limited_lc
 from epsgeom.errors import DivisionByZero, NonConstructibleRoot, UnlimitedValue
 from epsgeom.gaussian import QI_I, GaussianRational
 from epsgeom.levicivita import (

@@ -12,7 +12,6 @@ from _strategies import (
     limited_lc,
     monomials,
     polys,
-    small_fractions,
 )
 from epsgeom.errors import (
     InvalidInput,

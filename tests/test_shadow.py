@@ -16,13 +16,14 @@ from epsgeom.errors import (
 )
 from epsgeom.gaussian import GaussianRational
 from epsgeom.groebner import Ideal, ideal_member, radical_member
-from epsgeom.levicivita import INF, LC_ZERO, LCNumber, TruncationOrder, lc_st
+from epsgeom.levicivita import LC_ZERO, LCNumber, TruncationOrder, lc_st
 from epsgeom.parser import parse_lc, parse_poly
 from epsgeom.poly import (
     EXTENDED,
     AffineSubstitution,
     Monomial,
     Poly,
+    max_abs_normalize,
     poly_eval,
     poly_shadow,
 )
@@ -164,6 +165,27 @@ class TestNewtonPuiseuxLift:
         # the shadow is that of the normalised polynomial, z1^2 - 1
         with pytest.raises(NotAShadowRoot, match=r"^z1 = 2 is not a root of the shadow$"):
             newton_puiseux_lift(P("eps^2*z1^2 - eps^2"), 2)
+
+    def test_non_root_exits_after_one_horner_pass(self, monkeypatch):
+        # the first pass of the shift by a leaves c[0] = fn(a), in 5
+        # products on a degree-5 f; the rest of the shift would be 10 more
+        # and the t^j scaling another 10
+        f = P("(2+i)*eps^(-3)*(z1 - 1)*(z1 - 2)*(z1 - 3 - eps)*(z1 + i)*(z1 + 1 + eps^(1/2))")
+        assert f.total_degree() == 5
+        calls = []
+        mul = LCNumber.__mul__
+
+        def counted(self, other):
+            calls.append(1)
+            return mul(self, other)
+
+        monkeypatch.setattr(LCNumber, "__mul__", counted)
+        max_abs_normalize(f)
+        normalise = len(calls)
+        calls.clear()
+        with pytest.raises(NotAShadowRoot, match=r"^z1 = 5 is not a root of the shadow$"):
+            newton_puiseux_lift(f, 5)
+        assert len(calls) == normalise + 5
 
     def test_random_factored_instances(self):
         rng = random.Random(5002)

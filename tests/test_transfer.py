@@ -1,19 +1,24 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from _oracles import (
+    is_monic_reduced_basis,
     monomials_upto,
     reference_exactness_transfer,
+    reference_flatness_witness,
     reference_kernel_comparison,
 )
+from _strategies import extended_polys, polys
 from epsgeom import groebner
-from epsgeom.errors import NotAComplex, NotASolution
+from epsgeom.errors import EpsgeomError, NotAComplex, NotASolution
 from epsgeom.gaussian import GaussianRational
-from epsgeom.groebner import Ideal, is_proper, module_syzygies, syzygy_basis
+from epsgeom.groebner import GREVLEX, Ideal, is_proper, module_syzygies, syzygy_basis
 from epsgeom.levicivita import LCNumber
 from epsgeom.parser import format_poly, parse_poly
-from epsgeom.poly import Monomial, Poly
+from epsgeom.poly import Poly
 from epsgeom.transfer import (
     PolyMatrix,
     _kernel_comparison,
@@ -85,6 +90,108 @@ class TestFlatnessWitness:
                     rebuilt[k] = rebuilt[k] + ri * g.to_extended()
             assert rebuilt == x
             done += 1
+
+
+def _outcome(fn, a, x):
+    """fn(a, x) as comparable data: the result's domains and formatted
+    entries, or the error's type and message."""
+    try:
+        return [(g.domain, format_poly(g)) for g in fn(a, x)]
+    except EpsgeomError as e:
+        return type(e), str(e)
+
+
+@st.composite
+def _flatness_rows(draw):
+    """(a, x): a standard row and a Koszul or syzygy combination over it,
+    with eps-power and polynomial multipliers, perturbed into a
+    non-solution about one time in three."""
+    a = draw(st.lists(polys(max_vars=2, max_degree=2), min_size=1, max_size=3))
+    n = len(a)
+    multipliers = st.one_of(
+        st.integers(min_value=-2, max_value=3).map(
+            lambda q: Poly.constant(LCNumber.eps(q))
+        ),
+        extended_polys(max_vars=2, max_degree=1, max_terms=2, limited=False),
+    )
+    x = [Poly.zero("extended") for _ in a]
+    if draw(st.booleans()):
+        # Koszul: s * (a_j e_i - a_i e_j)
+        for i in range(n):
+            for j in range(i + 1, n):
+                s = draw(multipliers)
+                x[i] = x[i] + s * a[j].to_extended()
+                x[j] = x[j] - s * a[i].to_extended()
+    else:
+        for gen in syzygy_basis(a).generators:
+            s = draw(multipliers)
+            x = [xi + s * g.to_extended() for xi, g in zip(x, gen)]
+    if draw(st.integers(min_value=0, max_value=2)) == 0:
+        k = draw(st.integers(min_value=0, max_value=n - 1))
+        x[k] = x[k] + draw(
+            extended_polys(max_vars=2, max_degree=2, limited=False, nonzero=True)
+        )
+    return a, x
+
+
+class TestFlatnessWitnessReference:
+    """flatness_witness against the product check and two-run reference."""
+
+    @given(_flatness_rows())
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    def test_matches_the_reference(self, row):
+        a, x = row
+        assert _outcome(flatness_witness, a, x) == _outcome(
+            reference_flatness_witness, a, x
+        )
+
+    @pytest.mark.parametrize(
+        "a, x",
+        [
+            (["z1", "z2"], ["1", "0"]),
+            (["z1"], ["eps"]),
+            (["z1", "z2"], ["z2"]),
+            (["0", "0"], ["eps", "z1"]),
+            ([], []),
+            (["z1", "0"], ["0", "eps*z2"]),
+        ],
+        ids=["non-solution", "no-syzygies", "unequal", "zero-row", "empty", "zero-entry"],
+    )
+    def test_edge_rows(self, a, x):
+        a, x = [std(g) for g in a], [ext(g) for g in x]
+        assert _outcome(flatness_witness, a, x) == _outcome(
+            reference_flatness_witness, a, x
+        )
+
+    def test_seeded_basis_is_the_tagged_run(self):
+        # the syzygy run's rows as their own tagged basis, against the
+        # tagged run that Module(syzygies()).member would make on them
+        rng = random.Random(7017)
+        checked = 0
+        while checked < 30:
+            a = [random_std_poly(rng, max_vars=3) for _ in range(rng.randint(2, 4))]
+            if not any(a):
+                continue
+            I = Ideal(a)
+
+            def step(I=I, n=len(a)):
+                layout, kernel = I._layout, I._kernel
+                rows = I._syzygy_rows()
+                seeded = groebner._tagged_reduced(rows, n, kernel, layout.top)
+                columns = [
+                    groebner._vec_to_polys(kernel.monic(r), n, "standard", layout)
+                    for r in rows
+                ]
+                inputs = [kernel.entry(c, layout) for c in columns]
+                run = groebner._buchberger_vec(inputs, layout, kernel, n)
+                return columns, [
+                    [(lead, kernel.monic(vec)) for vec, lead in G] for G in (seeded, run)
+                ]
+
+            columns, (seeded, run) = I._run(step)
+            assert is_monic_reduced_basis(columns, GREVLEX)
+            assert seeded == run
+            checked += 1
 
 
 class TestKernelExtension:
@@ -267,6 +374,16 @@ def pair_runs(monkeypatch):
 
 
 class TestEngineRuns:
+    def test_flatness_witness_runs_one_basis(self, pair_runs):
+        a = [std("z1"), std("z2")]
+        flatness_witness(a, [ext("eps*z2"), ext("-eps*z1")])
+        # the syzygy run; its reduced basis is the tagged basis of the span
+        assert len(pair_runs) == 1
+        with pytest.raises(NotASolution):
+            flatness_witness(a, [ext("1"), ext("0")])
+        # a non-solution pays for the same one run before it raises
+        assert len(pair_runs) == 2
+
     def test_kernel_extension_runs_each_basis_once(self, pair_runs):
         kernel_extension_check(PolyMatrix.from_strings([["z1", "z2"]]))
         # one tagged pair loop, whose reduced basis holds the kernel; the

@@ -1,7 +1,6 @@
 import json
 import random
 import signal
-from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
