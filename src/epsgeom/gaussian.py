@@ -389,7 +389,8 @@ def gaussian_poly_roots(coeffs):
     deg = len(coeffs) - 1
     candidates = []
     if deg == 1:
-        candidates = [-coeffs[0] / coeffs[1]]
+        # the one candidate of a linear polynomial is its simple root
+        found.append((-coeffs[0] / coeffs[1], 1))
     elif deg == 2:
         disc = coeffs[1] * coeffs[1] - GaussianRational(4) * coeffs[2] * coeffs[0]
         s = gaussian_sqrt(disc)

@@ -60,11 +60,18 @@ class LCNumber:
     def __init__(self, terms=()):
         # terms: iterable of (exponent, GaussianRational coeff); an exponent is
         # an int when integral and a Fraction otherwise
-        cleaned = tuple((q, c) for q, c in terms if c)
-        object.__setattr__(self, "terms", cleaned)
+        _set_terms(self, tuple((q, c) for q, c in terms if c))
 
     def __setattr__(self, name, value):
         raise AttributeError("LCNumber is immutable")
+
+    @staticmethod
+    def _raw(terms):
+        # terms must be canonical already: a tuple with strictly ascending
+        # exponents, no zero coefficient, and int exponents where integral
+        out = _object_new(LCNumber)
+        _set_terms(out, terms)
+        return out
 
     @staticmethod
     def from_gaussian(c):
@@ -105,7 +112,7 @@ class LCNumber:
                 j += 1
         out.extend(a[i:])
         out.extend(b[j:])
-        return LCNumber(tuple(out))
+        return LCNumber._raw(tuple(out))
 
     def __add__(self, other):
         other = _lc_coerce(other)
@@ -121,7 +128,7 @@ class LCNumber:
             qb, cb = b[0]
             if qa == qb:
                 s = ca + cb
-                return LCNumber(((qa, s),)) if s else LC_ZERO
+                return LCNumber._raw(((qa, s),)) if s else LC_ZERO
         return LCNumber._merge(a, b)
 
     __radd__ = __add__
@@ -138,7 +145,7 @@ class LCNumber:
             qb, cb = b[0]
             if qa == qb:
                 s = ca - cb
-                return LCNumber(((qa, s),)) if s else LC_ZERO
+                return LCNumber._raw(((qa, s),)) if s else LC_ZERO
         return LCNumber._merge(a, tuple((q, -c) for q, c in b))
 
     def __rsub__(self, other):
@@ -155,23 +162,23 @@ class LCNumber:
         if not a or not b:
             return LC_ZERO
         # scaling by a single term keeps order and cannot cancel (Q(i) is a
-        # domain), so skip the accumulation dict.  An exponent sum can only
-        # be an integral Fraction where two Fractions meet; only there does
-        # it go through _exponent.
+        # domain), so skip the accumulation dict and the zero filter.  An
+        # exponent sum can only be an integral Fraction where two Fractions
+        # meet; only there does it go through _exponent.
         if len(a) == 1:
             qa, ca = a[0]
             if len(b) == 1:
                 qb, cb = b[0]
                 q = qa + qb
-                return LCNumber(((q if type(q) is int else _exponent(q), ca * cb),))
+                return LCNumber._raw(((q if type(q) is int else _exponent(q), ca * cb),))
             if type(qa) is int:
-                return LCNumber(tuple((qa + qb, ca * cb) for qb, cb in b))
-            return LCNumber(tuple((_exponent(qa + qb), ca * cb) for qb, cb in b))
+                return LCNumber._raw(tuple((qa + qb, ca * cb) for qb, cb in b))
+            return LCNumber._raw(tuple((_exponent(qa + qb), ca * cb) for qb, cb in b))
         if len(b) == 1:
             qb, cb = b[0]
             if type(qb) is int:
-                return LCNumber(tuple((qa + qb, ca * cb) for qa, ca in a))
-            return LCNumber(tuple((_exponent(qa + qb), ca * cb) for qa, ca in a))
+                return LCNumber._raw(tuple((qa + qb, ca * cb) for qa, ca in a))
+            return LCNumber._raw(tuple((_exponent(qa + qb), ca * cb) for qa, ca in a))
         acc = {}
         for qa, ca in a:
             meet = type(qa) is not int
@@ -191,7 +198,7 @@ class LCNumber:
     __rmul__ = __mul__
 
     def __neg__(self):
-        return LCNumber(tuple((q, -c) for q, c in self.terms))
+        return LCNumber._raw(tuple((q, -c) for q, c in self.terms))
 
     def __pow__(self, k):
         if not isinstance(k, int) or k < 0:
@@ -301,6 +308,9 @@ def _lc_coerce(x):
         return LCNumber.from_gaussian(x)
     return NotImplemented
 
+
+_set_terms = LCNumber.terms.__set__
+_object_new = object.__new__
 
 LC_ZERO = LCNumber()
 LC_ONE = LCNumber(((0, QI_ONE),))

@@ -254,13 +254,17 @@ def newton_puiseux_lift(f, a, t=TruncationOrder()):
     support = f.support()
     if len(support) != 1 or f.total_degree() < 1:
         raise InvalidInput("lifting needs a nonconstant univariate polynomial")
-    v = support[0]
     fn = max_abs_normalize(f)
     # fn = f / u for one term u, read off any coefficient's leading term
     m, fm = next(iter(fn.terms.items()))
     (q, cf), (qn, cn) = f.terms[m].leading(), fm.leading()
-    u = LCNumber.term(cf / cn, q - qn)
+    return _lift(fn, LCNumber.term(cf / cn, q - qn), support[0], a, t)
 
+
+def _lift(fn, u, v, a, t):
+    """The Newton loop of newton_puiseux_lift on fn = f / u, a nonconstant
+    max-abs-normalised polynomial in z_v, at the standard root a of its
+    shadow; the point's value is u * fn(ξ)."""
     coeffs = _univar_coeffs(fn, v)
     c = [coeffs.get(k, LC_ZERO) for k in range(max(coeffs) + 1)]
     acc = LCNumber.from_gaussian(a)
@@ -380,10 +384,12 @@ def _collect_roots(sh, v, candidates):
 def verify_shadow_closure(roots, t=TruncationOrder()):
     """End-to-end closure check for f = prod (z1 - root).
 
-    LHS: standard parts of the limited roots.  RHS: reduce f on the full
-    line, take the shadow, and require its root set to be exactly the LHS
-    (division to exhaustion must leave a nonzero constant).  Each LHS element
-    is then lifted back and checked to land in the halo of a supplied root.
+    LHS: standard parts of the limited roots.  RHS: f is max-abs
+    normalised, and the whole-line reduction is the identity on the
+    normalised product, so RHS is its shadow; its root set must be exactly
+    the LHS (division to exhaustion must leave a nonzero constant).  Each
+    LHS element is then lifted back from the normalised f and checked to
+    land in the halo of a supplied root.
     """
     parsed = []
     for r in roots:
@@ -410,9 +416,7 @@ def verify_shadow_closure(roots, t=TruncationOrder()):
                 lhs.append(s)
     lhs.sort(key=lambda c: (c.re, c.im))
 
-    X = VarietyPresentation((v,), ())
-    rr = reduce_on_variety(f, X)
-    sh = poly_shadow(rr.poly)
+    sh = poly_shadow(f)
     mults, leftover = _collect_roots(sh, v, lhs)
     rhs_ok = (
         len(leftover) == 1
@@ -423,7 +427,7 @@ def verify_shadow_closure(roots, t=TruncationOrder()):
     witnesses = []
     wit_ok = True
     for aa in lhs:
-        xi = newton_puiseux_lift(f, aa, t)
+        xi = _lift(f, LC_ONE, v, aa, t)
         res_val = xi.value.valuation()
         in_halo = any((xi[v] - r).is_infinitesimal() for r in parsed)
         ok = (

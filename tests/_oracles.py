@@ -3,19 +3,47 @@
 Deliberately naive: exact linear algebra over the Gaussian rationals and
 exhaustive small searches, kept clear of the Groebner machinery so a
 disagreement with the library points at a real bug.  The exceptions are
-the transfer references at the end: the two-domain checks, which run the
-engine once per coefficient domain where epsgeom.transfer runs it once, and
-the flatness witness that checks the solution by products and then runs the
-engine twice where epsgeom.transfer runs it once.
+the references at the end.  Two are transfer references: the two-domain
+checks, which run the engine once per coefficient domain where
+epsgeom.transfer runs it once, and the flatness witness that checks the
+solution by products and then runs the engine twice where epsgeom.transfer
+runs it once.  The other two are the lift and the closure report that
+reduces its normalised product on the whole line (2 pair-loop runs) and
+lifts each shadow root through the public lift, which normalises again.
 """
 
 from fractions import Fraction
 
-from epsgeom.errors import DivisionByZero, InvalidInput, NotASolution
-from epsgeom.gaussian import QI_ONE, QI_ZERO
+from epsgeom.errors import (
+    DivisionByZero,
+    InvalidInput,
+    NonConstructibleRoot,
+    NotAShadowRoot,
+    NotASolution,
+)
+from epsgeom.gaussian import QI_ONE, QI_ZERO, GaussianRational, gaussian_poly_roots
 from epsgeom.groebner import Module, module_syzygies, syzygy_basis
-from epsgeom.parser import format_poly
-from epsgeom.poly import EXTENDED, MONO_ONE, STANDARD, Monomial, Poly
+from epsgeom.levicivita import INF, LC_ONE, LC_ZERO, LCNumber, TruncationOrder, _lc_coerce
+from epsgeom.parser import format_gaussian, format_lc, format_poly
+from epsgeom.poly import (
+    EXTENDED,
+    MONO_ONE,
+    STANDARD,
+    Monomial,
+    Poly,
+    max_abs_normalize,
+    poly_shadow,
+)
+from epsgeom.shadow import (
+    EvaluatedPoint,
+    VarietyPresentation,
+    _collect_roots,
+    _finite_coeffs,
+    _horner_pass,
+    _taylor_shift,
+    _univar_coeffs,
+    reduce_on_variety,
+)
 
 
 def monomials_upto(variables, degree):
@@ -528,3 +556,157 @@ def reference_flatness_witness(a, x):
     if r is None:
         raise InvalidInput("internal: solution escapes the standard syzygies")
     return r
+
+
+def reference_newton_puiseux_lift(f, a, t=TruncationOrder()):
+    """Lift a shadow root `a` of f to a genuine root to the given order.
+
+    Iterates the Newton polygon of f shifted to a: take the steepest edge,
+    extract its largest constructible root, recenter, repeat until the
+    residual valuation clears t.order.  The returned point ξ satisfies
+    st(ξ) = a and valuation(f(ξ)) > t.order (often exactly zero).
+
+    ξ.value is f(ξ), exact: the loop keeps the coefficients of
+    fn(ξ + scale*z) with fn = f / u for one term u, and truncates none of
+    them, so their constant one is fn(ξ) and f(ξ) = u * fn(ξ).
+    """
+    if isinstance(a, (int, Fraction)):
+        a = GaussianRational(a)
+    if isinstance(a, LCNumber):
+        st = a.standard_part()
+        if a != LCNumber.from_gaussian(st):
+            raise InvalidInput("the shadow root must be a standard value")
+        a = st
+    if not isinstance(a, GaussianRational):
+        raise InvalidInput("the shadow root must be a standard value")
+    f = _finite_coeffs(f)
+    support = f.support()
+    if len(support) != 1 or f.total_degree() < 1:
+        raise InvalidInput("lifting needs a nonconstant univariate polynomial")
+    v = support[0]
+    fn = max_abs_normalize(f)
+    # fn = f / u for one term u, read off any coefficient's leading term
+    m, fm = next(iter(fn.terms.items()))
+    (q, cf), (qn, cn) = f.terms[m].leading(), fm.leading()
+    u = LCNumber.term(cf / cn, q - qn)
+
+    coeffs = _univar_coeffs(fn, v)
+    c = [coeffs.get(k, LC_ZERO) for k in range(max(coeffs) + 1)]
+    acc = LCNumber.from_gaussian(a)
+    scale = LC_ONE
+    # the first shift, z -> a + z, one Horner pass at a time: after the
+    # first pass c[0] = fn(a), and fn is limited, so st(c[0]) is its
+    # shadow's value at a
+    _horner_pass(c, acc, 0)
+    if c[0].valuation() <= 0:
+        raise NotAShadowRoot(
+            "z%d = %s is not a root of the shadow" % (v, format_gaussian(a))
+        )
+    for i in range(1, len(c) - 1):
+        _horner_pass(c, acc, i)
+    for _ in range(4096):
+        v0 = c[0].valuation()
+        if v0 > t.order:
+            return EvaluatedPoint({v: acc}, u * c[0])
+        mu = None
+        for k in range(1, len(c)):
+            if c[k]:
+                cand = Fraction(v0 - c[k].valuation(), k)
+                if mu is None or cand > mu:
+                    mu = cand
+        if mu is None or mu <= 0:
+            raise InvalidInput("internal: no infinitesimal branch remains")
+        edge = {}
+        for k, ck in enumerate(c):
+            if ck and ck.valuation() + k * mu == v0:
+                edge[k] = ck.leading()[1]
+        phi = [edge.get(k, QI_ZERO) for k in range(max(edge) + 1)]
+        roots = gaussian_poly_roots(phi)
+        if not roots:
+            raise NonConstructibleRoot(
+                "edge polynomial has no root in the coefficient field"
+            )
+        gamma = roots[0][0]
+        step = LCNumber.term(gamma, mu)
+        acc = acc + scale * step
+        t_mu = LCNumber.eps(mu)
+        _taylor_shift(c, step, t_mu)
+        scale = scale * t_mu
+    raise InvalidInput("internal: lifting did not converge")
+
+
+def reference_verify_shadow_closure(roots, t=TruncationOrder()):
+    """End-to-end closure check for f = prod (z1 - root).
+
+    LHS: standard parts of the limited roots.  RHS: reduce f on the full
+    line, take the shadow, and require its root set to be exactly the LHS
+    (division to exhaustion must leave a nonzero constant).  Each LHS element
+    is then lifted back and checked to land in the halo of a supplied root.
+    """
+    parsed = []
+    for r in roots:
+        r = _lc_coerce(r)
+        if r is NotImplemented:
+            raise InvalidInput("roots must be LC numbers")
+        parsed.append(r)
+    if not parsed:
+        raise InvalidInput("need at least one root")
+    v = 1
+    z = Poly.variable(v, EXTENDED)
+    f = Poly.constant(LC_ONE)
+    for r in parsed:
+        f = f * (z - Poly.constant(r))
+    # unlimited roots give unlimited coefficients; the zero set is unchanged
+    # under scaling, so work with the normalized form throughout
+    f = max_abs_normalize(f)
+
+    lhs = []
+    for r in parsed:
+        if r.is_limited():
+            s = r.standard_part()
+            if s not in lhs:
+                lhs.append(s)
+    lhs.sort(key=lambda c: (c.re, c.im))
+
+    X = VarietyPresentation((v,), ())
+    rr = reduce_on_variety(f, X)
+    sh = poly_shadow(rr.poly)
+    mults, leftover = _collect_roots(sh, v, lhs)
+    rhs_ok = (
+        len(leftover) == 1
+        and bool(leftover[0])
+        and all(mults[aa] >= 1 for aa in lhs)
+    )
+
+    witnesses = []
+    wit_ok = True
+    for aa in lhs:
+        xi = reference_newton_puiseux_lift(f, aa, t)
+        res_val = xi.value.valuation()
+        in_halo = any((xi[v] - r).is_infinitesimal() for r in parsed)
+        ok = (
+            xi[v].standard_part() == aa
+            and res_val > t.order
+            and in_halo
+        )
+        wit_ok = wit_ok and ok
+        witnesses.append(
+            {
+                "shadow_root": format_gaussian(aa),
+                "lift": format_lc(xi[v]),
+                "residual_valuation": "inf" if res_val == INF else str(res_val),
+                "in_halo_of_instance_root": in_halo,
+                "ok": ok,
+            }
+        )
+
+    return {
+        "instance": [format_lc(r) for r in parsed],
+        "lhs": [format_gaussian(aa) for aa in lhs],
+        "rhs": {
+            "reduced_shadow": format_poly(sh),
+            "roots_match_lhs": rhs_ok,
+        },
+        "witnesses": witnesses,
+        "pass": rhs_ok and wit_ok,
+    }

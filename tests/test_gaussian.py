@@ -103,6 +103,22 @@ class TestPolyRoots:
     def test_constant_has_no_roots(self):
         assert gaussian_poly_roots([QI_ONE]) == []
 
+    @given(gaussians(), gaussians(nonzero=True), st.integers(0, 2))
+    @settings(max_examples=80, derandomize=True)
+    def test_linear_root_is_simple(self, c0, c1, k):
+        # a linear factor's root is taken without the candidate checks;
+        # they would find it a root, of multiplicity 1
+        coeffs = [QI_ZERO] * k + [c0, c1]
+        roots = [QI_ZERO] * k + [-c0 / c1]
+        found = gaussian_poly_roots(coeffs)
+        flat = [r for r, mult in found for _ in range(mult)]
+        assert sorted(flat, key=lambda g: (g.re, g.im)) == sorted(
+            roots, key=lambda g: (g.re, g.im)
+        )
+        assert [c1 * c for c in poly_from_roots(roots)] == coeffs
+        for r, _ in found:
+            assert eval_coeffs(coeffs, r) == QI_ZERO
+
 
 # --- differential check against the Fraction-pair reference ---------------
 

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _strategies import lc_numbers, limited_lc
+from _strategies import gaussians, lc_numbers, limited_lc
 from epsgeom.errors import DivisionByZero, NonConstructibleRoot, UnlimitedValue
 from epsgeom.gaussian import QI_I, GaussianRational
 from epsgeom.levicivita import (
@@ -187,6 +187,54 @@ class TestIntegralExponentsAreInts:
         assert _exponents_canonical(f.num) and _exponents_canonical(f.den)
         g = lc_gcd(p, y)
         assert _exponents_canonical(g)
+
+
+def _canonical(x):
+    """Strictly ascending exponents, no zero coefficient, int exponents
+    where integral, and nothing the filtering constructor would change."""
+    qs = [q for q, _ in x.terms]
+    return (
+        type(x.terms) is tuple
+        and all(p < q for p, q in zip(qs, qs[1:]))
+        and all(c for _, c in x.terms)
+        and _exponents_canonical(x)
+        and x == LCNumber(x.terms)
+    )
+
+
+_single_terms = st.tuples(
+    st.fractions(min_value=-2, max_value=3, max_denominator=3), gaussians(nonzero=True)
+).map(lambda p: LCNumber.term(p[1], p[0]))
+
+
+class TestResultsAreCanonical:
+    # sums, differences, products and negations build their results
+    # without the constructor's zero filter
+
+    @given(
+        st.one_of(_single_terms, lc_numbers(max_terms=4)),
+        st.one_of(_single_terms, lc_numbers(max_terms=4)),
+    )
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    def test_ring_operations(self, x, y):
+        for r in (x + y, x - y, y - x, x * y, y * x, -x, x - x, x + (-x)):
+            assert _canonical(r)
+
+    def test_fraction_exponents_meet(self):
+        h = LCNumber.eps(Fraction(1, 2))
+        t = LCNumber.eps(Fraction(3, 2))
+        for x, y in [
+            (h, h),
+            (h, h + t),
+            (h + t, h),
+            (h + t, h - t),
+            (LCNumber.term(QI_I, Fraction(1, 3)), L("eps^(2/3) + eps^(5/3)")),
+        ]:
+            p = x * y
+            assert _canonical(p) and type(p.terms[0][0]) is int
+            assert _canonical(p - p) and not p - p
+        assert (h * h - LC_EPS) == LC_ZERO
+        assert _canonical(-(h + t)) and _canonical(h * LC_ONE)
 
 
 class TestClassification:

@@ -91,6 +91,52 @@ class TestNormalizeExamples:
             max_abs_normalize(Poly.zero("extended"))
 
 
+_UNIT_MODULUS = [
+    GaussianRational(1),
+    GaussianRational(-1),
+    GaussianRational(0, 1),
+    GaussianRational(0, -1),
+    GaussianRational(Fraction(3, 5), Fraction(4, 5)),
+    GaussianRational(Fraction(-4, 5), Fraction(3, 5)),
+]
+
+
+@st.composite
+def _tied_polys(draw):
+    """Extended polys whose largest coefficients tie in magnitude, so the
+    grevlex tie-break picks the divisor: one term c*eps^v times leads of
+    modulus 1, with higher-order tails, and a few coefficients eps smaller."""
+    scale = LCNumber.term(draw(gaussians(nonzero=True)), draw(st.integers(-2, 2)))
+    ms = draw(st.lists(monomials(), min_size=1, max_size=4, unique=True))
+    terms = {}
+    for m in ms:
+        c = LCNumber.from_gaussian(draw(st.sampled_from(_UNIT_MODULUS)))
+        if draw(st.booleans()):
+            c = c + LCNumber.term(draw(gaussians()), draw(st.sampled_from([Fraction(1, 2), 1, 2])))
+        if draw(st.integers(0, 3)) == 0:
+            c = c * LCNumber.eps()
+        terms[m] = scale * c
+    return Poly(EXTENDED, terms)
+
+
+class TestNormalizeIsIdempotent:
+    # verify-closure lifts its normalised product without normalising again
+    # on this fact
+
+    @given(st.one_of(_tied_polys(), extended_polys(limited=False, nonzero=True)))
+    @settings(max_examples=120, deadline=None, derandomize=True)
+    def test_idempotent(self, f):
+        g = max_abs_normalize(f)
+        assert max_abs_normalize(g) == g
+
+    def test_tie_broken_by_grevlex(self):
+        # i*eps and eps tie in magnitude; z1^2 is the grevlex-largest
+        # monomial, so its coefficient i*eps is the divisor
+        g = max_abs_normalize(P("i*eps*z1^2 + eps*z1*z2 + eps*z2^2 + eps^2"))
+        assert g == P("z1^2 - i*z1*z2 - i*z2^2 - i*eps")
+        assert max_abs_normalize(g) == g
+
+
 class TestSplitExamples:
     def test_mixed(self):
         inf, ap = split_inf_ap(P("z1 + eps*z2"))

@@ -1,3 +1,4 @@
+import json
 import random
 from fractions import Fraction
 
@@ -5,10 +6,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _oracles import compose_polys, eval_coeffs, poly_from_roots
-from _strategies import gaussians, lc_numbers, limited_lc, polys
+from _oracles import (
+    compose_polys,
+    eval_coeffs,
+    poly_from_roots,
+    reference_newton_puiseux_lift,
+    reference_verify_shadow_closure,
+)
+from _strategies import extended_polys, gaussians, lc_numbers, limited_lc, polys
+from epsgeom import gaussian
 from epsgeom.errors import (
     EmptyOpen,
+    EpsgeomError,
     InvalidInput,
     NotAShadowRoot,
     SupportMismatch,
@@ -17,7 +26,7 @@ from epsgeom.errors import (
 from epsgeom.gaussian import GaussianRational
 from epsgeom.groebner import Ideal, ideal_member, radical_member
 from epsgeom.levicivita import LC_ZERO, LCNumber, TruncationOrder, lc_st
-from epsgeom.parser import parse_lc, parse_poly
+from epsgeom.parser import format_lc, parse_lc, parse_poly
 from epsgeom.poly import (
     EXTENDED,
     AffineSubstitution,
@@ -30,6 +39,7 @@ from epsgeom.poly import (
 from epsgeom.shadow import (
     PointAssignment,
     VarietyPresentation,
+    VarietyReduction,
     _taylor_shift,
     halo_member,
     newton_puiseux_lift,
@@ -371,6 +381,171 @@ class TestClosureReport:
                 roots.append(LCNumber.term(c, v))
             rep = verify_shadow_closure(roots)
             assert rep["pass"], rep
+
+
+class TestWholeLineReduction:
+    @given(extended_polys(max_vars=1, limited=False, nonzero=True))
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    def test_identity_on_normalised_polys(self, f):
+        # the closure report takes the shadow of its normalised product
+        # directly, on this fact
+        fn = max_abs_normalize(f)
+        assert reduce_on_variety(fn, VarietyPresentation((1,), ())) == (
+            VarietyReduction(False, fn, 1)
+        )
+
+
+_ORDERS = [TruncationOrder(Fraction(1, 2)), TruncationOrder(3), TruncationOrder(16)]
+
+
+@st.composite
+def _roots(draw, max_size=4):
+    """Instance roots c*eps^v (+ c'*eps^w, w > v): unlimited, appreciable,
+    infinitesimal and fractional valuations, complex coefficients, and a
+    repeated root about one time in three."""
+    valuations = st.sampled_from(
+        [Fraction(v) for v in (-2, -1, 0, 0, 1, 2)]
+        + [Fraction(-1, 2), Fraction(1, 3), Fraction(1, 2)]
+    )
+    coeffs = st.builds(
+        GaussianRational, st.integers(-3, 3), st.integers(-1, 1)
+    ).filter(bool)
+    roots = []
+    for _ in range(draw(st.integers(1, max_size))):
+        v = draw(valuations)
+        r = LCNumber.term(draw(coeffs), v)
+        if draw(st.booleans()):
+            r = r + LCNumber.term(draw(coeffs), v + draw(st.sampled_from([Fraction(1, 2), 1])))
+        roots.append(r)
+    if draw(st.integers(0, 2)) == 0:
+        roots.append(draw(st.sampled_from(roots)))
+    return roots
+
+
+def _report(fn, roots, t):
+    try:
+        return json.dumps(fn(roots, t))
+    except EpsgeomError as e:
+        return type(e).__name__, str(e)
+
+
+def _lifted(fn, f, a, t):
+    """The lifted point, its value and their exact terms, or the error."""
+    try:
+        xi = fn(f, a, t)
+    except EpsgeomError as e:
+        return type(e).__name__, str(e)
+    return json.dumps(
+        {
+            "point": {"z%d" % v: format_lc(x) for v, x in xi.items()},
+            "value": format_lc(xi.value),
+            "terms": repr((xi.values, xi.value.terms)),
+        }
+    )
+
+
+@st.composite
+def _lift_cases(draw):
+    """(f, a, t): f = unit * prod (z1 - r) + perturbation, a the shadow of a
+    limited root, or a drawn value that is usually no shadow root."""
+    roots = draw(_roots(max_size=3))
+    coeffs = poly_from_roots(roots)
+    if draw(st.booleans()):
+        k = draw(st.sampled_from([Fraction(1, 2), 1, 2]))
+        coeffs[0] = coeffs[0] + LCNumber.term(draw(gaussians(nonzero=True)), k)
+    unit = LCNumber.term(draw(gaussians(nonzero=True)), draw(st.integers(-3, 3)))
+    f = Poly(
+        EXTENDED,
+        {Monomial(((1, k),) if k else ()): unit * c for k, c in enumerate(coeffs) if c},
+    )
+    limited = [r.standard_part() for r in roots if r.is_limited()]
+    if limited and draw(st.integers(0, 3)):
+        a = draw(st.sampled_from(limited))
+    else:
+        a = draw(gaussians())
+    return f, a, draw(st.sampled_from(_ORDERS))
+
+
+class TestClosureAgainstTheReference:
+    """The closure report and the lift against their earlier versions, which
+    reduced on the whole line and lifted through the public checks."""
+
+    @given(_roots(), st.sampled_from(_ORDERS))
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    def test_reports_match(self, roots, t):
+        assert _report(verify_shadow_closure, roots, t) == _report(
+            reference_verify_shadow_closure, roots, t
+        )
+
+    @given(_lift_cases())
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    def test_lifts_match(self, case):
+        f, a, t = case
+        assert _lifted(newton_puiseux_lift, f, a, t) == _lifted(
+            reference_newton_puiseux_lift, f, a, t
+        )
+
+    @pytest.mark.parametrize(
+        "roots",
+        [
+            ["eps"],
+            ["eps^(-1)"],
+            ["eps^(-1)", "-3*eps^(-2)"],
+            ["1 + eps", "1 + eps", "1 - eps"],
+            ["i*eps^(1/2)", "-i*eps^(1/2)", "2 + i"],
+            ["1/2 + eps^(1/3)", "1/2 - eps^(1/3)", "eps^(-1/2)"],
+            [],
+        ],
+        ids=["infinitesimal", "empty-shadow", "two-unlimited", "repeated", "complex", "fractional", "no-roots"],
+    )
+    @pytest.mark.parametrize("t", _ORDERS, ids=["order-1/2", "order-3", "order-16"])
+    def test_edge_reports(self, roots, t):
+        roots = [L(r) for r in roots]
+        assert _report(verify_shadow_closure, roots, t) == _report(
+            reference_verify_shadow_closure, roots, t
+        )
+
+    @pytest.mark.parametrize(
+        "f, a",
+        [
+            ("z1^2 - 2*eps", "0"),
+            ("z1^2 - 1", "eps"),
+            ("z1*z2 - eps", "0"),
+            ("eps + 0*z1", "0"),
+            ("(2+i)*eps^(-3)*(z1^2 - 1 - eps^(1/4))", "1"),
+            ("eps^2*z1^2 - eps^2", "2"),
+        ],
+        ids=["non-constructible", "non-standard-a", "bivariate", "constant", "unnormalised", "non-root"],
+    )
+    @pytest.mark.parametrize("t", _ORDERS, ids=["order-1/2", "order-3", "order-16"])
+    def test_edge_lifts(self, f, a, t):
+        f, a = P(f), L(a)
+        assert _lifted(newton_puiseux_lift, f, a, t) == _lifted(
+            reference_newton_puiseux_lift, f, a, t
+        )
+
+
+class TestLiftWork:
+    def test_closure_runs_no_pair_loop(self, pair_runs):
+        verify_shadow_closure([L("1 + eps"), L("eps^(-1)"), L("-2")])
+        verify_shadow_closure([L("eps^(-1)")])
+        # the whole-line reduction ran 2 per report
+        assert pair_runs == []
+
+    def test_simple_root_solves_its_edges_directly(self, monkeypatch):
+        calls = []
+        div = gaussian._poly_div_linear
+
+        def counted(coeffs, r):
+            calls.append(1)
+            return div(coeffs, r)
+
+        monkeypatch.setattr(gaussian, "_poly_div_linear", counted)
+        xi = newton_puiseux_lift(P("(z1 - 2)*(z1 + 3) - 3*eps^2"), 2)
+        assert xi[1].terms[:2] == ((0, GaussianRational(2)), (2, GaussianRational(Fraction(3, 5))))
+        # every Newton step has a linear edge; the candidate check divided
+        # once per step, 8 times here
+        assert calls == []
 
 
 class TestShadowPreservesMembership:

@@ -359,20 +359,6 @@ class TestTwoDomainReference:
         assert verdicts.count(True) >= 5 and verdicts.count(False) >= 5
 
 
-@pytest.fixture
-def pair_runs(monkeypatch):
-    """The number of Buchberger pair-loop runs, counted as they happen."""
-    runs = []
-    loop = groebner._buchberger_pairs
-
-    def counted(*args, **kwargs):
-        runs.append(1)
-        return loop(*args, **kwargs)
-
-    monkeypatch.setattr(groebner, "_buchberger_pairs", counted)
-    return runs
-
-
 class TestEngineRuns:
     def test_flatness_witness_runs_one_basis(self, pair_runs):
         a = [std("z1"), std("z2")]
