@@ -356,17 +356,17 @@ def _cmd_groebner(config, ns):
 
 
 def _cmd_member(config, ns):
-    ideal = Ideal(parse_generators(ns.ideal), config.order())
+    ideal = Ideal(parse_generators(ns.ideal))
     return ideal_member(parse_poly(ns.poly), ideal)
 
 
 def _cmd_radical_member(config, ns):
-    ideal = Ideal(parse_generators(ns.ideal), config.order())
-    return radical_member(parse_poly(ns.poly), ideal, config.order())
+    ideal = Ideal(parse_generators(ns.ideal))
+    return radical_member(parse_poly(ns.poly), ideal)
 
 
 def _cmd_contract(config, ns):
-    ideal = Ideal(parse_generators(ns.ideal), config.order())
+    ideal = Ideal(parse_generators(ns.ideal))
     return [format_poly(g) for g in contraction(ideal, ns.keep).generators]
 
 

@@ -43,7 +43,7 @@ from itertools import chain
 
 from .errors import InvalidInput, ReservedVariableInUse
 from .gaussian import _new, _normalised, gaussian_integers
-from .levicivita import LC_ONE, LCFraction, LCNumber, _unit_inverse, lc_lcm
+from .levicivita import LC_ONE, LCFraction, LCNumber, lc_lcm
 from .poly import (
     EXTENDED,
     STANDARD,
@@ -987,7 +987,7 @@ class Ideal(Module):
 
         polys = self._run(step)
         if self.domain == EXTENDED:
-            polys = [clear_denominators(p, self.order) for p in polys]
+            polys = [clear_denominators(p) for p in polys]
         return polys
 
     def normal_form(self, f):
@@ -1036,15 +1036,19 @@ def is_proper(ideal):
     return ideal.is_proper()
 
 
-def radical_member(g, ideal, order=GREVLEX):
-    """True iff some power of g lies in the ideal (auxiliary-variable test)."""
+def radical_member(g, ideal):
+    """True iff some power of g lies in the ideal (auxiliary-variable test).
+
+    The answer does not depend on a monomial order, so the Rabinowitsch
+    ideal (ideal, 1 - z0*g) always runs under grevlex, whatever the ideal's.
+    """
     if ideal.domain != STANDARD or g.domain != STANDARD:
         raise InvalidInput("radical membership runs over the standard domain")
     if 0 in g.support() or 0 in ideal.support():
         raise ReservedVariableInUse("variable z0 is reserved for this test")
     z0 = Poly.variable(0)
     probe = Poly.constant(1) - z0 * g
-    return not Ideal(list(ideal.generators) + [probe], order).is_proper()
+    return not Ideal(list(ideal.generators) + [probe]).is_proper()
 
 
 def ideal_combine(kind, I, J):
@@ -1120,18 +1124,14 @@ def module_member(columns, target, order=GREVLEX):
     return Module(columns, order).member(target)
 
 
-def clear_denominators(f, order=GREVLEX):
-    """Finite-sum representative of an extended Poly, unit-normalized.
+def clear_denominators(f):
+    """Finite-sum representative of a monic extended Poly.
 
-    Multiplies by the denominator lcm and then by the inverse of the leading
-    coefficient's leading term, so the leading coefficient under the given
-    order is 1 + infinitesimal.
+    Multiplies by the lcm of the denominators, which lc_lcm unit-normalises
+    (valuation 0, lowest coefficient 1), so a leading coefficient of 1 under
+    any order becomes 1 + infinitesimal.
     """
     if f.domain != EXTENDED or not f:
         return f
     scale = _denominator_lcm(f.terms.values())
-    if not scale.is_one():
-        f = f.scale(scale)
-    lead_coeff = f.terms[max(f.terms, key=order.key())]
-    unit = _unit_inverse(LCNumber((lead_coeff.leading(),)))
-    return f.scale(unit)
+    return f if scale.is_one() else f.scale(scale)

@@ -628,7 +628,3 @@ def _frac_coerce(x):
     if isinstance(x, (LCNumber, GaussianRational, int, Fraction)):
         return LCFraction(_lc_coerce(x))
     return NotImplemented
-
-
-LCF_ZERO = LCFraction(LC_ZERO)
-LCF_ONE = LCFraction(LC_ONE)

@@ -118,8 +118,7 @@ def halo_member(p, a):
 class VarietyPresentation:
     """An affine variety given by standard generators of its (radical) ideal.
 
-    Radicality is the caller's assertion; spot_check_radical is a cheap
-    consistency probe, not a decision procedure.
+    Radicality is the caller's assertion; nothing here checks it.
     """
 
     def __init__(self, ambient, generators):
@@ -138,9 +137,6 @@ class VarietyPresentation:
         if self._ideal is None:
             self._ideal = Ideal(self.generators)
         return self._ideal
-
-    def spot_check_radical(self):
-        return all(radical_member(g, self.ideal()) for g in self.generators)
 
     def __repr__(self):
         return "VarietyPresentation(%r, %d generators)" % (

@@ -7,6 +7,7 @@ import signal
 import subprocess
 import sys
 import threading
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -15,9 +16,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import epsgeom
-from epsgeom.cli import _HANDLERS, SessionConfig, main, run_command
+from epsgeom.cli import _HANDLERS, DATA_DIR, SessionConfig, main, run_command
 from epsgeom.gaussian import GaussianRational
-from epsgeom.groebner import Ideal, buchberger, ideal_member, syzygy_basis
+from epsgeom.groebner import Ideal, MonomialOrder, buchberger, ideal_member, syzygy_basis
 from epsgeom.levicivita import LCNumber, lc_classify, lc_st
 from epsgeom.parser import format_gaussian, format_lc, format_poly, parse_generators, parse_lc, parse_poly
 from epsgeom.poly import Monomial, Poly
@@ -532,10 +533,9 @@ ORDER_FLAGS = [
     [], ["--order", "lex"], ["--order", "grevlex"], ["--order", "elimination(z1)"],
     ["--order", "elimination(z2, z3)"], ["--order", "revlex"],
 ]
+# member, radical-member and contract run under grevlex whatever the flag
+# says (see TestOrderInvariance), so their properties draw every order too
 order_flags = st.sampled_from(ORDER_FLAGS)
-# radical membership runs away under lex and elimination orders (see
-# test_runaway), so its argvs keep to grevlex
-radical_order_flags = st.sampled_from([[], ["--order", "grevlex"], ["--order", "revlex"]])
 
 
 @st.composite
@@ -550,14 +550,66 @@ def member_argvs(draw, command):
         poly = "(%s)^%d*(%s)" % (_linear_text(draw), draw(st.integers(1, 12)), poly)
     if command == "member" and draw(st.booleans()):
         poly += " + eps*z1"
-    orders = radical_order_flags if command == "radical-member" else order_flags
-    return [command, "--ideal=" + draw(ideal_texts()), "--poly=" + poly] + draw(orders)
+    return [command, "--ideal=" + draw(ideal_texts()), "--poly=" + poly] + draw(order_flags)
 
 
 @st.composite
 def contract_argvs(draw):
     keep = str(draw(st.integers(-1, 3)))
     return ["contract", "--ideal=" + draw(ideal_texts()), "--keep", keep] + draw(order_flags)
+
+
+def _within_5_s(call):
+    def timeout(signum, frame):
+        raise TimeoutError("past 5 s")
+
+    previous = signal.signal(signal.SIGALRM, timeout)
+    signal.alarm(5)
+    try:
+        return call()
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+# Argvs that took seconds or minutes while member and radical-member read
+# --order, each with that order. The member call spent 8.6 s in one normal
+# form; the radical-member ones, over 240 s, 13.4 s and 101.5 s in the
+# Rabinowitsch basis. Under grevlex each takes about 0.01 s.
+SLOW_UNDER_ORDER = {
+    "member-elimination": (
+        [
+            "member",
+            "--ideal=((-1)*z1 + (-2)*z2 + (-3))^11; (2+i) + (-3+2*i)*z1^2 + (-2*i)*z2^2",
+            "--poly=((-3)*z1 + (0)*z2 + (0))^9*((2) + (0))",
+        ],
+        "elimination(z1)",
+    ),
+    "radical-member-lex": (
+        [
+            "radical-member",
+            "--ideal=((-2)*z1 + (-3+2*i)*z2 + (-1+i))^8",
+            "--poly=((-1+i)*z1 + (-2*i)*z2 + (3))^3*((3+2*i)*z1*z3)",
+        ],
+        "lex",
+    ),
+    "radical-member-elimination": (
+        [
+            "radical-member",
+            "--ideal=((1-2*i)*z1 + (-3-i)*z2 + (-2-2*i))^7",
+            "--poly=((1-2*i)*z1 + (3-2*i)*z2 + (1))*((-3)*z1 + 1)",
+        ],
+        "elimination(z1)",
+    ),
+    "radical-member-elimination-101-s": (
+        [
+            "radical-member",
+            "--ideal=((i)*z1 + (1+i)*z2 + (2))*((1)*z1 + (i)*z2 + (-1))*((3)*z1 + (2)*z2 + (1))^2",
+            "--poly=((-3+2*i)*z1 + (-3+2*i)*z2 + (3))*((2)*z1 + (-3+2*i)*z2 + (-2))*((2)*z1 + (2)*z2 + (-2))",
+        ],
+        "elimination(z1)",
+    ),
+}
 
 
 class TestIdealArgvProperty:
@@ -571,49 +623,76 @@ class TestIdealArgvProperty:
 
     @pytest.mark.xfail(
         strict=True,
-        reason="no resource bound yet: on a 2-core box the three calls took "
-        "over 240 s, 13.4-13.6 s and over 240 s (ROADMAP items 2 and 4)",
+        reason="no resource bound yet: on a 2-core box the call took over "
+        "240 s (ROADMAP items 2 and 4)",
     )
     @pytest.mark.parametrize(
         "argv",
         [
-            [
-                "radical-member",
-                "--ideal=((-2)*z1 + (-3+2*i)*z2 + (-1+i))^8",
-                "--poly=((-1+i)*z1 + (-2*i)*z2 + (3))^3*((3+2*i)*z1*z3)",
-                "--order", "lex",
-            ],
-            [
-                "radical-member",
-                "--ideal=((1-2*i)*z1 + (-3-i)*z2 + (-2-2*i))^7",
-                "--poly=((1-2*i)*z1 + (3-2*i)*z2 + (1))*((-3)*z1 + 1)",
-                "--order", "elimination(z1)",
-            ],
             [
                 "groebner",
                 "--ideal=(-2-i)*z1^2 + (-2*i)*z2*z3; ((3+2*i)*z1 + (-3-2*i)*z2 + (-2-i))^7",
                 "--order", "lex",
             ],
         ],
-        ids=["radical-member-lex", "radical-member-elimination", "groebner-lex-3-variables"],
+        ids=["groebner-lex-3-variables"],
     )
     def test_runaway(self, argv):
-        # these two radical-member argvs take under 0.1 s under grevlex,
-        # which is why that property keeps to grevlex; that does not make
-        # grevlex fast for every radical-member argv (CHANGES.md names one
-        # of the property's that takes 16.7 s); ideal generators in the
-        # properties use z1 and z2 only, which keeps out the third argv
-        def timeout(signum, frame):
-            raise TimeoutError("past 5 s")
-
-        previous = signal.signal(signal.SIGALRM, timeout)
-        signal.alarm(5)
-        try:
-            code, out = run_command(argv)
-        finally:
-            signal.alarm(0)
-            signal.signal(signal.SIGALRM, previous)
+        # ideal generators in the properties use z1 and z2 only, which keeps
+        # this argv out of them
+        code, out = _within_5_s(lambda: run_command(argv))
         assert code in (0, 1) and json.loads(out).get("error", {}).get("code") != "internal"
+
+    @pytest.mark.parametrize("name", ["radical-member-lex", "radical-member-elimination"])
+    def test_former_runaway(self, name):
+        # radical-member builds its Rabinowitsch ideal under grevlex, so
+        # these end within 5 s whatever --order says
+        argv, order = SLOW_UNDER_ORDER[name]
+        code, out = _within_5_s(lambda: run_command(argv + ["--order", order]))
+        assert code == 0 and '"result":false' in out
+
+    @pytest.mark.xfail(
+        strict=True,
+        raises=TimeoutError,
+        reason="no resource bound yet: on a 2-core box the bases took over "
+        "240 s and 101.5 s (ROADMAP items 2 and 4)",
+    )
+    @pytest.mark.parametrize("name", ["radical-member-lex", "radical-member-elimination-101-s"])
+    def test_rabinowitsch_runaway(self, name):
+        # the engine defect those argvs drew, pinned at the library: the
+        # Rabinowitsch ideal's basis under the order they named
+        argv, order = SLOW_UNDER_ORDER[name]
+        gens = parse_generators(argv[1].removeprefix("--ideal="))
+        g = parse_poly(argv[2].removeprefix("--poly="))
+        probe = Poly.constant(1) - Poly.variable(0) * g
+        ideal = Ideal(gens + [probe], MonomialOrder.from_name(order))
+        _within_5_s(ideal.is_proper)
+
+
+# the corpus fixtures of the commands that read no --order, and the argvs above
+ORDER_FREE_ARGVS = {
+    case["name"]: case["argv"]
+    for case in json.loads((DATA_DIR / "corpus.json").read_text())["cases"]
+    if case["argv"][0] in ("member", "radical-member", "contract")
+}
+ORDER_FREE_ARGVS.update((name, argv) for name, (argv, _) in SLOW_UNDER_ORDER.items())
+
+
+class TestOrderInvariance:
+    """member, radical-member and contract answer the same under any order."""
+
+    @pytest.mark.parametrize("argv", list(ORDER_FREE_ARGVS.values()), ids=list(ORDER_FREE_ARGVS))
+    def test_same_answer_under_every_order(self, argv):
+        answers = []
+        for flags in ([], ["--order", "lex"], ["--order", "grevlex"],
+                      ["--order", "elimination(z1)"], ["--order", "elimination(z2,z3)"]):
+            start = time.perf_counter()
+            code, out = run_command(argv + flags)
+            assert time.perf_counter() - start < 1.0, flags
+            body = json.loads(out)
+            del body["config"]
+            answers.append((code, body))
+        assert all(a == answers[0] for a in answers)
 
 
 # Well-formed argvs for the module commands: rows and matrices of small

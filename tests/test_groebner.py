@@ -496,6 +496,23 @@ class TestExtendedDomain:
             lifted = buchberger([g.to_extended() for g in I.generators])
             assert lifted == [g.to_extended() for g in buchberger(list(I.generators))]
 
+    @pytest.mark.parametrize(
+        "order", [GREVLEX, LEX, MonomialOrder("elimination", {1})], ids=lambda o: o.name
+    )
+    def test_cleared_basis_leads_are_one_plus_infinitesimal(self, order):
+        # each monic reduced basis here has LCFraction coefficients, so
+        # clearing its denominators scales it; the scale must leave every
+        # lead coefficient, under the ideal's order, with eps^0 term 1
+        for text in (
+            "z1 - eps; (1 + eps)*z2 - 1",
+            "eps*z1^2 + z2; (1 + eps)*z1*z2 - 1",
+            "(1 + eps)*z1 - z2; (2 + eps^(1/2))*z2^2 - z1",
+        ):
+            basis = Ideal([ext(t) for t in text.split(";")], order).groebner_basis()
+            leads = [g.terms[max(g.terms, key=order.key())] for g in basis]
+            assert all(c.leading() == (0, 1) for c in leads)
+            assert any(c != 1 for c in leads)
+
     def test_extended_membership(self):
         I = Ideal([ext("z1 + eps*z2")])
         assert ideal_member(ext("z1*z2 + eps*z2^2"), I)
