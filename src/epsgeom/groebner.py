@@ -13,11 +13,13 @@ monomial order, then indices), and reduced bases are sorted by descending
 leading term.
 
 Inside the engine each term (position, monomial) is one int, packed under a
-per-Module layout of its variables and order (see _Layout): a monomial
-product is an int add, the position-over-term order is an int compare, and
-divisibility is a guard-bit mask.  Polynomials are packed where they enter
-the engine and unpacked where they leave, and a module whose terms outgrow
-the layout's fields moves to a wider one, so results stay exact.
+per-Module layout of its variables and order: a monomial product is an int
+add, the position-over-term order is an int compare, and divisibility is a
+guard-bit mask.  The layout (_Layout) and the multiply-accumulate loops live
+in poly.py, where Poly products run on them too.  Polynomials are packed
+where they enter the engine and unpacked where they leave, and a module
+whose terms outgrow the layout's fields moves to a wider one, so results
+stay exact.
 
 Over Q(i) the engine's data are primitive Gaussian-integer pairs (a, b), and
 a reduction step scales the vector it reduces rather than dividing by the
@@ -35,7 +37,6 @@ basis.
 
 from __future__ import annotations
 
-import functools
 import heapq
 import math
 from dataclasses import dataclass
@@ -47,8 +48,11 @@ from .levicivita import LC_ONE, LCFraction, LCNumber, lc_lcm
 from .poly import (
     EXTENDED,
     STANDARD,
-    Monomial,
     Poly,
+    _axpy,
+    _layout,
+    _Overflow,
+    _zi_axpy,
     elimination_key,
     grevlex_key,
     lex_key,
@@ -130,121 +134,8 @@ GREVLEX = MonomialOrder("grevlex")
 LEX = MonomialOrder("lex")
 
 
-# --- internal vector-polynomial layer ----------------------------------------
-#
-# A vector polynomial is a dict {term: coefficient}, each coefficient in the
-# form of the field's kernel (see below).  A term is one int
-# that packs a position and a monomial under a _Layout.  The module order is
-# position-over-term (smaller position ranks higher, monomials compared by
-# the session order within a position), and a larger int is a larger term.
-# A monomial is the term at position 0, and multiplying a term by it adds
-# the two ints.  Terms are packed where polynomials enter (a kernel's entry)
-# and unpacked where they leave (_vec_to_polys).
-
-# field width in bits that a layout starts from; it doubles on overflow
+# field width in bits that a Module's layout starts from; it doubles on overflow
 _START_WIDTH = 8
-
-
-class _Overflow(Exception):
-    """A term outgrew its layout's fields: widen the layout and run again."""
-
-
-class _Layout:
-    """Packing of the (position, Monomial) terms over one order and variable set.
-
-    W-bit fields, most significant first, each a sum of exponents over the
-    variables in ascending index:
-      - the order key: grevlex as (deg, S_{n-1}, ..., S_1) with
-        S_k = e_1 + ... + e_k, lex as (e_1, ..., e_n), elimination as the
-        block degree and then the grevlex fields;
-      - one exponent per variable, for the divisibility test;
-      - the degree, for pair selection.
-    A field that repeats an earlier one is left out.  Packing is linear, so
-    pack(m*n) = pack(m) + pack(n), and the order fields lead, so one int
-    compare is one order-key compare.  The top bit of each field is a guard
-    that every stored term keeps clear: u - t has no guard bit set iff each
-    field of t is at most u's, i.e. iff t divides u, and a sum that sets one
-    has overflowed.  Every field is at most the degree, so a monomial fits
-    iff its degree is below 2^(W-1).  The position sits above the fields as
-    -pos << top: one int compare is position-over-term, and adding a
-    monomial never touches the position.
-    """
-
-    __slots__ = (
-        "variables", "width", "top", "guard", "_mask", "_unit", "_exps", "_deg"
-    )
-
-    def __init__(self, order, variables, width):
-        ascending = tuple(sorted(variables))
-        every = frozenset(ascending)
-        singles = [frozenset((v,)) for v in ascending]
-        grevlex = [frozenset(ascending[:k]) for k in range(len(ascending), 0, -1)]
-        if order.kind == "lex":
-            key = singles
-        elif order.kind == "grevlex":
-            key = grevlex
-        else:
-            key = [every.intersection(order.block)] + grevlex
-        fields = list(dict.fromkeys(key + singles + [every]))
-        shift = {f: width * (len(fields) - 1 - i) for i, f in enumerate(fields)}
-        self.variables = every
-        self.width = width
-        self.top = width * len(fields)
-        self.guard = sum(1 << (s + width - 1) for s in shift.values())
-        self._mask = (1 << width) - 1
-        self._unit = {
-            v: sum(1 << s for f, s in shift.items() if v in f) for v in ascending
-        }
-        self._exps = tuple(zip(ascending, (shift[f] for f in singles)))
-        self._deg = shift[every]
-
-    def term(self, pos, m):
-        """The int of (pos, m); raises _Overflow when m does not fit."""
-        if m.deg >> (self.width - 1):
-            raise _Overflow
-        x = -pos << self.top
-        unit = self._unit
-        for v, e in m.exps:
-            x += e * unit[v]
-        return x
-
-    def split(self, x):
-        """(position, Monomial) of a term."""
-        mask = self._mask
-        pairs = []
-        for v, s in self._exps:
-            e = x >> s & mask
-            if e:
-                pairs.append((v, e))
-        return -(x >> self.top), Monomial._raw(tuple(pairs))
-
-    def degree(self, x):
-        return x >> self._deg & self._mask
-
-    def divides(self, t, u):
-        """True iff term t divides term u (so both share a position)."""
-        d = u - t
-        return not (d >> self.top or d & self.guard)
-
-    def lcm(self, a, b):
-        """lcm of two terms at one position; raises _Overflow."""
-        mask, unit = self._mask, self._unit
-        for v, s in self._exps:
-            d = (b >> s & mask) - (a >> s & mask)
-            if d > 0:
-                a += d * unit[v]
-        if a & self.guard:
-            raise _Overflow
-        return a
-
-
-@functools.lru_cache(maxsize=256)
-def _layout(order, variables, width):
-    """The _Layout of an order, a frozenset of variables and a width.
-
-    Layouts are immutable, so modules over the same variables share one.
-    """
-    return _Layout(order, variables, width)
 
 
 def _variables(polys):
@@ -336,26 +227,7 @@ class _ZiKernel:
         la, lb = vec[lead]
         return vec, lead, (la, lb, la * la + lb * lb)
 
-    @staticmethod
-    def axpy(acc, coeff, mono, vec, guard):
-        """acc += coeff * x^mono * vec, in place; raises _Overflow."""
-        ca, cb = coeff
-        for x, (a, b) in vec.items():
-            key = x + mono
-            if key & guard:
-                raise _Overflow
-            pa = ca * a - cb * b
-            pb = ca * b + cb * a
-            s = acc.get(key)
-            if s is None:
-                acc[key] = (pa, pb)
-            else:
-                pa += s[0]
-                pb += s[1]
-                if pa or pb:
-                    acc[key] = (pa, pb)
-                else:
-                    del acc[key]
+    axpy = staticmethod(_zi_axpy)
 
     @staticmethod
     def divmod(vec, basis, layout):
@@ -483,20 +355,7 @@ class _LcKernel:
     def reducer(vec, lead):
         return vec, lead
 
-    @staticmethod
-    def axpy(acc, coeff, mono, vec, guard):
-        """acc += coeff * x^mono * vec, in place; raises _Overflow."""
-        for x, c in vec.items():
-            key = x + mono
-            if key & guard:
-                raise _Overflow
-            s = acc.get(key)
-            p = coeff * c
-            s = p if s is None else s + p
-            if s:
-                acc[key] = s
-            else:
-                acc.pop(key, None)
+    axpy = staticmethod(_axpy)
 
     @staticmethod
     def divmod(vec, basis, layout):
@@ -823,7 +682,9 @@ class Module:
         self._field = STANDARD if eps_free else EXTENDED
         self._kernel = _ZiKernel if eps_free else _LcKernel
         self._field_columns = demoted if eps_free else columns
-        self._layout = _layout(order, frozenset(_variables(flat)), _START_WIDTH)
+        self._layout = _layout(
+            order.kind, order.block, frozenset(_variables(flat)), _START_WIDTH
+        )
         self._vecs = None
         self._gb = None
         self._tagged = False
@@ -832,7 +693,7 @@ class Module:
     def _relayout(self, variables, width):
         """Move to a new layout, repacking the cached basis."""
         old = self._layout
-        new = _layout(self.order, variables, width)
+        new = _layout(self.order.kind, self.order.block, variables, width)
 
         def repack(vec):
             return {new.term(*old.split(x)): c for x, c in vec.items()}

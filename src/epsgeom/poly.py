@@ -6,10 +6,13 @@ GaussianRational ("standard" domain) or LCNumber / LCFraction ("extended"
 domain).  A Poly holds a finite Levi-Civita sum as an LCNumber, so its
 LCFraction coefficients are quotients that are not finite sums.  Monomials
 carry strictly positive integer exponents only.
+The packed-term layer that Poly products and the Groebner engine share
+lives here too: _Layout, and the multiply-accumulate loops _zi_axpy and _axpy.
 """
 
 from __future__ import annotations
 
+import functools
 from fractions import Fraction
 
 from .errors import (
@@ -310,29 +313,28 @@ class Poly:
                 a.domain,
                 {ma.mul(mb): ca * cb for ma, ca in ta.items() for mb, cb in tb.items()},
             )
-        # Each monomial packs into one int, a field per variable that occurs
-        # and the degree on top. A product's exponents are at most the sum of
-        # the total degrees, so fields that wide never carry and a monomial
-        # product is an int add.
-        variables = sorted({v for m in (*ta, *tb) for v, _ in m.exps})
-        width = (max(m.deg for m in ta) + max(m.deg for m in tb)).bit_length()
-        fields = [(v, i * width) for i, v in enumerate(variables)]
-        top = len(fields) * width
-        shift = dict(fields)
-        product = _gaussian_product if a.domain == STANDARD else _product
-        acc = product(
-            _pack(ta, shift, top), ta.values(), _pack(tb, shift, top), tb.values()
-        )
-        mask = (1 << width) - 1
-        terms = {}
-        for k, c in acc.items():
-            pairs = []
-            for v, sh in fields:
-                e = k >> sh & mask
-                if e:
-                    pairs.append((v, e))
-            terms[Monomial._raw(tuple(pairs), k >> top)] = c
-        return Poly(a.domain, terms)
+        # one lex layout whose fields hold the sum of the total degrees below
+        # their guard bits, so no monomial product overflows
+        width = (max(m.deg for m in ta) + max(m.deg for m in tb)).bit_length() + 1
+        variables = frozenset(v for m in (*ta, *tb) for v, _ in m.exps)
+        layout = _layout("lex", (), variables, width)
+        term, guard, acc = layout.term, layout.guard, {}
+        if a.domain == STANDARD:
+            # Z[i] pairs over one common denominator, each sum normalised once
+            da, ca = gaussian_integers(ta.values())
+            db, cb = gaussian_integers(tb.values())
+            axpy = _zi_axpy
+        else:
+            ca, cb, axpy = ta.values(), tb.values(), _axpy
+        right = {term(0, m): c for m, c in zip(tb, cb)}
+        for m, c in zip(ta, ca):
+            axpy(acc, c, term(0, m), right, guard)
+        if a.domain == STANDARD:
+            den = da * db
+            norm = _new if den == 1 else _normalised
+            acc = {x: norm(re, im, den) for x, (re, im) in acc.items()}
+        split = layout.split
+        return Poly(a.domain, {split(x)[1]: c for x, c in acc.items()})
 
     __rmul__ = __mul__
 
@@ -405,67 +407,157 @@ class Poly:
 QI_ZERO_FOR = {STANDARD: QI_ZERO, EXTENDED: LC_ZERO}
 
 
-# The two product loops below sum the products in the schoolbook order and
-# drop a term as soon as it cancels, so the output keeps the insertion order
-# of the plain loop over (Monomial, coefficient) pairs.
+# --- internal vector-polynomial layer ----------------------------------------
+#
+# A vector polynomial is a dict {term: coefficient}.  A term is one int that
+# packs a position and a monomial under a _Layout.  The module order is
+# position-over-term (smaller position ranks higher, monomials compared by
+# the order within a position), and a larger int is a larger term.  A
+# monomial is the term at position 0, and multiplying a term by it adds the
+# two ints.  Poly products and the Groebner engine both run on this layer.
 
 
-def _gaussian_product(ka, ca, kb, cb):
-    """Packed product over Q(i), on Z[i] pairs over one common denominator;
-    each output coefficient is normalised once."""
-    da, za = gaussian_integers(ca)
-    db, zb = gaussian_integers(cb)
-    right = list(zip(kb, zb))
-    acc = {}
-    get = acc.get
-    for x, (ar, ai) in zip(ka, za):
-        for y, (br, bi) in right:
-            k = x + y
-            re = ar * br - ai * bi
-            im = ar * bi + ai * br
-            s = get(k)
-            if s is None:
-                acc[k] = (re, im)
-            else:
-                re += s[0]
-                im += s[1]
-                if re or im:
-                    acc[k] = (re, im)
-                else:
-                    del acc[k]
-    den = da * db
-    norm = _new if den == 1 else _normalised
-    return {k: norm(re, im, den) for k, (re, im) in acc.items()}
+class _Overflow(Exception):
+    """A term outgrew its layout's fields: widen the layout and run again."""
 
 
-def _product(ka, ca, kb, cb):
-    """Packed product over any coefficient ring."""
-    right = list(zip(kb, cb))
-    acc = {}
-    get = acc.get
-    for x, a in zip(ka, ca):
-        for y, b in right:
-            k = x + y
-            p = a * b
-            s = get(k)
-            s = p if s is None else s + p
-            if s:
-                acc[k] = s
-            else:
-                del acc[k]
-    return acc
+class _Layout:
+    """Packing of the (position, Monomial) terms over one order and variable set.
 
+    The order is its kind ("grevlex", "lex" or "elimination") and block.
+    W-bit fields, most significant first, each a sum of exponents over the
+    variables in ascending index:
+      - the order key: grevlex as (deg, S_{n-1}, ..., S_1) with
+        S_k = e_1 + ... + e_k, lex as (e_1, ..., e_n), elimination as the
+        block degree and then the grevlex fields;
+      - one exponent per variable, for the divisibility test;
+      - the degree, for pair selection.
+    A field that repeats an earlier one is left out.  Packing is linear, so
+    pack(m*n) = pack(m) + pack(n), and the order fields lead, so one int
+    compare is one order-key compare.  The top bit of each field is a guard
+    that every stored term keeps clear: u - t has no guard bit set iff each
+    field of t is at most u's, i.e. iff t divides u, and a sum that sets one
+    has overflowed.  Every field is at most the degree, so a monomial fits
+    iff its degree is below 2^(W-1).  The position sits above the fields as
+    -pos << top: one int compare is position-over-term, and adding a
+    monomial never touches the position.
+    """
 
-def _pack(monomials, shift, top):
-    """Each monomial as one int: exponent e of variable v at bit shift[v],
-    and the degree at bit top."""
-    out = []
-    for m in monomials:
-        k = m.deg << top
+    __slots__ = (
+        "variables", "width", "top", "guard", "_mask", "_unit", "_exps", "_deg"
+    )
+
+    def __init__(self, kind, block, variables, width):
+        ascending = tuple(sorted(variables))
+        every = frozenset(ascending)
+        singles = [frozenset((v,)) for v in ascending]
+        grevlex = [frozenset(ascending[:k]) for k in range(len(ascending), 0, -1)]
+        if kind == "lex":
+            key = singles
+        elif kind == "grevlex":
+            key = grevlex
+        else:
+            key = [every.intersection(block)] + grevlex
+        fields = list(dict.fromkeys(key + singles + [every]))
+        shift = {f: width * (len(fields) - 1 - i) for i, f in enumerate(fields)}
+        self.variables = every
+        self.width = width
+        self.top = width * len(fields)
+        self.guard = sum(1 << (s + width - 1) for s in shift.values())
+        self._mask = (1 << width) - 1
+        self._unit = {
+            v: sum(1 << s for f, s in shift.items() if v in f) for v in ascending
+        }
+        self._exps = tuple(zip(ascending, (shift[f] for f in singles)))
+        self._deg = shift[every]
+
+    def term(self, pos, m):
+        """The int of (pos, m); raises _Overflow when m does not fit."""
+        if m.deg >> (self.width - 1):
+            raise _Overflow
+        x = -pos << self.top
+        unit = self._unit
         for v, e in m.exps:
-            k += e << shift[v]
-        out.append(k)
-    return out
+            x += e * unit[v]
+        return x
+
+    def split(self, x):
+        """(position, Monomial) of a term."""
+        mask = self._mask
+        pairs = []
+        for v, s in self._exps:
+            e = x >> s & mask
+            if e:
+                pairs.append((v, e))
+        return -(x >> self.top), Monomial._raw(tuple(pairs), x >> self._deg & mask)
+
+    def degree(self, x):
+        return x >> self._deg & self._mask
+
+    def divides(self, t, u):
+        """True iff term t divides term u (so both share a position)."""
+        d = u - t
+        return not (d >> self.top or d & self.guard)
+
+    def lcm(self, a, b):
+        """lcm of two terms at one position; raises _Overflow."""
+        mask, unit = self._mask, self._unit
+        for v, s in self._exps:
+            d = (b >> s & mask) - (a >> s & mask)
+            if d > 0:
+                a += d * unit[v]
+        if a & self.guard:
+            raise _Overflow
+        return a
+
+
+@functools.lru_cache(maxsize=256)
+def _layout(kind, block, variables, width):
+    """The shared (immutable) _Layout of an order kind and block, a frozenset
+    of variables and a width."""
+    return _Layout(kind, block, variables, width)
+
+
+# The multiply-accumulate loops: acc += coeff * x^mono * vec in place, in
+# vec's order, dropping a term as soon as it cancels, so a schoolbook product
+# keeps the term order of the plain loop over (Monomial, coefficient) pairs.
+# Both raise _Overflow when a sum sets a guard bit.
+
+
+def _zi_axpy(acc, coeff, mono, vec, guard):
+    """The loop over Gaussian-integer pairs (a, b)."""
+    ca, cb = coeff
+    for x, (a, b) in vec.items():
+        key = x + mono
+        if key & guard:
+            raise _Overflow
+        pa = ca * a - cb * b
+        pb = ca * b + cb * a
+        s = acc.get(key)
+        if s is None:
+            acc[key] = (pa, pb)
+        else:
+            pa += s[0]
+            pb += s[1]
+            if pa or pb:
+                acc[key] = (pa, pb)
+            else:
+                del acc[key]
+
+
+def _axpy(acc, coeff, mono, vec, guard):
+    """The loop over any coefficient ring."""
+    for x, c in vec.items():
+        key = x + mono
+        if key & guard:
+            raise _Overflow
+        s = acc.get(key)
+        p = coeff * c
+        s = p if s is None else s + p
+        if s:
+            acc[key] = s
+        else:
+            acc.pop(key, None)
 
 
 def _power(powers, v, x, e):

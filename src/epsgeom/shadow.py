@@ -315,9 +315,12 @@ def open_shadow_witness(f, a, seed=0):
     first direction with a nonzero restriction, u = c*eps works for some
     c <= deg + 1.  The returned point's .value is f there, the nonzero
     value the search tested: f(a) itself, or h(u) for the restriction h.
+    The point a may also be a plain mapping from variable index to LC number.
     """
     if not f:
         raise EmptyOpen("the zero polynomial cuts out an empty open set")
+    if not isinstance(a, PointAssignment):
+        a = PointAssignment(a)
     f = f.to_extended()
     for v in f.support():
         if v not in a:

@@ -10,6 +10,8 @@ solution by products and then runs the engine twice where epsgeom.transfer
 runs it once.  The other two are the lift and the closure report that
 reduces its normalised product on the whole line (2 pair-loop runs) and
 lifts each shadow root through the public lift, which normalises again.
+reference_product is the packed product that Poly.__mul__ made with its own
+packing, before it ran on the engine's layout.
 """
 
 from fractions import Fraction
@@ -21,7 +23,15 @@ from epsgeom.errors import (
     NotAShadowRoot,
     NotASolution,
 )
-from epsgeom.gaussian import QI_ONE, QI_ZERO, GaussianRational, gaussian_poly_roots
+from epsgeom.gaussian import (
+    QI_ONE,
+    QI_ZERO,
+    GaussianRational,
+    _new,
+    _normalised,
+    gaussian_integers,
+    gaussian_poly_roots,
+)
 from epsgeom.groebner import Module, module_syzygies, syzygy_basis
 from epsgeom.levicivita import INF, LC_ONE, LC_ZERO, LCNumber, TruncationOrder, _lc_coerce
 from epsgeom.parser import format_gaussian, format_lc, format_poly
@@ -293,6 +303,94 @@ def reference_poly_mul(f, g):
             else:
                 acc.pop(m, None)
     return Poly(f.domain, acc)
+
+
+def reference_product(f, g):
+    """f * g as Poly.__mul__ made it on its own packing, before products ran
+    on the engine's layout: each monomial one int, a field per variable with
+    the degree on top, multiplied by two loops in the schoolbook order.  It
+    pins the term order of products as well as their terms."""
+    if f.domain != g.domain:
+        f, g = f.to_extended(), g.to_extended()
+    ta, tb = f.terms, g.terms
+    if len(ta) <= 1 or len(tb) <= 1:
+        return Poly(
+            f.domain,
+            {ma.mul(mb): ca * cb for ma, ca in ta.items() for mb, cb in tb.items()},
+        )
+    variables = sorted({v for m in (*ta, *tb) for v, _ in m.exps})
+    width = (max(m.deg for m in ta) + max(m.deg for m in tb)).bit_length()
+    fields = [(v, i * width) for i, v in enumerate(variables)]
+    top = len(fields) * width
+    shift = dict(fields)
+    product = _reference_gaussian_product if f.domain == STANDARD else _reference_ring_product
+    acc = product(
+        _reference_pack(ta, shift, top), ta.values(), _reference_pack(tb, shift, top), tb.values()
+    )
+    mask = (1 << width) - 1
+    terms = {}
+    for k, c in acc.items():
+        pairs = []
+        for v, sh in fields:
+            e = k >> sh & mask
+            if e:
+                pairs.append((v, e))
+        terms[Monomial._raw(tuple(pairs), k >> top)] = c
+    return Poly(f.domain, terms)
+
+
+def _reference_gaussian_product(ka, ca, kb, cb):
+    """Packed product over Q(i), on Z[i] pairs over one common denominator."""
+    da, za = gaussian_integers(ca)
+    db, zb = gaussian_integers(cb)
+    right = list(zip(kb, zb))
+    acc = {}
+    for x, (ar, ai) in zip(ka, za):
+        for y, (br, bi) in right:
+            k = x + y
+            re = ar * br - ai * bi
+            im = ar * bi + ai * br
+            s = acc.get(k)
+            if s is None:
+                acc[k] = (re, im)
+            else:
+                re += s[0]
+                im += s[1]
+                if re or im:
+                    acc[k] = (re, im)
+                else:
+                    del acc[k]
+    den = da * db
+    norm = _new if den == 1 else _normalised
+    return {k: norm(re, im, den) for k, (re, im) in acc.items()}
+
+
+def _reference_ring_product(ka, ca, kb, cb):
+    """Packed product over any coefficient ring."""
+    right = list(zip(kb, cb))
+    acc = {}
+    for x, a in zip(ka, ca):
+        for y, b in right:
+            k = x + y
+            p = a * b
+            s = acc.get(k)
+            s = p if s is None else s + p
+            if s:
+                acc[k] = s
+            else:
+                del acc[k]
+    return acc
+
+
+def _reference_pack(monomials, shift, top):
+    """Each monomial as one int: exponent e of v at bit shift[v], the degree at top."""
+    out = []
+    for m in monomials:
+        k = m.deg << top
+        for v, e in m.exps:
+            k += e << shift[v]
+        out.append(k)
+    return out
 
 
 # Reference comparators for the monomial orders: cmp(m, n) is -1, 0 or 1.

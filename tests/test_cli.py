@@ -391,15 +391,16 @@ class TestMain:
         out = capsys.readouterr().out
         assert json.loads(out)["result"] == "3"
 
-    def test_closed_stdout_is_not_a_traceback(self):
+    @staticmethod
+    def _with_closed_stdout(*argv):
         # the pipe's read end is closed before the child writes, so its
         # print meets a broken pipe
         read, write = os.pipe()
         os.close(read)
         src = str(Path(epsgeom.__file__).resolve().parents[1])
         try:
-            proc = subprocess.run(
-                [sys.executable, "-m", "epsgeom", "verify-closure", "--roots=-3*eps^2"],
+            return subprocess.run(
+                [sys.executable, "-m", "epsgeom", *argv],
                 stdout=write,
                 stderr=subprocess.PIPE,
                 env=dict(os.environ, PYTHONPATH=src),
@@ -407,8 +408,16 @@ class TestMain:
             )
         finally:
             os.close(write)
+
+    def test_closed_stdout_is_not_a_traceback(self):
+        proc = self._with_closed_stdout("verify-closure", "--roots=-3*eps^2")
         assert proc.stderr == b""
-        assert proc.returncode in (0, 1, 2)
+        assert proc.returncode == 0
+
+    def test_closed_stdout_keeps_the_corpus_exit_code(self):
+        proc = self._with_closed_stdout("corpus")
+        assert proc.stderr == b""
+        assert proc.returncode == 0
 
 
 # Well-formed argvs for the lifting commands: roots c*eps^q (+ a standard

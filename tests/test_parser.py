@@ -1,4 +1,5 @@
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -17,6 +18,8 @@ from epsgeom.parser import (
 )
 from epsgeom.poly import Poly
 from epsgeom.shadow import PointAssignment
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 class TestParseExamples:
@@ -88,6 +91,12 @@ class TestGrammarEdges:
         gens = parse_generators("z1; z2 - 1")
         assert len(gens) == 2
         assert gens[1] == parse_poly("z2 - 1")
+
+    def test_readme_point_example(self):
+        # the grammar section writes a point this way, and it must parse
+        text = "z1 = 1 + eps, z2 = -1/2"
+        assert "points are written `%s`" % text in " ".join(README.read_text().split())
+        assert parse_point(text) == {1: parse_lc("1 + eps"), 2: parse_lc("-1/2")}
 
 
 class TestRoundTrips:

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _oracles import compose_polys, reference_poly_mul
+from _oracles import compose_polys, reference_poly_mul, reference_product
 from _strategies import (
     extended_polys,
     gaussians,
@@ -25,6 +25,7 @@ from epsgeom.parser import format_poly, parse_lc, parse_poly
 from epsgeom.poly import (
     EXTENDED,
     MONO_ONE,
+    STANDARD,
     AffineSubstitution,
     Monomial,
     Poly,
@@ -396,17 +397,16 @@ def _kernel_polys(coeffs, domain="standard"):
     )
 
 
-kernel_standard = _kernel_polys(st.one_of(unit_gaussians, fraction_gaussians, gaussians()))
-kernel_extended = _kernel_polys(
-    st.one_of(
-        unit_gaussians.map(LCNumber.from_gaussian),
-        lc_numbers(max_terms=2),
-        st.tuples(lc_numbers(max_terms=2), lc_numbers(max_terms=2, nonzero=True)).map(
-            lambda nd: LCFraction(*nd)
-        ),
+kernel_standard_coeffs = st.one_of(unit_gaussians, fraction_gaussians, gaussians())
+kernel_extended_coeffs = st.one_of(
+    unit_gaussians.map(LCNumber.from_gaussian),
+    lc_numbers(max_terms=2),
+    st.tuples(lc_numbers(max_terms=2), lc_numbers(max_terms=2, nonzero=True)).map(
+        lambda nd: LCFraction(*nd)
     ),
-    EXTENDED,
 )
+kernel_standard = _kernel_polys(kernel_standard_coeffs)
+kernel_extended = _kernel_polys(kernel_extended_coeffs, EXTENDED)
 
 
 def _same(f, g):
@@ -506,6 +506,61 @@ class TestProductKernel:
             x ** k
             monkeypatch.undo()
             assert len(calls) == _products(k), cls.__name__
+
+
+@st.composite
+def _poly_of_degree(draw, domain, d):
+    """A Poly of total degree exactly d."""
+
+    def upto(room):
+        exps = []
+        for v in draw(st.lists(st.sampled_from(WIDE_VARS), unique=True, max_size=3)):
+            e = draw(st.integers(0, room))
+            exps.append((v, e))
+            room -= e
+        return Monomial(exps)
+
+    coeffs = kernel_standard_coeffs if domain == STANDARD else kernel_extended_coeffs
+    terms = {upto(d): draw(coeffs) for _ in range(draw(st.integers(1, 4)))}
+    top = upto(d)
+    top = top.mul(Monomial([(draw(st.sampled_from(WIDE_VARS)), d - top.deg)]))
+    # a unit coefficient, so the degree-d term cannot be zero
+    one = draw(unit_gaussians)
+    terms[top] = one if domain == STANDARD else LCNumber.from_gaussian(one)
+    return Poly(domain, terms)
+
+
+@st.composite
+def _product_operands(draw):
+    """(f, g) whose degrees sum to 2^k - 1 or 2^k, the edges of a layout
+    width; with cancelling pairs and constants among them."""
+    k = draw(st.integers(1, 7))
+    total = 2**k - draw(st.integers(0, 1))
+    d = draw(st.integers(0, total))
+    f = draw(_poly_of_degree(draw(st.sampled_from([STANDARD, EXTENDED])), d))
+    g = draw(_poly_of_degree(draw(st.sampled_from([STANDARD, EXTENDED])), total - d))
+    shape = draw(st.sampled_from(["plain", "plain", "cancelling", "constant", "zero"]))
+    if shape == "cancelling":
+        # (f + g)(f - g): every cross term f*g cancels against g*f
+        return f + g, f - g
+    if shape == "constant":
+        return draw(_poly_of_degree(g.domain, 0)), f
+    if shape == "zero":
+        return f, Poly.zero(g.domain)
+    return f, g
+
+
+class TestProductOracle:
+    # the product keeps the terms and their order of its earlier packing
+    @given(_product_operands())
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    def test_matches_the_earlier_packed_product(self, fg):
+        f, g = fg
+        for a, b in ((f, g), (g, f)):
+            got, want = a * b, reference_product(a, b)
+            assert got.domain == want.domain
+            assert list(got.terms.items()) == list(want.terms.items())
+            assert _same(got, want)
 
 
 ORDER_KEYS = (grevlex_key, lex_key, elimination_key({2}), elimination_key({1, 3}))

@@ -335,6 +335,18 @@ class TestOpenWitness:
         with pytest.raises(EmptyOpen):
             open_shadow_witness(Poly.zero("extended"), pt({1: "0"}))
 
+    @pytest.mark.parametrize("f", ["z1 - 1", "z1", "z1*z2 - eps"])
+    def test_plain_mapping_point(self, f):
+        # a dict point gives what its PointAssignment gives: the search
+        # runs from f(a) when it is nonzero, and along a line otherwise
+        f = P(f).to_extended()
+        values = {1: LC_ZERO, 2: L("1 + eps")}
+        xi = open_shadow_witness(f, dict(values))
+        want = open_shadow_witness(f, PointAssignment(values))
+        assert xi == want and xi.value == want.value
+        with pytest.raises(InvalidInput):
+            open_shadow_witness(f, {1: "0", 2: LC_ZERO})
+
     @given(polys(max_vars=2, max_degree=3, nonzero=True), gaussians(), gaussians())
     @settings(max_examples=50, deadline=None)
     def test_halo_and_nonvanishing(self, f, a1, a2):
