@@ -3,7 +3,8 @@
 The root finder is complete: every root of a polynomial over Q(i) that lies in
 Q(i) is found, via the rational-root theorem over the Gaussian integers (Z[i]
 is a UFD, so candidates are unit multiples of divisor quotients).  Degrees and
-coefficient sizes here are desk scale, so trial division is plenty.
+coefficient sizes here are desk scale, so trial division is plenty.  Square
+roots are exact, on math.isqrt, whatever the size of the radicand.
 """
 
 from __future__ import annotations
@@ -196,45 +197,12 @@ QI_ONE = GaussianRational(1)
 QI_I = GaussianRational(0, 1)
 
 
-def int_nth_root(n, k):
-    """Exact k-th root of a nonnegative int, or None."""
-    if n < 0:
-        raise ValueError("negative radicand")
-    if n in (0, 1) or k == 1:
-        return n
-    r = int(round(n ** (1.0 / k)))
-    for c in (r - 1, r, r + 1, r + 2):
-        if c >= 0 and c**k == n:
-            return c
-    # float seed can drift for large n; fall back to bisection
-    lo, hi = 0, 1 << ((n.bit_length() + k - 1) // k + 1)
-    while lo <= hi:
-        mid = (lo + hi) // 2
-        p = mid**k
-        if p == n:
-            return mid
-        if p < n:
-            lo = mid + 1
-        else:
-            hi = mid - 1
+def _fraction_sqrt(q):
+    """Exact square root of a nonnegative Fraction, or None."""
+    a, b = math.isqrt(q.numerator), math.isqrt(q.denominator)
+    if a * a == q.numerator and b * b == q.denominator:
+        return Fraction(a, b)
     return None
-
-
-def fraction_nth_root(q, k):
-    """Exact k-th root of a Fraction (negative allowed for odd k), or None."""
-    q = Fraction(q)
-    if q < 0:
-        if k % 2 == 0:
-            return None
-        r = fraction_nth_root(-q, k)
-        return None if r is None else -r
-    a = int_nth_root(q.numerator, k)
-    if a is None:
-        return None
-    b = int_nth_root(q.denominator, k)
-    if b is None:
-        return None
-    return Fraction(a, b)
 
 
 def gaussian_sqrt(c):
@@ -246,14 +214,14 @@ def gaussian_sqrt(c):
     a, b = c.re, c.im
     if b == 0:
         if a >= 0:
-            r = fraction_nth_root(a, 2)
+            r = _fraction_sqrt(a)
             return None if r is None else GaussianRational(r)
-        r = fraction_nth_root(-a, 2)
+        r = _fraction_sqrt(-a)
         return None if r is None else GaussianRational(0, r)
-    m = fraction_nth_root(a * a + b * b, 2)
+    m = _fraction_sqrt(a * a + b * b)
     if m is None:
         return None
-    x = fraction_nth_root((a + m) / 2, 2)
+    x = _fraction_sqrt((a + m) / 2)
     if x is None or x == 0:
         return None
     return GaussianRational(x, b / (2 * x))
@@ -350,13 +318,6 @@ _UNITS = ((1, 0), (0, 1), (-1, 0), (0, -1))
 # --- univariate polynomials over Q(i), dense coefficient lists -------------
 
 
-def _poly_eval(coeffs, x):
-    acc = QI_ZERO
-    for c in reversed(coeffs):
-        acc = acc * x + c
-    return acc
-
-
 def _poly_div_linear(coeffs, r):
     """Divide by (y - r); returns (quotient, remainder)."""
     out = [QI_ZERO] * (len(coeffs) - 1)
@@ -366,6 +327,18 @@ def _poly_div_linear(coeffs, r):
         out[k - 1] = acc
     rem = coeffs[0] + acc * r
     return out, rem
+
+
+def _divide_out(coeffs, r):
+    """(multiplicity, quotient): divide by (y - r) until a remainder appears."""
+    mult = 0
+    while len(coeffs) > 1:
+        quo, rem = _poly_div_linear(coeffs, r)
+        if rem:
+            break
+        mult += 1
+        coeffs = quo
+    return mult, coeffs
 
 
 def gaussian_poly_roots(coeffs):
@@ -412,17 +385,10 @@ def gaussian_poly_roots(coeffs):
     for cand in candidates:
         if any(cand == r for r, _ in found):
             continue
-        if _poly_eval(coeffs, cand):
-            continue
-        mult = 0
-        work = coeffs
-        while len(work) > 1:
-            quo, rem = _poly_div_linear(work, cand)
-            if rem:
-                break
-            mult += 1
-            work = quo
-        found.append((cand, mult))
+        # the first remainder is the value at cand
+        mult = _divide_out(coeffs, cand)[0]
+        if mult:
+            found.append((cand, mult))
     found.sort(key=lambda rm: (rm[0].re, rm[0].im), reverse=True)
     return found
 

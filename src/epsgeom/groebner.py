@@ -53,41 +53,30 @@ from .poly import (
     _layout,
     _Overflow,
     _zi_axpy,
-    elimination_key,
-    grevlex_key,
-    lex_key,
 )
 
 _FRAC_ONE = LCFraction(LC_ONE)
 
 
 class MonomialOrder:
-    """grevlex, lex, or a block-elimination order over a variable set."""
+    """grevlex, lex, or a block-elimination order over a variable set.
 
-    __slots__ = ("kind", "block", "_key")
+    Its kind and block name the poly._Layout that defines the order.
+    """
+
+    __slots__ = ("kind", "block")
 
     def __init__(self, kind="grevlex", block=()):
         block = tuple(sorted({int(b) for b in block}))
-        if kind == "grevlex":
-            key = grevlex_key
-        elif kind == "lex":
-            key = lex_key
-        elif kind == "elimination":
-            key = elimination_key(block)
-        else:
+        if kind not in ("grevlex", "lex", "elimination"):
             raise InvalidInput("unknown monomial order %r" % kind)
         if block and kind != "elimination":
             raise InvalidInput("only elimination orders take a block")
         object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "block", block)
-        object.__setattr__(self, "_key", key)
 
     def __setattr__(self, name, value):
         raise AttributeError("MonomialOrder is immutable")
-
-    def key(self):
-        """Sort key over monomials: a larger tuple is a larger monomial."""
-        return self._key
 
     @property
     def name(self):

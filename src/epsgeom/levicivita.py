@@ -356,7 +356,7 @@ def lc_abs_cmp(x, y):
 
 
 def _unit_inverse(x):
-    """Exact inverse of a single-term number."""
+    """Exact inverse of x's leading term."""
     q, c = x.leading()
     return LCNumber.term(QI_ONE / c, -q)
 
@@ -366,7 +366,7 @@ def lc_inverse(x, t=TruncationOrder()):
     if not x:
         raise DivisionByZero("inverse of zero")
     order = _order_of(t)
-    unit_inv = _unit_inverse(LCNumber((x.leading(),)))
+    unit_inv = _unit_inverse(x)
     r = x * unit_inv - LC_ONE
     if not r:
         return unit_inv
@@ -401,7 +401,7 @@ def lc_nth_root(x, n, t=TruncationOrder()):
             "leading coefficient has no exact %d-th root in Q(i)" % n
         )
     unit = LCNumber.term(croot, Fraction(v, n))
-    r = x * _unit_inverse(LCNumber((x.leading(),))) - LC_ONE
+    r = x * _unit_inverse(x) - LC_ONE
     target = order - v
     if not r or target <= 0:
         return unit
@@ -455,7 +455,7 @@ def _lc_rem(a, b):
 
 def _unit_normalize(x):
     """Scale by a unit so valuation is 0 and the lowest coefficient is 1."""
-    return x * _unit_inverse(LCNumber((x.leading(),)))
+    return x * _unit_inverse(x)
 
 
 def lc_gcd(a, b):
@@ -618,7 +618,7 @@ def _frac_normalize(num, den):
     if not g.is_one():
         num = lc_exact_div(num, g)
         den = lc_exact_div(den, g)
-    u = _unit_inverse(LCNumber((den.leading(),)))
+    u = _unit_inverse(den)
     return num * u, den * u
 
 

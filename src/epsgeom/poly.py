@@ -8,6 +8,8 @@ LCFraction coefficients are quotients that are not finite sums.  Monomials
 carry strictly positive integer exponents only.
 The packed-term layer that Poly products and the Groebner engine share
 lives here too: _Layout, and the multiply-accumulate loops _zi_axpy and _axpy.
+A _Layout is the one definition of each monomial order: it orders the
+engine's terms, and a grevlex layout gives the print order of sorted_terms.
 """
 
 from __future__ import annotations
@@ -136,47 +138,6 @@ _object_new = object.__new__
 _set_exps = Monomial.exps.__set__
 _set_deg = Monomial.deg.__set__
 MONO_ONE = Monomial()
-
-
-# Each monomial order is a sort key: a larger tuple means a larger monomial.
-# The keys are prefix-free (no key is a proper prefix of another), so their
-# elementwise negations sort in exactly the reverse order.
-
-
-def grevlex_key(m):
-    """Graded reverse lexicographic; smaller variable indices rank higher.
-
-    Total degree first; ties go to the rightmost nonzero entry of the exponent
-    difference, negative winning, so the (var, exp) pairs are read from the
-    tail with both entries negated.
-    """
-    k = [m.deg]
-    for v, e in reversed(m.exps):
-        k += (-v, -e)
-    return tuple(k)
-
-
-def lex_key(m):
-    """Pure lexicographic; the variable with the smallest index is largest.
-
-    Each (var, exp) pair reads as (1, -var, exp) and the key ends with 0, so
-    z1 < z1*z2 without z1's key being a prefix of z1*z2's.
-    """
-    k = []
-    for v, e in m.exps:
-        k += (1, -v, e)
-    k.append(0)
-    return tuple(k)
-
-
-def elimination_key(block):
-    """Block order: total degree in `block` first, grevlex ties."""
-    block = frozenset(block)
-
-    def key(m):
-        return (sum(e for v, e in m.exps if v in block),) + grevlex_key(m)
-
-    return key
 
 
 def _promote_coeff(c):
@@ -401,7 +362,11 @@ class Poly:
 
     def sorted_terms(self):
         """Terms sorted descending in grevlex, the canonical print order."""
-        return sorted(self.terms.items(), key=lambda t: grevlex_key(t[0]), reverse=True)
+        terms = self.terms
+        width = max((m.deg for m in terms), default=0).bit_length() + 1
+        variables = frozenset(v for m in terms for v, _ in m.exps)
+        term = _layout("grevlex", (), variables, width).term
+        return sorted(terms.items(), key=lambda t: term(0, t[0]), reverse=True)
 
 
 QI_ZERO_FOR = {STANDARD: QI_ZERO, EXTENDED: LC_ZERO}
@@ -414,7 +379,8 @@ QI_ZERO_FOR = {STANDARD: QI_ZERO, EXTENDED: LC_ZERO}
 # position-over-term (smaller position ranks higher, monomials compared by
 # the order within a position), and a larger int is a larger term.  A
 # monomial is the term at position 0, and multiplying a term by it adds the
-# two ints.  Poly products and the Groebner engine both run on this layer.
+# two ints.  Poly products, the print order and the Groebner engine all run
+# on this layer.
 
 
 class _Overflow(Exception):
@@ -427,9 +393,10 @@ class _Layout:
     The order is its kind ("grevlex", "lex" or "elimination") and block.
     W-bit fields, most significant first, each a sum of exponents over the
     variables in ascending index:
-      - the order key: grevlex as (deg, S_{n-1}, ..., S_1) with
-        S_k = e_1 + ... + e_k, lex as (e_1, ..., e_n), elimination as the
-        block degree and then the grevlex fields;
+      - the order key, the rows of the order's weight matrix: grevlex as
+        (deg, S_{n-1}, ..., S_1) with S_k = e_1 + ... + e_k, lex as
+        (e_1, ..., e_n), elimination as the block degree and then the
+        grevlex fields;
       - one exponent per variable, for the divisibility test;
       - the degree, for pair selection.
     A field that repeats an earlier one is left out.  Packing is linear, so
@@ -642,19 +609,14 @@ def max_abs_normalize(f):
         raise ZeroPolynomial("cannot normalize the zero polynomial")
     f = f.to_extended()
     best_c = None
-    best_m = None
-    for m, c in f.terms.items():
+    # descending grevlex, so a tie keeps the larger monomial
+    for _, c in f.sorted_terms():
         if isinstance(c, LCFraction):
             # an LCFraction here is not a finite sum
             raise InvalidInput("normalize needs finite-sum coefficients")
-        if best_c is None:
-            best_c, best_m = c, m
-            continue
-        r = lc_abs_cmp(c, best_c)
-        if r > 0 or (r == 0 and grevlex_key(m) > grevlex_key(best_m)):
-            best_c, best_m = c, m
-    unit_inv = _unit_inverse(LCNumber((best_c.leading(),)))
-    return f.scale(unit_inv)
+        if best_c is None or lc_abs_cmp(c, best_c) > 0:
+            best_c = c
+    return f.scale(_unit_inverse(best_c))
 
 
 def split_inf_ap(f):

@@ -23,7 +23,7 @@ from .errors import (
     UnassignedVariable,
     UnlimitedValue,
 )
-from .gaussian import GaussianRational, QI_ZERO, _poly_div_linear, gaussian_poly_roots
+from .gaussian import GaussianRational, QI_ZERO, _divide_out, gaussian_poly_roots
 from .groebner import Ideal, radical_member
 from .levicivita import (
     INF,
@@ -370,13 +370,7 @@ def _collect_roots(sh, v, candidates):
         coeffs[m.exponent(v)] = c
     mults = {}
     for aa in candidates:
-        mults[aa] = 0
-        while len(coeffs) > 1:
-            quot, rem = _poly_div_linear(coeffs, aa)
-            if rem:
-                break
-            coeffs = quot
-            mults[aa] += 1
+        mults[aa], coeffs = _divide_out(coeffs, aa)
     return mults, coeffs
 
 

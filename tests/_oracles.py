@@ -14,6 +14,7 @@ reference_product is the packed product that Poly.__mul__ made with its own
 packing, before it ran on the engine's layout.
 """
 
+import functools
 from fractions import Fraction
 
 from epsgeom.errors import (
@@ -217,14 +218,14 @@ def is_monic_reduced_basis(vectors, order):
     """Is vectors a monic reduced Groebner basis, listed by descending lead?
 
     Position-over-term order: a vector's lead is its largest term, under
-    order.key(), at its smallest nonzero position.  Checked from the terms
+    order_cmp(order), at its smallest nonzero position.  Checked from the terms
     alone: each lead coefficient is 1, no term of a vector is divisible by
     another vector's lead at the same position, and the S-vector of each
     pair of leads at one position reduces to zero by plain division
     (Buchberger's criterion).  Together with the module's span this fixes
     the vectors: a module has one monic reduced basis.
     """
-    key = order.key()
+    key = functools.cmp_to_key(order_cmp(order))
     vectors = [list(v) for v in vectors]
     leads = [_pot_lead(v, key) for v in vectors]
     if None in leads or any(v[p].terms[m] != 1 for v, (p, m) in zip(vectors, leads)):
@@ -394,8 +395,9 @@ def _reference_pack(monomials, shift, top):
 
 
 # Reference comparators for the monomial orders: cmp(m, n) is -1, 0 or 1.
-# The library defines each order once, as a sort key; these are the
-# comparator definitions those keys must agree with.
+# The library defines each order once, as the fields of its packed layout
+# (poly._Layout); these are the comparator definitions that layout must
+# agree with, written on Monomials alone.
 
 
 def cmp_grevlex(m, n):
@@ -456,6 +458,13 @@ def cmp_elimination(block):
         return cmp_grevlex(m, n)
 
     return cmp
+
+
+def order_cmp(order):
+    """The reference comparator of a MonomialOrder."""
+    if order.kind == "elimination":
+        return cmp_elimination(order.block)
+    return cmp_grevlex if order.kind == "grevlex" else cmp_lex
 
 
 # Reference Q(i) arithmetic: a pair of Fractions.  The library stores Q(i) as

@@ -279,6 +279,13 @@ class TestMatchesLibrary:
         assert body["result"]["root"] == "eps^(1/2)"
         assert body["result"]["residual_valuation"] == "inf"
 
+    def test_lift_square_root_past_float_range(self):
+        # the radicand 10^400 is far past the largest float
+        code, body = run("lift", "--poly=z1^2 - 10^400*eps^2", "--at=0")
+        assert code == 0
+        assert body["result"]["root"] == "%d*eps" % 10**200
+        assert body["result"]["residual_valuation"] == "inf"
+
 
 class TestConfig:
     def test_flag_overrides_default(self):

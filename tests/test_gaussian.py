@@ -54,6 +54,11 @@ class TestSqrt:
     def test_nonsquare(self):
         assert gaussian_sqrt(GaussianRational(2)) is None
 
+    def test_radicands_past_float_range(self):
+        assert gaussian_sqrt(GaussianRational(10**400)) == GaussianRational(10**200)
+        assert gaussian_sqrt(GaussianRational(-4 * 10**600)) == GaussianRational(0, 2 * 10**300)
+        assert gaussian_sqrt(GaussianRational(10**400 + 1)) is None
+
 
 class TestPolyRoots:
     # oracle: coefficients built by plain list convolution from a known

@@ -17,6 +17,7 @@ from _oracles import (
     cmp_lex,
     is_monic_reduced_basis,
     monomials_upto,
+    order_cmp,
 )
 from _strategies import monomials, polys
 from epsgeom import groebner
@@ -75,8 +76,9 @@ def random_ideal(rng, max_gens=3, **kwargs):
 
 
 def spoly(f, g, order):
-    lf = max(f.terms, key=order.key())
-    lg = max(g.terms, key=order.key())
+    key = functools.cmp_to_key(order_cmp(order))
+    lf = max(f.terms, key=key)
+    lg = max(g.terms, key=key)
     lcm = lf.lcm(lg)
     a = Poly(f.domain, {lcm.div(lf): GaussianRational(1) / f.terms[lf]})
     b = Poly(g.domain, {lcm.div(lg): GaussianRational(1) / g.terms[lg]})
@@ -503,13 +505,14 @@ class TestExtendedDomain:
         # each monic reduced basis here has LCFraction coefficients, so
         # clearing its denominators scales it; the scale must leave every
         # lead coefficient, under the ideal's order, with eps^0 term 1
+        key = functools.cmp_to_key(order_cmp(order))
         for text in (
             "z1 - eps; (1 + eps)*z2 - 1",
             "eps*z1^2 + z2; (1 + eps)*z1*z2 - 1",
             "(1 + eps)*z1 - z2; (2 + eps^(1/2))*z2^2 - z1",
         ):
             basis = Ideal([ext(t) for t in text.split(";")], order).groebner_basis()
-            leads = [g.terms[max(g.terms, key=order.key())] for g in basis]
+            leads = [g.terms[max(g.terms, key=key)] for g in basis]
             assert all(c.leading() == (0, 1) for c in leads)
             assert any(c != 1 for c in leads)
 
@@ -644,7 +647,7 @@ def _mono(text):
 
 
 class TestOrderKeys:
-    """Each order's sort key must sort exactly like the reference comparator."""
+    """Each order's packed layout must sort exactly like the reference comparator."""
 
     ORDERS = [
         pytest.param(order, cmp, id=order.name)
@@ -654,8 +657,7 @@ class TestOrderKeys:
             (MonomialOrder("elimination", {2, 4}), cmp_elimination({2, 4})),
         )
     ]
-    # z1 < z1*z2 in every order here; a lex key that is a prefix of the
-    # other's would sort wrongly once negated
+    # z1 < z1*z2 in every order here: a term below its multiples
     PREFIX_PAIRS = [
         ("1", "z1"),
         ("z1", "z1*z2"),
@@ -678,26 +680,19 @@ class TestOrderKeys:
 
     @pytest.mark.parametrize("order, cmp", ORDERS)
     def test_key_sort_matches_cmp_sort(self, order, cmp):
+        # degrees here are at most 16, below the 6-bit fields' guard bits
+        layout = _Layout(order.kind, order.block, range(1, 6), 6)
         for mons in self._monomial_sets(order):
-            by_key = sorted(mons, key=order.key())
+            by_key = sorted(mons, key=lambda m: layout.term(0, m))
             by_cmp = sorted(mons, key=functools.cmp_to_key(cmp))
             assert by_key == by_cmp
             for m, n in zip(by_key, by_key[1:]):
                 assert cmp(m, n) <= 0
 
-    @pytest.mark.parametrize("order, cmp", ORDERS)
-    def test_negated_keys_sort_in_reverse(self, order, cmp):
-        key = order.key()
-
-        def neg(m):
-            return tuple(-x for x in key(m))
-
-        for mons in self._monomial_sets(order):
-            assert sorted(mons, key=neg) == sorted(mons, key=key, reverse=True)
-        for a, b in self.PREFIX_PAIRS:
-            m, n = _mono(a), _mono(b)
-            assert cmp(m, n) == -1
-            assert key(m) < key(n) and neg(m) > neg(n)
+    @pytest.mark.parametrize("args", [("revlex",), ("lex", [1])], ids=["revlex", "lex-block"])
+    def test_unknown_kind_and_stray_block_are_refused(self, args):
+        with pytest.raises(InvalidInput):
+            MonomialOrder(*args)
 
 
 PACKING_ORDERS = [
@@ -725,7 +720,7 @@ class TestPackedTerms:
     )
     def test_packing_matches_monomials(self, order, m, n, p, q):
         layout = _Layout(order.kind, order.block, range(1, 6), groebner._START_WIDTH)
-        key = order.key()
+        key = functools.cmp_to_key(order_cmp(order))
         pm, pn = layout.term(0, m), layout.term(0, n)
         assert (pm < pn) == (key(m) < key(n))
         assert (pm == pn) == (m == n)

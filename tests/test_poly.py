@@ -1,10 +1,11 @@
+import functools
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _oracles import compose_polys, reference_poly_mul, reference_product
+from _oracles import cmp_grevlex, compose_polys, reference_poly_mul, reference_product
 from _strategies import (
     extended_polys,
     gaussians,
@@ -29,10 +30,8 @@ from epsgeom.poly import (
     AffineSubstitution,
     Monomial,
     Poly,
+    _layout,
     apply_substitution,
-    elimination_key,
-    grevlex_key,
-    lex_key,
     max_abs_normalize,
     poly_eval,
     poly_shadow,
@@ -563,7 +562,12 @@ class TestProductOracle:
             assert _same(got, want)
 
 
-ORDER_KEYS = (grevlex_key, lex_key, elimination_key({2}), elimination_key({1, 3}))
+# each order as its layout's term int over the variables of monomials(): the
+# products in these tests have degree at most 6, below the 4-bit guard bits
+ORDER_KEYS = tuple(
+    functools.partial(_layout(kind, block, frozenset((1, 2, 3)), 4).term, 0)
+    for kind, block in (("grevlex", ()), ("lex", ()), ("elimination", (2,)), ("elimination", (1, 3)))
+)
 
 
 class TestCoefficientTypes:
@@ -640,7 +644,7 @@ class TestMonomialOrders:
     @given(monomials(), monomials())
     @settings(max_examples=80, deadline=None)
     def test_antisymmetry(self, a, b):
-        # tuple comparison is antisymmetric; equal keys must mean equal monomials
+        # int comparison is antisymmetric; equal keys must mean equal monomials
         for key in ORDER_KEYS:
             assert (key(a) == key(b)) == (a == b)
 
@@ -657,9 +661,16 @@ class TestMonomialOrders:
         for key in ORDER_KEYS:
             assert key(MONO_ONE) <= key(a)
 
+    @given(polys(max_vars=6, max_degree=40, max_terms=8))
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    def test_print_order_is_descending_grevlex(self, f):
+        want = sorted(f.terms, key=functools.cmp_to_key(cmp_grevlex), reverse=True)
+        assert [m for m, _ in f.sorted_terms()] == want
+
     def test_grevlex_vs_lex_disagree(self):
         # z1^2 vs z2^3: grevlex ranks by total degree first, lex by z1.
         a = Monomial([(1, 2)])
         b = Monomial([(2, 3)])
-        assert grevlex_key(a) < grevlex_key(b)
-        assert lex_key(a) > lex_key(b)
+        grevlex, lex = ORDER_KEYS[:2]
+        assert grevlex(a) < grevlex(b)
+        assert lex(a) > lex(b)
