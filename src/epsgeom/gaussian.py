@@ -318,26 +318,22 @@ _UNITS = ((1, 0), (0, 1), (-1, 0), (0, -1))
 # --- univariate polynomials over Q(i), dense coefficient lists -------------
 
 
-def _poly_div_linear(coeffs, r):
-    """Divide by (y - r); returns (quotient, remainder)."""
-    out = [QI_ZERO] * (len(coeffs) - 1)
-    acc = QI_ZERO
-    for k in range(len(coeffs) - 1, 0, -1):
-        acc = coeffs[k] + acc * r
-        out[k - 1] = acc
-    rem = coeffs[0] + acc * r
-    return out, rem
+def _horner_pass(c, s, i):
+    """Pass i of the shift of the ascending coefficients c by s, in place:
+    after pass 0, c[0] is f(s) and c[1:] is the quotient by (y - s)."""
+    for j in range(len(c) - 2, i - 1, -1):
+        c[j] = c[j] + s * c[j + 1]
 
 
 def _divide_out(coeffs, r):
     """(multiplicity, quotient): divide by (y - r) until a remainder appears."""
     mult = 0
     while len(coeffs) > 1:
-        quo, rem = _poly_div_linear(coeffs, r)
-        if rem:
+        c = list(coeffs)
+        _horner_pass(c, r, 0)
+        if c[0]:
             break
-        mult += 1
-        coeffs = quo
+        mult, coeffs = mult + 1, c[1:]
     return mult, coeffs
 
 

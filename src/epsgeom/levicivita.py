@@ -15,6 +15,7 @@ extended coefficient domain run on `LCFraction`.
 
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -367,20 +368,8 @@ def lc_inverse(x, t=TruncationOrder()):
         raise DivisionByZero("inverse of zero")
     order = _order_of(t)
     unit_inv = _unit_inverse(x)
-    r = x * unit_inv - LC_ONE
-    if not r:
-        return unit_inv
-    rho = r.valuation()
-    steps = int(order / rho) + 1
-    s = LC_ONE
-    p = LC_ONE
-    neg_r = -r
-    for _ in range(steps):
-        p = (p * neg_r).truncate(order)
-        if not p:
-            break
-        s = s + p
-    return unit_inv * s
+    # x = (1 + r) / unit_inv, and 1/(1 + r) = sum (-r)^k
+    return _unit_series(unit_inv, LC_ONE - x * unit_inv, itertools.repeat(1), order)
 
 
 def lc_nth_root(x, n, t=TruncationOrder()):
@@ -401,22 +390,30 @@ def lc_nth_root(x, n, t=TruncationOrder()):
             "leading coefficient has no exact %d-th root in Q(i)" % n
         )
     unit = LCNumber.term(croot, Fraction(v, n))
-    r = x * _unit_inverse(x) - LC_ONE
-    target = order - v
-    if not r or target <= 0:
-        return unit
-    rho = r.valuation()
-    steps = int(target / rho) + 1
-    s = LC_ONE
-    p = LC_ONE
-    binom = Fraction(1)
-    alpha = Fraction(1, n)
-    for k in range(1, steps + 1):
-        binom = binom * (alpha - (k - 1)) / k
-        p = (p * r).truncate(target)
-        if not p or not binom:
+
+    def binomials():
+        # x = unit^n * (1 + r), and (1 + r)^(1/n) = sum binom(1/n, k) r^k
+        b = Fraction(1)
+        for k in itertools.count(1):
+            b = b * (Fraction(1, n) - (k - 1)) / k
+            yield b
+
+    return _unit_series(unit, x * _unit_inverse(x) - LC_ONE, binomials(), order - v)
+
+
+def _unit_series(unit, r, coeffs, order):
+    """unit * (1 + sum of c_k * r^k over k >= 1), each r^k truncated above order.
+
+    coeffs yields c_1, c_2, ...  r is zero or infinitesimal, so the powers
+    truncate to zero from k = order / valuation(r) + 1 on; the sum stops at
+    the first one that does, or at a zero c_k.
+    """
+    s = p = LC_ONE
+    for ck in coeffs:
+        p = (p * r).truncate(order)
+        if not p or not ck:
             break
-        s = s + LCNumber.from_gaussian(GaussianRational(binom)) * p
+        s = s + LCNumber.from_gaussian(GaussianRational(ck)) * p
     return unit * s
 
 

@@ -300,12 +300,12 @@ def _eps_power(q):
     return "eps^(%s)" % q
 
 
-def _lc_term_str(q, c):
-    if q == 0:
+def _term_str(q, c, mono_str=None):
+    """The signed term c*eps^q*mono; mono_str None is the monomial 1."""
+    if q == 0 and mono_str is None:
         return format_gaussian(c)
     sign, body = _gaussian_factor(c)
-    eps = _eps_power(q)
-    return sign + (eps if not body else "%s*%s" % (body, eps))
+    return sign + "*".join(f for f in (body, q and _eps_power(q), mono_str) if f)
 
 
 def _join(pieces):
@@ -332,32 +332,23 @@ def format_lc(x):
         x = LCNumber.from_gaussian(x)
     if not x:
         return "0"
-    return _join(_lc_term_str(q, c) for q, c in x.terms)
+    return _join(_term_str(q, c) for q, c in x.terms)
 
 
 def _poly_term_str(mono, coeff):
-    mono_str = None if not mono.exps else str(mono)
+    mono_str = str(mono) if mono.exps else None
     if isinstance(coeff, GaussianRational):
-        if mono_str is None:
-            return format_gaussian(coeff)
-        sign, body = _gaussian_factor(coeff)
-        return sign + (mono_str if not body else "%s*%s" % (body, mono_str))
+        return _term_str(0, coeff, mono_str)
     if isinstance(coeff, LCFraction):
         # an LCFraction here is not a finite sum
         body = "(%s)/(%s)" % (format_lc(coeff.num), format_lc(coeff.den))
-        return body if mono_str is None else "%s*%s" % (body, mono_str)
-    if mono_str is None:
+    elif coeff.is_term():
+        return _term_str(*coeff.leading(), mono_str)
+    elif mono_str is None:
         return format_lc(coeff)
-    if coeff.is_term():
-        q, c = coeff.leading()
-        if q == 0:
-            sign, body = _gaussian_factor(c)
-            return sign + (mono_str if not body else "%s*%s" % (body, mono_str))
-        sign, body = _gaussian_factor(c)
-        eps = _eps_power(q)
-        head = eps if not body else "%s*%s" % (body, eps)
-        return "%s%s*%s" % (sign, head, mono_str)
-    return "(%s)*%s" % (format_lc(coeff), mono_str)
+    else:
+        body = "(%s)" % format_lc(coeff)
+    return body if mono_str is None else "%s*%s" % (body, mono_str)
 
 
 def format_poly(f):

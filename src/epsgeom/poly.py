@@ -629,10 +629,9 @@ def split_inf_ap(f):
     inf_terms = {}
     ap_terms = {}
     for m, c in f.terms.items():
-        # an LCFraction here is not a finite sum
-        if isinstance(c, LCFraction) or c.is_unlimited():
+        if not c.is_limited():
             raise UnlimitedCoefficient("coefficient of %s is unlimited" % m)
-        (inf_terms if c.is_infinitesimal() else ap_terms)[m] = c
+        (inf_terms if c.valuation() > 0 else ap_terms)[m] = c
     return Poly(EXTENDED, inf_terms), Poly(EXTENDED, ap_terms)
 
 

@@ -23,7 +23,13 @@ from .errors import (
     UnassignedVariable,
     UnlimitedValue,
 )
-from .gaussian import GaussianRational, QI_ZERO, _divide_out, gaussian_poly_roots
+from .gaussian import (
+    GaussianRational,
+    QI_ZERO,
+    _divide_out,
+    _horner_pass,
+    gaussian_poly_roots,
+)
 from .groebner import Ideal, radical_member
 from .levicivita import (
     INF,
@@ -37,7 +43,6 @@ from .levicivita import (
 from .parser import format_gaussian, format_lc, format_poly
 from .poly import (
     EXTENDED,
-    AffineSubstitution,
     Poly,
     max_abs_normalize,
     poly_eval,
@@ -195,19 +200,14 @@ def reduce_on_variety(f, X):
             return VarietyReduction(True, None, iterations)
 
 
-def _univar_coeffs(f, v):
-    out = {}
-    for m, c in f.terms.items():
+def _univar_coeffs(f, v, zero):
+    """The dense ascending coefficients of f, a polynomial in z_v only."""
+    c = [zero] * (f.degree_in(v) + 1)
+    for m, cm in f.terms.items():
         if m.exps and (len(m.exps) > 1 or m.exps[0][0] != v):
             raise InvalidInput("expected a polynomial in z%d only" % v)
-        out[m.exponent(v)] = c
-    return out
-
-
-def _horner_pass(c, s, i):
-    """Pass i of the shift by s in place: after pass 0, c[0] is f(s)."""
-    for j in range(len(c) - 2, i - 1, -1):
-        c[j] = c[j] + s * c[j + 1]
+        c[m.exponent(v)] = cm
+    return c
 
 
 def _taylor_shift(c, s, t):
@@ -261,8 +261,7 @@ def _lift(fn, u, v, a, t):
     """The Newton loop of newton_puiseux_lift on fn = f / u, a nonconstant
     max-abs-normalised polynomial in z_v, at the standard root a of its
     shadow; the point's value is u * fn(ξ)."""
-    coeffs = _univar_coeffs(fn, v)
-    c = [coeffs.get(k, LC_ZERO) for k in range(max(coeffs) + 1)]
+    c = _univar_coeffs(fn, v, LC_ZERO)
     acc = LCNumber.from_gaussian(a)
     scale = LC_ONE
     # the first shift, z -> a + z, one Horner pass at a time: after the
@@ -309,13 +308,15 @@ def _lift(fn, u, v, a, t):
 def open_shadow_witness(f, a, seed=0):
     """A point in the halo of a where f does not vanish.
 
-    Restricts f to lines a + u*d: standard basis directions first, then a few
+    Searches lines a + u*d: standard basis directions first, then a few
     seeded small-integer directions, then an exhaustive grid that cannot miss
-    (a nonzero polynomial cannot vanish on a large enough grid).  On the
-    first direction with a nonzero restriction, u = c*eps works for some
-    c <= deg + 1.  The returned point's .value is f there, the nonzero
-    value the search tested: f(a) itself, or h(u) for the restriction h.
-    The point a may also be a plain mapping from variable index to LC number.
+    (a nonzero polynomial cannot vanish on a large enough grid).  On each
+    line it evaluates f at u = c*eps for c = 1, ..., deg(f) + 1; the
+    restriction to the line has degree at most deg(f), so it vanishes at
+    all of them only when it is zero, and the search moves to the next line.
+    The returned point's .value is f there, the nonzero value the search
+    tested: f(a) itself, or f(a + c*eps*d).  The point a may also be a
+    plain mapping from variable index to LC number.
     """
     if not f:
         raise EmptyOpen("the zero polynomial cuts out an empty open set")
@@ -328,7 +329,6 @@ def open_shadow_witness(f, a, seed=0):
     if value := poly_eval(f, a):
         return EvaluatedPoint(a.values, value)
     ambient = a.support()
-    u = ambient[0]
     deg = f.total_degree()
 
     def directions():
@@ -342,32 +342,17 @@ def open_shadow_witness(f, a, seed=0):
                 yield dict(zip(ambient, combo))
 
     for d in directions():
-        sub = AffineSubstitution(
-            {
-                v: Poly.constant(a[v])
-                + Poly.variable(u, EXTENDED).scale(GaussianRational(d[v]))
-                for v in ambient
-            }
-        )
-        h = sub.apply(f)
-        if not h:
-            continue
-        for c in range(1, h.degree_in(u) + 2):
+        for c in range(1, deg + 2):
             ueps = LCNumber.term(GaussianRational(c), 1)
-            if value := poly_eval(h, {u: ueps}):
-                return EvaluatedPoint(
-                    {v: a[v] + ueps * LCNumber.from_gaussian(GaussianRational(d[v])) for v in ambient},
-                    value,
-                )
+            point = {v: a[v] + ueps * LCNumber.from_gaussian(GaussianRational(d[v])) for v in ambient}
+            if value := poly_eval(f, point):
+                return EvaluatedPoint(point, value)
     raise InvalidInput("internal: witness grid search failed")
 
 
 def _collect_roots(sh, v, candidates):
     """Split off (z - a) factors for each candidate; return (mults, leftover)."""
-    deg = sh.degree_in(v)
-    coeffs = [QI_ZERO] * (deg + 1)
-    for m, c in sh.terms.items():
-        coeffs[m.exponent(v)] = c
+    coeffs = _univar_coeffs(sh, v, QI_ZERO)
     mults = {}
     for aa in candidates:
         mults[aa], coeffs = _divide_out(coeffs, aa)

@@ -16,7 +16,6 @@ from .errors import (
 )
 from .gaussian import GaussianRational, QI_ONE, QI_ZERO
 from .groebner import (
-    LEX,
     Ideal,
     buchberger,
     ideal_combine,
@@ -168,26 +167,28 @@ class PointIdealResult:
 def is_point_ideal(ideal):
     """Recognize ideals of the shape <z_i - a_i> and read off the point.
 
-    Decides from the reduced lex basis: every element must be c*z_i - b
-    for a single variable, and the point has a_i = b/c.  Over the standard
-    domain c is 1.  Over the extended domain c is 1 plus an infinitesimal;
-    the point is returned when every a_i is a finite Levi-Civita sum (so
-    z1 - eps gives z1 = eps), and otherwise the reason says a coordinate is
-    not one.  Variables that never occur are unconstrained, so the returned
-    assignment covers exactly the constrained ones.  The unit ideal reports
-    reason "improper".
+    Decides from the reduced grevlex basis: a point ideal has the basis
+    {z_i - a_i} under every order, so every element must be c*z_i - b for a
+    single variable, and the point has a_i = b/c.  All elements are checked
+    before any coordinate is read, so the reason does not depend on the
+    order of the basis.  Over the standard domain c is 1.  Over the extended
+    domain c is 1 plus an infinitesimal; the point is returned when every
+    a_i is a finite Levi-Civita sum (so z1 - eps gives z1 = eps), and
+    otherwise the reason says a coordinate is not one.  Variables that never
+    occur are unconstrained, so the returned assignment covers exactly the
+    constrained ones.  The unit ideal reports reason "improper".
     """
     gens = ideal.generators if isinstance(ideal, Ideal) else tuple(ideal)
-    basis = buchberger(gens, LEX)
+    basis = buchberger(gens)
     if any(g.is_constant() for g in basis):
         return PointIdealResult(None, "improper")
+    if any(len(g.support()) != 1 or g.total_degree() != 1 for g in basis):
+        return PointIdealResult(
+            None, "a basis element is not linear in a single variable"
+        )
     values = {}
     for g in basis:
         sup = g.support()
-        if len(sup) != 1 or g.total_degree() != 1:
-            return PointIdealResult(
-                None, "a basis element is not linear in a single variable"
-            )
         a = -g.coefficient(MONO_ONE)
         if g.domain != STANDARD:
             c = g.coefficient(Monomial(((sup[0], 1),)))

@@ -11,48 +11,77 @@ runs it once.  The other two are the lift and the closure report that
 reduces its normalised product on the whole line (2 pair-loop runs) and
 lifts each shadow root through the public lift, which normalises again.
 reference_product is the packed product that Poly.__mul__ made with its own
-packing, before it ran on the engine's layout.
+packing, before it ran on the engine's layout.  Last come the univariate
+helpers as they were before one Horner step, one coefficient list and one
+truncated series served them all: the coefficient dict, the root split on
+quotient-and-remainder division, the witness search that restricted f to
+each line by substitution, lc_inverse and lc_nth_root with a series loop
+each, and the term formatters with their own sign, body and eps^q logic.
+The reference lift and closure report run on these.
 """
 
 import functools
+import itertools
+import random
 from fractions import Fraction
 
 from epsgeom.errors import (
     DivisionByZero,
+    EmptyOpen,
     InvalidInput,
     NonConstructibleRoot,
     NotAShadowRoot,
     NotASolution,
+    UnassignedVariable,
 )
 from epsgeom.gaussian import (
     QI_ONE,
     QI_ZERO,
     GaussianRational,
+    _horner_pass,
     _new,
     _normalised,
     gaussian_integers,
+    gaussian_nth_root,
     gaussian_poly_roots,
 )
 from epsgeom.groebner import Module, module_syzygies, syzygy_basis
-from epsgeom.levicivita import INF, LC_ONE, LC_ZERO, LCNumber, TruncationOrder, _lc_coerce
-from epsgeom.parser import format_gaussian, format_lc, format_poly
+from epsgeom.levicivita import (
+    INF,
+    LC_ONE,
+    LC_ZERO,
+    LCFraction,
+    LCNumber,
+    TruncationOrder,
+    _lc_coerce,
+    _order_of,
+    _unit_inverse,
+)
+from epsgeom.parser import (
+    _eps_power,
+    _gaussian_factor,
+    _join,
+    format_gaussian,
+    format_lc,
+    format_poly,
+)
 from epsgeom.poly import (
     EXTENDED,
     MONO_ONE,
     STANDARD,
+    AffineSubstitution,
     Monomial,
     Poly,
     max_abs_normalize,
+    poly_eval,
     poly_shadow,
 )
 from epsgeom.shadow import (
     EvaluatedPoint,
+    PointAssignment,
     VarietyPresentation,
-    _collect_roots,
     _finite_coeffs,
-    _horner_pass,
     _taylor_shift,
-    _univar_coeffs,
     reduce_on_variety,
 )
 
@@ -697,7 +726,7 @@ def reference_newton_puiseux_lift(f, a, t=TruncationOrder()):
     (q, cf), (qn, cn) = f.terms[m].leading(), fm.leading()
     u = LCNumber.term(cf / cn, q - qn)
 
-    coeffs = _univar_coeffs(fn, v)
+    coeffs = reference_univar_coeffs(fn, v)
     c = [coeffs.get(k, LC_ZERO) for k in range(max(coeffs) + 1)]
     acc = LCNumber.from_gaussian(a)
     scale = LC_ONE
@@ -778,7 +807,7 @@ def reference_verify_shadow_closure(roots, t=TruncationOrder()):
     X = VarietyPresentation((v,), ())
     rr = reduce_on_variety(f, X)
     sh = poly_shadow(rr.poly)
-    mults, leftover = _collect_roots(sh, v, lhs)
+    mults, leftover = reference_collect_roots(sh, v, lhs)
     rhs_ok = (
         len(leftover) == 1
         and bool(leftover[0])
@@ -817,3 +846,217 @@ def reference_verify_shadow_closure(roots, t=TruncationOrder()):
         "witnesses": witnesses,
         "pass": rhs_ok and wit_ok,
     }
+
+
+def reference_univar_coeffs(f, v):
+    out = {}
+    for m, c in f.terms.items():
+        if m.exps and (len(m.exps) > 1 or m.exps[0][0] != v):
+            raise InvalidInput("expected a polynomial in z%d only" % v)
+        out[m.exponent(v)] = c
+    return out
+
+
+def reference_poly_div_linear(coeffs, r):
+    """Divide by (y - r); returns (quotient, remainder)."""
+    out = [QI_ZERO] * (len(coeffs) - 1)
+    acc = QI_ZERO
+    for k in range(len(coeffs) - 1, 0, -1):
+        acc = coeffs[k] + acc * r
+        out[k - 1] = acc
+    rem = coeffs[0] + acc * r
+    return out, rem
+
+
+def reference_divide_out(coeffs, r):
+    """(multiplicity, quotient): divide by (y - r) until a remainder appears."""
+    mult = 0
+    while len(coeffs) > 1:
+        quo, rem = reference_poly_div_linear(coeffs, r)
+        if rem:
+            break
+        mult += 1
+        coeffs = quo
+    return mult, coeffs
+
+
+def reference_collect_roots(sh, v, candidates):
+    """Split off (z - a) factors for each candidate; return (mults, leftover)."""
+    deg = sh.degree_in(v)
+    coeffs = [QI_ZERO] * (deg + 1)
+    for m, c in sh.terms.items():
+        coeffs[m.exponent(v)] = c
+    mults = {}
+    for aa in candidates:
+        mults[aa], coeffs = reference_divide_out(coeffs, aa)
+    return mults, coeffs
+
+
+def reference_open_shadow_witness(f, a, seed=0):
+    """A point in the halo of a where f does not vanish.
+
+    Restricts f to lines a + u*d: standard basis directions first, then a few
+    seeded small-integer directions, then an exhaustive grid that cannot miss
+    (a nonzero polynomial cannot vanish on a large enough grid).  On the
+    first direction with a nonzero restriction, u = c*eps works for some
+    c <= deg + 1.  The returned point's .value is f there, the nonzero
+    value the search tested: f(a) itself, or h(u) for the restriction h.
+    The point a may also be a plain mapping from variable index to LC number.
+    """
+    if not f:
+        raise EmptyOpen("the zero polynomial cuts out an empty open set")
+    if not isinstance(a, PointAssignment):
+        a = PointAssignment(a)
+    f = f.to_extended()
+    for v in f.support():
+        if v not in a:
+            raise UnassignedVariable("point does not assign z%d" % v)
+    if value := poly_eval(f, a):
+        return EvaluatedPoint(a.values, value)
+    ambient = a.support()
+    u = ambient[0]
+    deg = f.total_degree()
+
+    def directions():
+        for w in ambient:
+            yield {v: 1 if v == w else 0 for v in ambient}
+        rng = random.Random(seed)
+        for _ in range(16):
+            yield {v: rng.randint(-3, 3) for v in ambient}
+        for combo in itertools.product(range(deg + 1), repeat=len(ambient)):
+            if any(combo):
+                yield dict(zip(ambient, combo))
+
+    for d in directions():
+        sub = AffineSubstitution(
+            {
+                v: Poly.constant(a[v])
+                + Poly.variable(u, EXTENDED).scale(GaussianRational(d[v]))
+                for v in ambient
+            }
+        )
+        h = sub.apply(f)
+        if not h:
+            continue
+        for c in range(1, h.degree_in(u) + 2):
+            ueps = LCNumber.term(GaussianRational(c), 1)
+            if value := poly_eval(h, {u: ueps}):
+                return EvaluatedPoint(
+                    {v: a[v] + ueps * LCNumber.from_gaussian(GaussianRational(d[v])) for v in ambient},
+                    value,
+                )
+    raise InvalidInput("internal: witness grid search failed")
+
+
+def reference_lc_inverse(x, t=TruncationOrder()):
+    """y with valuation(x*y - 1) > t.order; exact when x is a single term."""
+    if not x:
+        raise DivisionByZero("inverse of zero")
+    order = _order_of(t)
+    unit_inv = _unit_inverse(x)
+    r = x * unit_inv - LC_ONE
+    if not r:
+        return unit_inv
+    rho = r.valuation()
+    steps = int(order / rho) + 1
+    s = LC_ONE
+    p = LC_ONE
+    neg_r = -r
+    for _ in range(steps):
+        p = (p * neg_r).truncate(order)
+        if not p:
+            break
+        s = s + p
+    return unit_inv * s
+
+
+def reference_lc_nth_root(x, n, t=TruncationOrder()):
+    """y with valuation(y) = valuation(x)/n and valuation(y^n - x) > t.order.
+
+    The leading coefficient's exact n-th root must exist in Q(i); otherwise
+    NonConstructibleRoot is raised.
+    """
+    if not isinstance(n, int) or n < 1:
+        raise InvalidInput("root index must be a positive integer")
+    if not x:
+        raise DivisionByZero("n-th root of zero")
+    order = _order_of(t)
+    v, c = x.leading()
+    croot = gaussian_nth_root(c, n)
+    if croot is None:
+        raise NonConstructibleRoot(
+            "leading coefficient has no exact %d-th root in Q(i)" % n
+        )
+    unit = LCNumber.term(croot, Fraction(v, n))
+    r = x * _unit_inverse(x) - LC_ONE
+    target = order - v
+    if not r or target <= 0:
+        return unit
+    rho = r.valuation()
+    steps = int(target / rho) + 1
+    s = LC_ONE
+    p = LC_ONE
+    binom = Fraction(1)
+    alpha = Fraction(1, n)
+    for k in range(1, steps + 1):
+        binom = binom * (alpha - (k - 1)) / k
+        p = (p * r).truncate(target)
+        if not p or not binom:
+            break
+        s = s + LCNumber.from_gaussian(GaussianRational(binom)) * p
+    return unit * s
+
+
+def _lc_term_str(q, c):
+    if q == 0:
+        return format_gaussian(c)
+    sign, body = _gaussian_factor(c)
+    eps = _eps_power(q)
+    return sign + (eps if not body else "%s*%s" % (body, eps))
+
+
+def reference_format_lc(x):
+    """Canonical form of an LCNumber: terms in ascending exponent order."""
+    if isinstance(x, LCFraction):
+        collapsed = x.to_lcnumber()
+        if collapsed is None:
+            # display-only quotient form; not part of the input grammar
+            return "(%s)/(%s)" % (reference_format_lc(x.num), reference_format_lc(x.den))
+        x = collapsed
+    if isinstance(x, GaussianRational):
+        x = LCNumber.from_gaussian(x)
+    if not x:
+        return "0"
+    return _join(_lc_term_str(q, c) for q, c in x.terms)
+
+
+def _poly_term_str(mono, coeff):
+    mono_str = None if not mono.exps else str(mono)
+    if isinstance(coeff, GaussianRational):
+        if mono_str is None:
+            return format_gaussian(coeff)
+        sign, body = _gaussian_factor(coeff)
+        return sign + (mono_str if not body else "%s*%s" % (body, mono_str))
+    if isinstance(coeff, LCFraction):
+        # an LCFraction here is not a finite sum
+        body = "(%s)/(%s)" % (reference_format_lc(coeff.num), reference_format_lc(coeff.den))
+        return body if mono_str is None else "%s*%s" % (body, mono_str)
+    if mono_str is None:
+        return reference_format_lc(coeff)
+    if coeff.is_term():
+        q, c = coeff.leading()
+        if q == 0:
+            sign, body = _gaussian_factor(c)
+            return sign + (mono_str if not body else "%s*%s" % (body, mono_str))
+        sign, body = _gaussian_factor(c)
+        eps = _eps_power(q)
+        head = eps if not body else "%s*%s" % (body, eps)
+        return "%s%s*%s" % (sign, head, mono_str)
+    return "(%s)*%s" % (reference_format_lc(coeff), mono_str)
+
+
+def reference_format_poly(f):
+    """Canonical form: terms descending in grevlex, deterministic signs."""
+    if not f:
+        return "0"
+    return _join([_poly_term_str(m, c) for m, c in f.sorted_terms()])

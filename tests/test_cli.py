@@ -659,6 +659,17 @@ class TestIdealArgvProperty:
         code, out = _within_5_s(lambda: run_command(argv))
         assert code in (0, 1) and json.loads(out).get("error", {}).get("code") != "internal"
 
+    def test_point_ideal_of_the_lex_runaway(self):
+        # point-ideal reads the reduced basis under grevlex, which is
+        # {z_i - a_i} for a point ideal as under any order; the lex basis of
+        # this ideal is the runaway above, and took over 20 s here
+        argv = [
+            "point-ideal",
+            "--ideal=(-2-i)*z1^2 + (-2*i)*z2*z3; ((3+2*i)*z1 + (-3-2*i)*z2 + (-2-i))^7",
+        ]
+        code, out = _within_5_s(lambda: run_command(argv))
+        assert code == 0 and '"ok":true' in out and '"point":null' in out
+
     @pytest.mark.parametrize("name", ["radical-member-lex", "radical-member-elimination"])
     def test_former_runaway(self, name):
         # radical-member builds its Rabinowitsch ideal under grevlex, so

@@ -1,12 +1,18 @@
 import math
 import operator
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _oracles import ReferenceGaussianRational, eval_coeffs, poly_from_roots
+from _oracles import (
+    ReferenceGaussianRational,
+    eval_coeffs,
+    poly_from_roots,
+    reference_divide_out,
+)
 from _strategies import gaussians
 from epsgeom.errors import DivisionByZero
 from epsgeom.gaussian import (
@@ -14,6 +20,7 @@ from epsgeom.gaussian import (
     QI_ONE,
     QI_ZERO,
     GaussianRational,
+    _divide_out,
     gaussian_poly_roots,
     gaussian_sqrt,
 )
@@ -214,3 +221,22 @@ class TestMatchesReference:
                 x / zero
         with pytest.raises(DivisionByZero):
             1 / GaussianRational(0)
+
+
+class TestDivideOut:
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_matches_quotient_and_remainder_division(self, seed):
+        # against the earlier divide-out, which divided by (y - r) into a
+        # fresh quotient and remainder; roots of multiplicity 0 to 3
+        rng = random.Random(9600 + seed)
+        for _ in range(100):
+            qi = lambda: GaussianRational(Fraction(rng.randint(-3, 3), rng.choice((1, 2))), rng.randint(-1, 1))
+            r = qi()
+            roots = [r] * rng.randint(0, 3) + [qi() for _ in range(rng.randint(0, 3))]
+            unit = qi() or QI_ONE
+            coeffs = [unit * c for c in poly_from_roots(roots)]
+            before = list(coeffs)
+            got = _divide_out(coeffs, r)
+            assert repr(got) == repr(reference_divide_out(coeffs, r))
+            assert coeffs == before
+            assert got[0] == roots.count(r)

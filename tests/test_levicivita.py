@@ -1,11 +1,13 @@
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from _oracles import reference_lc_inverse, reference_lc_nth_root
 from _strategies import gaussians, lc_numbers, limited_lc
-from epsgeom.errors import DivisionByZero, NonConstructibleRoot, UnlimitedValue
+from epsgeom.errors import DivisionByZero, EpsgeomError, NonConstructibleRoot, UnlimitedValue
 from epsgeom.gaussian import QI_I, GaussianRational
 from epsgeom.levicivita import (
     INF,
@@ -311,3 +313,62 @@ class TestFractions:
     def test_collapse_when_exact(self, x):
         q = LCFraction(x)
         assert q.to_lcnumber() == x
+
+
+def _rand_lc(rng, terms=4):
+    x = LC_ZERO
+    for _ in range(rng.randint(0, terms)):
+        q = Fraction(rng.randint(-6, 12), rng.choice((1, 2, 3)))
+        c = GaussianRational(Fraction(rng.randint(-4, 4), rng.choice((1, 1, 3))), rng.randint(-2, 2))
+        x = x + LCNumber.term(c, q)
+    return x
+
+
+def _series(fn, *args):
+    """The result's exact terms, or the error."""
+    try:
+        return repr(fn(*args).terms)
+    except EpsgeomError as e:
+        return type(e).__name__, str(e)
+
+
+_SERIES_ORDERS = [
+    TruncationOrder(Fraction(1, 3)),
+    TruncationOrder(Fraction(7, 3)),
+    TruncationOrder(5),
+    TruncationOrder(16),
+    Fraction(3, 2),
+    4,
+]
+
+
+class TestSeriesAgainstTheReference:
+    """lc_inverse and lc_nth_root against their earlier versions, which ran
+    a series loop each: single terms, zero, sums with negative, zero and
+    fractional valuations, every truncation order, and for the root perfect
+    powers, non-constructible leading coefficients and bad indices."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_inverses_match(self, seed):
+        rng = random.Random(9400 + seed)
+        errors = 0
+        for _ in range(150):
+            x, t = _rand_lc(rng), rng.choice(_SERIES_ORDERS)
+            got = _series(lc_inverse, x, t)
+            assert got == _series(reference_lc_inverse, x, t), (format_lc(x), t)
+            errors += isinstance(got, tuple)
+        assert 0 < errors < 40
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_nth_roots_match(self, seed):
+        rng = random.Random(9500 + seed)
+        outcomes = set()
+        for _ in range(150):
+            n = rng.choice((1, 2, 2, 3, 3, 4, 0))
+            x, t = _rand_lc(rng, terms=3), rng.choice(_SERIES_ORDERS)
+            if n and rng.random() < 0.6:
+                x = x ** n
+            got = _series(lc_nth_root, x, n, t)
+            assert got == _series(reference_lc_nth_root, x, n, t), (format_lc(x), n, t)
+            outcomes.add(got[0] if isinstance(got, tuple) else "root")
+        assert outcomes == {"root", "InvalidInput", "DivisionByZero", "NonConstructibleRoot"}

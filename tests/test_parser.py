@@ -1,12 +1,15 @@
+import random
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 
+from _oracles import reference_format_lc, reference_format_poly
 from _strategies import extended_polys, lc_numbers, limited_lc, polys
 from epsgeom.errors import ParseError
-from epsgeom.levicivita import LCNumber
+from epsgeom.gaussian import GaussianRational
+from epsgeom.levicivita import LC_ONE, LC_ZERO, LCFraction, LCNumber
 from epsgeom.parser import (
     format_lc,
     format_point,
@@ -16,7 +19,7 @@ from epsgeom.parser import (
     parse_point,
     parse_poly,
 )
-from epsgeom.poly import Poly
+from epsgeom.poly import EXTENDED, STANDARD, Monomial, Poly
 from epsgeom.shadow import PointAssignment
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -122,3 +125,58 @@ class TestRoundTrips:
         q = parse_point(format_point(p))
         assert set(q) == {1, 3}
         assert q[1] == a and q[3] == b
+
+
+def _rand_qi(rng):
+    # units, integers, fractions, pure imaginaries and mixed values
+    re = Fraction(rng.choice((0, 0, 1, -1, 2, -3, 7)), rng.choice((1, 1, 1, 2, 3)))
+    im = Fraction(rng.choice((0, 0, 0, 1, -1, 2, -5)), rng.choice((1, 1, 4)))
+    return GaussianRational(re, im)
+
+
+def _rand_lc(rng, terms):
+    x = LC_ZERO
+    for _ in range(rng.randint(1, terms)):
+        q = Fraction(rng.choice((0, 0, 1, 2, -1, 3, -2, 5)), rng.choice((1, 1, 2, 3)))
+        x = x + LCNumber.term(_rand_qi(rng), q)
+    return x
+
+
+def _rand_coefficient(rng, domain):
+    if domain == STANDARD:
+        return _rand_qi(rng)
+    kind = rng.random()
+    if kind < 0.5:
+        return _rand_lc(rng, 1)
+    if kind < 0.85:
+        return _rand_lc(rng, 3)
+    # a quotient that is not a finite sum
+    return LCFraction(_rand_lc(rng, 2) or LC_ONE, LC_ONE + LCNumber.term(_rand_qi(rng) or GaussianRational(1), rng.choice((1, Fraction(1, 2)))))
+
+
+class TestFormattingAgainstTheReference:
+    """format_poly and format_lc against the earlier formatters, which wrote
+    the sign, body and eps^q of a term once for scalars and once for poly
+    terms: standard, extended and quotient coefficients, on the monomial 1
+    and on others."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_polys_match(self, seed):
+        rng = random.Random(9700 + seed)
+        for _ in range(300):
+            domain = rng.choice((STANDARD, EXTENDED, EXTENDED))
+            terms = {}
+            for _ in range(rng.randint(0, 4)):
+                exps = [(v, rng.randint(1, 3)) for v in (1, 2, 3) if rng.random() < 0.4]
+                terms[Monomial(exps)] = _rand_coefficient(rng, domain)
+            f = Poly(domain, terms)
+            assert format_poly(f) == reference_format_poly(f)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_scalars_match(self, seed):
+        rng = random.Random(9800 + seed)
+        for _ in range(300):
+            x = _rand_coefficient(rng, rng.choice((STANDARD, EXTENDED)))
+            if rng.random() < 0.1:
+                x = LC_ZERO
+            assert format_lc(x) == reference_format_lc(x)

@@ -157,6 +157,16 @@ class TestSplitExamples:
         with pytest.raises(UnlimitedCoefficient):
             split_inf_ap(P("eps^(-1)*z1"))
 
+    def test_limited_quotient_split_by_valuation(self):
+        one_eps = parse_lc("1 + eps")
+        z1, z2 = Monomial([(1, 1)]), Monomial([(2, 1)])
+        ap_c, inf_c = LCFraction(LC_ONE, one_eps), LCFraction(parse_lc("eps"), one_eps)
+        inf, ap = split_inf_ap(Poly(EXTENDED, {z1: ap_c, z2: inf_c}))
+        assert inf.terms == {z2: inf_c} and ap.terms == {z1: ap_c}
+        unlimited = LCFraction(parse_lc("eps^(-1)"), one_eps)
+        with pytest.raises(UnlimitedCoefficient, match=r"^coefficient of z1 is unlimited$"):
+            split_inf_ap(Poly(EXTENDED, {z1: unlimited}))
+
 
 class TestSubstitutionExamples:
     def test_shift(self):
@@ -613,14 +623,15 @@ class TestCoefficientTypes:
         g = Poly("extended", {z1: x}) * Poly("extended", {MONO_ONE: one_eps})
         assert g.terms == {z1: LC_ONE} and type(g.terms[z1]) is LCNumber
 
-    # 1/(1 + eps) is limited and appreciable, so each call refuses it only
-    # because it is a quotient that is not a finite sum
+    # 1/(1 + eps) is limited and appreciable, so a call that refuses it does
+    # so only because it is a quotient that is not a finite sum; split_inf_ap
+    # needs only its valuation, and all of f is its appreciable part
     @pytest.mark.parametrize(
         "call, outcome",
         [
             (Poly.to_standard, None),
             (max_abs_normalize, InvalidInput),
-            (split_inf_ap, UnlimitedCoefficient),
+            (lambda f: split_inf_ap(f) == (Poly.zero(EXTENDED), f), True),
             (lambda f: newton_puiseux_lift(f, 1), InvalidInput),
         ],
         ids=["to_standard", "max_abs_normalize", "split_inf_ap", "newton_puiseux_lift"],
@@ -628,8 +639,8 @@ class TestCoefficientTypes:
     def test_a_coefficient_that_is_not_a_finite_sum(self, call, outcome):
         x = LCFraction(LC_ONE, parse_lc("1 + eps"))
         f = Poly("extended", {Monomial([(1, 1)]): x, MONO_ONE: -LC_ONE})
-        if outcome is None:
-            assert call(f) is None
+        if outcome in (None, True):
+            assert call(f) is outcome
         else:
             with pytest.raises(outcome):
                 call(f)

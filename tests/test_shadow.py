@@ -1,5 +1,6 @@
 import json
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -10,7 +11,10 @@ from _oracles import (
     compose_polys,
     eval_coeffs,
     poly_from_roots,
+    reference_collect_roots,
     reference_newton_puiseux_lift,
+    reference_open_shadow_witness,
+    reference_univar_coeffs,
     reference_verify_shadow_closure,
 )
 from _strategies import extended_polys, gaussians, lc_numbers, limited_lc, polys
@@ -23,9 +27,9 @@ from epsgeom.errors import (
     SupportMismatch,
     UnlimitedValue,
 )
-from epsgeom.gaussian import GaussianRational
+from epsgeom.gaussian import QI_ZERO, GaussianRational
 from epsgeom.groebner import Ideal, ideal_member, radical_member
-from epsgeom.levicivita import LC_ZERO, LCNumber, TruncationOrder, lc_st
+from epsgeom.levicivita import LC_ONE, LC_ZERO, LCFraction, LCNumber, TruncationOrder, lc_st
 from epsgeom.parser import format_lc, parse_lc, parse_poly
 from epsgeom.poly import (
     EXTENDED,
@@ -40,7 +44,9 @@ from epsgeom.shadow import (
     PointAssignment,
     VarietyPresentation,
     VarietyReduction,
+    _collect_roots,
     _taylor_shift,
+    _univar_coeffs,
     halo_member,
     newton_puiseux_lift,
     open_shadow_witness,
@@ -546,17 +552,17 @@ class TestLiftWork:
 
     def test_simple_root_solves_its_edges_directly(self, monkeypatch):
         calls = []
-        div = gaussian._poly_div_linear
+        divide_out = gaussian._divide_out
 
         def counted(coeffs, r):
             calls.append(1)
-            return div(coeffs, r)
+            return divide_out(coeffs, r)
 
-        monkeypatch.setattr(gaussian, "_poly_div_linear", counted)
+        monkeypatch.setattr(gaussian, "_divide_out", counted)
         xi = newton_puiseux_lift(P("(z1 - 2)*(z1 + 3) - 3*eps^2"), 2)
         assert xi[1].terms[:2] == ((0, GaussianRational(2)), (2, GaussianRational(Fraction(3, 5))))
         # every Newton step has a linear edge; the candidate check divided
-        # once per step, 8 times here
+        # out once per step, 8 times here
         assert calls == []
 
 
@@ -597,3 +603,155 @@ class TestMembershipCommutesWithComposition:
         )
         assert poly_eval(composed, p) == poly_eval(h, image)
         assert (poly_eval(composed, p) == LC_ZERO) == (poly_eval(h, image) == LC_ZERO)
+
+
+def _rand_qi(rng, nonzero=False):
+    while True:
+        c = GaussianRational(Fraction(rng.randint(-3, 3), rng.choice((1, 1, 2))), rng.randint(-1, 1))
+        if c or not nonzero:
+            return c
+
+
+def _rand_lc(rng, low=-2, terms=2):
+    """A sum of up to `terms` terms c*eps^q with q from low to 3, denominators up to 3."""
+    x = LC_ZERO
+    for _ in range(rng.randint(0, terms)):
+        q = Fraction(rng.randint(3 * low, 9), 3)
+        x = x + LCNumber.term(_rand_qi(rng), q)
+    return x
+
+
+def _rand_poly(rng, variables, max_degree=3, terms=3, quotients=True):
+    """Terms over the variables, with Q(i), LC-sum and now and then quotient
+    coefficients; at times zero."""
+    f = Poly.zero(EXTENDED)
+    for _ in range(rng.randint(1, terms)):
+        exps = [(v, rng.randint(1, max_degree)) for v in variables if rng.random() < 0.5]
+        kind = rng.random()
+        if kind < 0.3:
+            c = LCNumber.from_gaussian(_rand_qi(rng))
+        elif kind < 0.93 or not quotients:
+            c = _rand_lc(rng, low=-1)
+        else:
+            c = LCFraction(_rand_lc(rng, low=0) + LC_ONE, LC_ONE + LCNumber.eps(rng.choice((1, Fraction(1, 2)))))
+        if c:
+            f = f + Poly(EXTENDED, {Monomial(exps): c})
+    return f
+
+
+def _line_factor(v, a):
+    return Poly.variable(v, EXTENDED) - Poly.constant(a)
+
+
+def _witness_cases(rng, count):
+    """(kind, f, a, seed) for the witness search.  Kinds: 'plain' (any f, a
+    and f(a) often nonzero), 'through-a' (f - f(a), so the search runs on the
+    lines), 'zero-restriction' (a product of z_v - a_v over two or three
+    variables, zero on every coordinate line through a, so the search skips
+    those lines), 'eps-roots' (the restriction to the first axis has roots
+    at u = 0, eps, 2*eps, ..., so c passes them) and 'errors' (zero f, a
+    point that misses a variable)."""
+    out = []
+    kinds = ["plain", "through-a", "zero-restriction", "zero-restriction", "eps-roots", "errors"]
+    for k in range(count):
+        kind = kinds[k % len(kinds)]
+        n = rng.randint(2, 3) if kind == "zero-restriction" else rng.randint(1, 3)
+        ambient = sorted(rng.sample(range(1, 5), n))
+        a = PointAssignment({v: _rand_lc(rng, low=rng.choice((-1, 0))) for v in ambient})
+        f = _rand_poly(rng, ambient)
+        if kind == "through-a":
+            try:
+                f = f - Poly.constant(poly_eval(f, a))
+            except InvalidInput:
+                pass  # f(a) is not a finite sum, and the search says so
+        elif kind == "zero-restriction":
+            g = _rand_poly(rng, ambient, max_degree=2, terms=2, quotients=False) or Poly.constant(LC_ONE)
+            f = g
+            for v in ambient:
+                f = f * _line_factor(v, a[v])
+        elif kind == "eps-roots":
+            v = ambient[0]
+            f = _line_factor(v, a[v]).scale(_rand_lc(rng, low=0) or LC_ONE)
+            for c in range(1, rng.randint(2, 4)):
+                f = f * _line_factor(v, a[v] + LCNumber.term(GaussianRational(c), 1))
+            if len(ambient) > 1 and rng.random() < 0.5:
+                f = f * (Poly.variable(ambient[1], EXTENDED) + Poly.constant(_rand_lc(rng)))
+        elif kind == "errors":
+            if rng.random() < 0.5:
+                f = Poly.zero(EXTENDED)
+            else:
+                f = f + Poly.variable(5, EXTENDED)
+        out.append((kind, f, a, rng.randint(0, 3)))
+    return out
+
+
+def _witness(fn, f, a, seed):
+    """The witness point, its value and their exact terms, or the error."""
+    try:
+        xi = fn(f, a, seed)
+    except EpsgeomError as e:
+        return type(e).__name__, str(e)
+    return json.dumps(
+        {
+            "point": {"z%d" % v: format_lc(x) for v, x in xi.items()},
+            "value": format_lc(xi.value),
+            "terms": repr((xi.items(), xi.value.terms)),
+        }
+    )
+
+
+class TestUnivariateLayerAgainstTheReference:
+    """The witness search, the coefficient list and the root split against
+    their earlier versions: the search that restricted f to each line by
+    substitution, the coefficient dict and the quotient-and-remainder split."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_witnesses_match(self, seed):
+        kinds = Counter()
+        for kind, f, a, s in _witness_cases(random.Random(9100 + seed), 120):
+            got = _witness(open_shadow_witness, f, a, s)
+            assert got == _witness(reference_open_shadow_witness, f, a, s), (format_poly(f), a)
+            kinds[kind, isinstance(got, str)] += 1
+        # every zero-restriction case found a witness off the coordinate
+        # lines, the other kinds found witnesses, and the errors kind erred
+        assert kinds["zero-restriction", True] == 40
+        assert kinds["eps-roots", True] >= 15
+        assert kinds["through-a", True] >= 10
+        assert kinds["errors", False] == 20
+        assert kinds["plain", False] >= 1
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_coefficient_lists_match(self, seed):
+        rng = random.Random(9200 + seed)
+        for _ in range(60):
+            v = rng.randint(1, 2)
+            f = _rand_poly(rng, [v] if rng.random() < 0.8 else [1, 2], max_degree=5, terms=4)
+            try:
+                want = reference_univar_coeffs(f, v)
+            except InvalidInput as e:
+                with pytest.raises(InvalidInput) as raised:
+                    _univar_coeffs(f, v, LC_ZERO)
+                assert str(raised.value) == str(e)
+                continue
+            got = _univar_coeffs(f, v, LC_ZERO)
+            assert got == [want.get(k, LC_ZERO) for k in range(max(want, default=0) + 1)]
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_root_splits_match(self, seed):
+        rng = random.Random(9300 + seed)
+        for _ in range(60):
+            roots = [_rand_qi(rng) for _ in range(rng.randint(0, 5))]
+            coeffs = poly_from_roots(roots)
+            unit = _rand_qi(rng, nonzero=True)
+            sh = Poly("standard", {Monomial(((1, k),) if k else ()): unit * c for k, c in enumerate(coeffs) if c})
+            if rng.random() < 0.3:
+                sh = sh + Poly.constant(_rand_qi(rng, nonzero=True)).to_standard()
+            candidates = sorted(
+                set(roots[: rng.randint(0, len(roots))] + [_rand_qi(rng) for _ in range(2)]),
+                key=lambda c: (c.re, c.im),
+            )
+            if not sh:
+                continue
+            got = _collect_roots(sh, 1, candidates)
+            assert repr(got) == repr(reference_collect_roots(sh, 1, candidates))
+            assert all(isinstance(c, GaussianRational) for c in got[1]) and got[1] != [QI_ZERO]

@@ -67,6 +67,14 @@ class TestPointIdealExamples:
             {1: LCNumber.from_gaussian(qi(1)), 2: LCNumber.from_gaussian(qi(2))}
         )
 
+    def test_every_element_is_checked_before_a_coordinate_is_read(self):
+        # z1 = 2/(1 - 2*eps) is not a finite sum, but the ideal is not a
+        # point ideal at all, and the reason says that whatever the order of
+        # the basis
+        r = is_point_ideal(Ideal([parse_poly("(1 + -2*eps)*z1 - 2"), parse_poly("z2*z2 - (2 + -2*eps)")]))
+        assert r.point is None
+        assert r.reason == "a basis element is not linear in a single variable"
+
     @given(st.dictionaries(st.integers(min_value=1, max_value=5), gaussians(), min_size=1, max_size=3))
     @settings(max_examples=40, deadline=None)
     def test_recovers_random_points(self, coords):
