@@ -309,7 +309,7 @@ class _LcKernel:
     def entry(cols, layout):
         vec = {}
         for pos, f in enumerate(cols):
-            for m, c in f.to_extended().terms.items():
+            for m, c in f.terms.items():
                 vec[layout.term(pos, m)] = c if isinstance(c, LCFraction) else LCFraction(c)
         return vec, 1
 
@@ -902,11 +902,9 @@ def radical_member(g, ideal):
 
 
 def ideal_combine(kind, I, J):
-    """sum, product, or intersection of two ideals."""
+    """sum, product, or intersection of two ideals; a standard and an
+    extended ideal combine in the extended domain."""
     gi, gj = list(I.generators), list(J.generators)
-    if I.domain != J.domain:
-        gi = [g.to_extended() for g in gi]
-        gj = [g.to_extended() for g in gj]
     if kind == "sum":
         return Ideal(gi + gj, I.order)
     if kind == "product":

@@ -25,7 +25,6 @@ from .errors import (
 )
 from .gaussian import (
     GaussianRational,
-    QI_ONE,
     QI_ZERO,
     _new,
     _normalised,
@@ -43,6 +42,7 @@ from .levicivita import (
 
 STANDARD = "standard"
 EXTENDED = "extended"
+_NUMBERS = (GaussianRational, LCNumber, LCFraction, int, Fraction)
 
 
 class Monomial:
@@ -140,13 +140,6 @@ _set_deg = Monomial.deg.__set__
 MONO_ONE = Monomial()
 
 
-def _promote_coeff(c):
-    """Standard coefficient into the extended domain."""
-    if isinstance(c, GaussianRational):
-        return LCNumber.from_gaussian(c)
-    return c
-
-
 def _standard_coeff(c):
     """A standard-domain coefficient as a GaussianRational."""
     if isinstance(c, GaussianRational):
@@ -164,14 +157,6 @@ def _extended_coeff(c):
     if isinstance(c, (GaussianRational, int, Fraction)):
         return LCNumber.from_gaussian(c)
     raise InvalidInput("extended coefficients are LC numbers, not %s" % type(c).__name__)
-
-
-def _coeff_domain(c):
-    if isinstance(c, GaussianRational):
-        return STANDARD
-    if isinstance(c, (LCNumber, LCFraction)):
-        return EXTENDED
-    raise InvalidInput("unsupported coefficient type %r" % type(c).__name__)
 
 
 class Poly:
@@ -208,19 +193,17 @@ class Poly:
 
     @staticmethod
     def constant(c):
-        if isinstance(c, (int, Fraction)):
-            c = GaussianRational(c)
-        return Poly(_coeff_domain(c), {MONO_ONE: c})
+        domain = EXTENDED if isinstance(c, (LCNumber, LCFraction)) else STANDARD
+        return Poly(domain, {MONO_ONE: c})
 
     @staticmethod
     def variable(index, domain=STANDARD):
-        one = QI_ONE if domain == STANDARD else LC_ONE
-        return Poly(domain, {Monomial(((index, 1),)): one})
+        return Poly(domain, {Monomial(((index, 1),)): 1})
 
     def to_extended(self):
         if self.domain == EXTENDED:
             return self
-        return Poly(EXTENDED, {m: _promote_coeff(c) for m, c in self.terms.items()})
+        return Poly(EXTENDED, self.terms)
 
     def to_standard(self):
         """Demote when every coefficient is a pure eps^0 term."""
@@ -263,7 +246,7 @@ class Poly:
         return Poly(self.domain, {m: -c for m, c in self.terms.items()})
 
     def __mul__(self, other):
-        if isinstance(other, (GaussianRational, LCNumber, LCFraction, int, Fraction)):
+        if isinstance(other, _NUMBERS):
             return self.scale(other)
         a, b = self._unify(other)
         ta, tb = a.terms, b.terms
@@ -302,17 +285,12 @@ class Poly:
     def __pow__(self, k):
         if not isinstance(k, int) or k < 0:
             raise InvalidInput("polynomial powers take nonnegative integers")
-        one = QI_ONE if self.domain == STANDARD else LC_ONE
-        return square_and_multiply(self, k, Poly.constant(one))
+        return square_and_multiply(self, k, Poly(self.domain, {MONO_ONE: 1}))
 
     def scale(self, c):
-        if isinstance(c, (int, Fraction)):
-            c = GaussianRational(c)
-        domain = self.domain
-        if _coeff_domain(c) == EXTENDED and domain == STANDARD:
-            return self.to_extended().scale(c)
-        if _coeff_domain(c) == STANDARD and domain == EXTENDED:
-            c = _promote_coeff(c)
+        if not isinstance(c, _NUMBERS):
+            raise InvalidInput("unsupported coefficient type %r" % type(c).__name__)
+        domain = EXTENDED if isinstance(c, (LCNumber, LCFraction)) else self.domain
         return Poly(domain, {m: cc * c for m, cc in self.terms.items()})
 
     def __bool__(self):
@@ -550,9 +528,12 @@ def poly_eval(f, point):
     """Evaluate at a point with LCNumber coordinates; returns an LCNumber.
 
     Every variable in f's support must be assigned, else UnassignedVariable.
+    The numbers' own operators mix the domains: a standard coefficient
+    times an LCNumber is an LCNumber, and the sum turns into an LCFraction
+    at f's first quotient coefficient.  That sum is collapsed once at the
+    end, and InvalidInput says when it is not a finite sum.
     """
-    acc = LCNumber()
-    frac_acc = None
+    acc = LC_ZERO
     powers = {}
     for m, c in f.terms.items():
         val = LC_ONE
@@ -560,31 +541,20 @@ def poly_eval(f, point):
             if v not in point:
                 raise UnassignedVariable("variable z%d is not assigned" % v)
             val = val * _power(powers, v, point[v], e)
-        contrib = _promote_coeff(c) * val
-        if isinstance(contrib, LCFraction):
-            frac_acc = (frac_acc if frac_acc is not None else LCFraction(acc)) + contrib
-        elif frac_acc is not None:
-            frac_acc = frac_acc + contrib
-        else:
-            acc = acc + contrib
-    if frac_acc is not None:
-        out = frac_acc.to_lcnumber()
-        if out is None:
+        acc = acc + val * c
+    if isinstance(acc, LCFraction):
+        acc = acc.to_lcnumber()
+        if acc is None:
             raise InvalidInput("evaluation is not a finite sum")
-        return out
     return acc
 
 
 def _coeff_standard_part(c, mono):
     if isinstance(c, GaussianRational):
         return c
-    if isinstance(c, (LCNumber, LCFraction)):
-        if not c.is_limited():
-            raise UnlimitedCoefficient(
-                "coefficient of %s is unlimited" % mono
-            )
-        return c.standard_part()
-    raise InvalidInput("unsupported coefficient type")
+    if not c.is_limited():
+        raise UnlimitedCoefficient("coefficient of %s is unlimited" % mono)
+    return c.standard_part()
 
 
 def poly_shadow(f):
@@ -654,7 +624,7 @@ class AffineSubstitution:
         out = Poly.zero(domain)
         powers = {}
         for m, c in f.terms.items():
-            part = Poly.constant(c if domain == f.domain else _promote_coeff(c))
+            part = Poly.constant(c)
             for v, e in m.exps:
                 if v not in self.mapping:
                     raise UnassignedVariable(

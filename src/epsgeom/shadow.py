@@ -171,10 +171,13 @@ def reduce_on_variety(f, X):
     """Find g with the same zero set as f on X whose shadow survives on X.
 
     Returns all_of_x when f lies in the extension of I(X).  Otherwise loops:
-    while the current shadow still vanishes on X (radical membership),
-    normalize by the largest coefficient and subtract the shadow.  Each
-    subtraction removes at least one eps-term, so the loop runs at most
-    (total eps-term count of f) times.
+    normalize g by its largest coefficient (so an unlimited f is scaled
+    down, not refused) and ask once whether the shadow vanishes on X
+    (radical membership); while it does, subtract the shadow.  When it
+    does not, the result is g itself if its largest coefficient is
+    appreciable, since normalising then only divides by a standard unit,
+    and the normalised g otherwise.  Each subtraction removes at least one
+    eps-term, so the loop runs at most (total eps-term count of f) times.
     """
     f = _finite_coeffs(f)
     I = X.ideal()
@@ -187,14 +190,12 @@ def reduce_on_variety(f, X):
         iterations += 1
         if iterations > budget:
             raise InvalidInput("internal: reduction loop exceeded its budget")
-        sh = poly_shadow(g)
-        if sh and not radical_member(sh, I):
-            return VarietyReduction(False, g, iterations)
-        g = max_abs_normalize(g)
-        sh = poly_shadow(g)
+        n = max_abs_normalize(g)
+        sh = poly_shadow(n)
         if not radical_member(sh, I):
-            return VarietyReduction(False, g, iterations)
-        g = g - sh.to_extended()
+            appreciable = min(c.valuation() for c in g.terms.values()) == 0
+            return VarietyReduction(False, g if appreciable else n, iterations)
+        g = n - sh
         if not g:
             # f was a unit multiple of a standard member of the radical
             return VarietyReduction(True, None, iterations)
@@ -311,9 +312,10 @@ def open_shadow_witness(f, a, seed=0):
     Searches lines a + u*d: standard basis directions first, then a few
     seeded small-integer directions, then an exhaustive grid that cannot miss
     (a nonzero polynomial cannot vanish on a large enough grid).  On each
-    line it evaluates f at u = c*eps for c = 1, ..., deg(f) + 1; the
-    restriction to the line has degree at most deg(f), so it vanishes at
-    all of them only when it is zero, and the search moves to the next line.
+    line it evaluates f at u = c*eps for c = 1, ..., deg(f).  The search
+    reaches the lines only when f(a) = 0, so the restriction to a line is
+    u*h(u) with deg h <= deg(f) - 1; it vanishes at all of them only when
+    it is zero, and the search moves to the next line.
     The returned point's .value is f there, the nonzero value the search
     tested: f(a) itself, or f(a + c*eps*d).  The point a may also be a
     plain mapping from variable index to LC number.
@@ -322,7 +324,6 @@ def open_shadow_witness(f, a, seed=0):
         raise EmptyOpen("the zero polynomial cuts out an empty open set")
     if not isinstance(a, PointAssignment):
         a = PointAssignment(a)
-    f = f.to_extended()
     for v in f.support():
         if v not in a:
             raise UnassignedVariable("point does not assign z%d" % v)
@@ -342,7 +343,7 @@ def open_shadow_witness(f, a, seed=0):
                 yield dict(zip(ambient, combo))
 
     for d in directions():
-        for c in range(1, deg + 2):
+        for c in range(1, deg + 1):
             ueps = LCNumber.term(GaussianRational(c), 1)
             point = {v: a[v] + ueps * LCNumber.from_gaussian(GaussianRational(d[v])) for v in ambient}
             if value := poly_eval(f, point):

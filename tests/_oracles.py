@@ -17,7 +17,12 @@ truncated series served them all: the coefficient dict, the root split on
 quotient-and-remainder division, the witness search that restricted f to
 each line by substitution, lc_inverse and lc_nth_root with a series loop
 each, and the term formatters with their own sign, body and eps^q logic.
-The reference lift and closure report run on these.
+The reference lift and closure report run on these.  At the very end are
+coefficient conversion and the reduce-on-variety loop as they were before
+Poly(...) became the one place a coefficient converts: the promotion and
+domain helpers, constant, to_extended, scale, poly_eval with its second
+accumulator, substitution and ideal_combine that promoted first, and the
+loop that asked the radical question twice a pass.
 """
 
 import functools
@@ -45,7 +50,14 @@ from epsgeom.gaussian import (
     gaussian_nth_root,
     gaussian_poly_roots,
 )
-from epsgeom.groebner import Module, module_syzygies, syzygy_basis
+from epsgeom.groebner import (
+    Ideal,
+    Module,
+    eliminate,
+    module_syzygies,
+    radical_member,
+    syzygy_basis,
+)
 from epsgeom.levicivita import (
     INF,
     LC_ONE,
@@ -72,6 +84,7 @@ from epsgeom.poly import (
     AffineSubstitution,
     Monomial,
     Poly,
+    _power,
     max_abs_normalize,
     poly_eval,
     poly_shadow,
@@ -80,6 +93,7 @@ from epsgeom.shadow import (
     EvaluatedPoint,
     PointAssignment,
     VarietyPresentation,
+    VarietyReduction,
     _finite_coeffs,
     _taylor_shift,
     reduce_on_variety,
@@ -1060,3 +1074,133 @@ def reference_format_poly(f):
     if not f:
         return "0"
     return _join([_poly_term_str(m, c) for m, c in f.sorted_terms()])
+
+
+# Coefficient conversion as it was before Poly(...) became its one place:
+# a promotion helper, a domain helper, and callers that promoted first.
+
+
+def reference_promote_coeff(c):
+    """Standard coefficient into the extended domain."""
+    if isinstance(c, GaussianRational):
+        return LCNumber.from_gaussian(c)
+    return c
+
+
+def reference_coeff_domain(c):
+    if isinstance(c, GaussianRational):
+        return STANDARD
+    if isinstance(c, (LCNumber, LCFraction)):
+        return EXTENDED
+    raise InvalidInput("unsupported coefficient type %r" % type(c).__name__)
+
+
+def reference_constant(c):
+    if isinstance(c, (int, Fraction)):
+        c = GaussianRational(c)
+    return Poly(reference_coeff_domain(c), {MONO_ONE: c})
+
+
+def reference_to_extended(f):
+    if f.domain == EXTENDED:
+        return f
+    return Poly(EXTENDED, {m: reference_promote_coeff(c) for m, c in f.terms.items()})
+
+
+def reference_scale(f, c):
+    if isinstance(c, (int, Fraction)):
+        c = GaussianRational(c)
+    domain = f.domain
+    if reference_coeff_domain(c) == EXTENDED and domain == STANDARD:
+        return reference_scale(reference_to_extended(f), c)
+    if reference_coeff_domain(c) == STANDARD and domain == EXTENDED:
+        c = reference_promote_coeff(c)
+    return Poly(domain, {m: cc * c for m, cc in f.terms.items()})
+
+
+def reference_poly_eval(f, point):
+    """poly_eval with a second accumulator for quotient contributions."""
+    acc = LCNumber()
+    frac_acc = None
+    powers = {}
+    for m, c in f.terms.items():
+        val = LC_ONE
+        for v, e in m.exps:
+            if v not in point:
+                raise UnassignedVariable("variable z%d is not assigned" % v)
+            val = val * _power(powers, v, point[v], e)
+        contrib = reference_promote_coeff(c) * val
+        if isinstance(contrib, LCFraction):
+            frac_acc = (frac_acc if frac_acc is not None else LCFraction(acc)) + contrib
+        elif frac_acc is not None:
+            frac_acc = frac_acc + contrib
+        else:
+            acc = acc + contrib
+    if frac_acc is not None:
+        out = frac_acc.to_lcnumber()
+        if out is None:
+            raise InvalidInput("evaluation is not a finite sum")
+        return out
+    return acc
+
+
+def reference_substitution_apply(s, f):
+    """AffineSubstitution.apply with each term promoted before its products."""
+    domain = f.domain
+    if any(g.domain == EXTENDED for g in s.mapping.values()):
+        domain = EXTENDED
+    out = Poly.zero(domain)
+    powers = {}
+    for m, c in f.terms.items():
+        part = Poly.constant(c if domain == f.domain else reference_promote_coeff(c))
+        for v, e in m.exps:
+            if v not in s.mapping:
+                raise UnassignedVariable("substitution does not cover z%d" % v)
+            part = part * _power(powers, v, s.mapping[v], e)
+        out = out + part
+    return out
+
+
+def reference_ideal_combine(kind, I, J):
+    """ideal_combine with both generator lists promoted when domains differ."""
+    gi, gj = list(I.generators), list(J.generators)
+    if I.domain != J.domain:
+        gi = [g.to_extended() for g in gi]
+        gj = [g.to_extended() for g in gj]
+    if kind == "sum":
+        return Ideal(gi + gj, I.order)
+    if kind == "product":
+        return Ideal([f * g for f in gi for g in gj], I.order)
+    if kind == "intersection":
+        fresh = max((v for g in gi + gj for v in g.support()), default=0) + 1
+        t = Poly.variable(fresh)
+        one = Poly.constant(1)
+        mixed = [t * f for f in gi] + [(one - t) * g for g in gj]
+        return eliminate(Ideal(mixed, I.order), {fresh})
+    raise InvalidInput("unknown ideal combination %r" % kind)
+
+
+def reference_reduce_on_variety(f, X):
+    """The loop that asked the radical question before and after normalising,
+    and so refused an f with an unlimited coefficient."""
+    f = _finite_coeffs(f)
+    I = X.ideal()
+    if not I.normal_form(f):
+        return VarietyReduction(True, None, 0)
+    g = f
+    budget = sum(len(c.terms) for c in f.terms.values()) + 2
+    iterations = 0
+    while True:
+        iterations += 1
+        if iterations > budget:
+            raise InvalidInput("internal: reduction loop exceeded its budget")
+        sh = poly_shadow(g)
+        if sh and not radical_member(sh, I):
+            return VarietyReduction(False, g, iterations)
+        g = max_abs_normalize(g)
+        sh = poly_shadow(g)
+        if not radical_member(sh, I):
+            return VarietyReduction(False, g, iterations)
+        g = g - sh.to_extended()
+        if not g:
+            return VarietyReduction(True, None, iterations)

@@ -2,6 +2,7 @@ import functools
 import math
 import random
 import signal
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -18,6 +19,7 @@ from _oracles import (
     is_monic_reduced_basis,
     monomials_upto,
     order_cmp,
+    reference_ideal_combine,
 )
 from _strategies import monomials, polys
 from epsgeom import groebner
@@ -161,6 +163,39 @@ class TestCombineExamples:
     def test_product(self):
         P = ideal_combine("product", Ideal([std("z1")]), Ideal([std("z2")]))
         assert list(P.generators) == [std("z1*z2")]
+
+
+class TestCombineAgainstTheReference:
+    """ideal_combine, which leaves mixed domains to Module and Poly
+    arithmetic, against the one that promoted both generator lists first."""
+
+    @staticmethod
+    def _combined(fn, kind, I, J):
+        try:
+            K = fn(kind, I, J)
+        except InvalidInput as e:
+            return str(e)
+        return K.domain, repr(K.generators), K.order
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_combinations_match(self, seed):
+        rng = random.Random(9800 + seed)
+        eps = ext("eps")
+        mixed = Counter()
+        for _ in range(80):
+            I, J = (random_ideal(rng, max_gens=2, max_vars=2, max_degree=2) for _ in "IJ")
+            if rng.random() < 0.5:
+                # one extended side: generators g + eps*z_v, so the mixed
+                # lists are not a standard ideal in disguise
+                gens = [g + eps * Poly.variable(rng.randint(1, 2)) for g in I.generators]
+                I = Ideal(gens)
+            if rng.random() < 0.3:
+                I, J = J, I
+            kind = rng.choice(("sum", "product", "intersection", "union"))
+            got = self._combined(ideal_combine, kind, I, J)
+            assert got == self._combined(reference_ideal_combine, kind, I, J)
+            mixed[kind] += I.domain != J.domain
+        assert all(mixed[kind] >= 5 for kind in ("sum", "product", "intersection"))
 
 
 class TestEliminationExamples:

@@ -1,11 +1,23 @@
 import functools
+import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _oracles import cmp_grevlex, compose_polys, reference_poly_mul, reference_product
+from _oracles import (
+    cmp_grevlex,
+    compose_polys,
+    reference_constant,
+    reference_poly_eval,
+    reference_poly_mul,
+    reference_product,
+    reference_scale,
+    reference_substitution_apply,
+    reference_to_extended,
+)
 from _strategies import (
     extended_polys,
     gaussians,
@@ -15,13 +27,14 @@ from _strategies import (
     polys,
 )
 from epsgeom.errors import (
+    EpsgeomError,
     InvalidInput,
     UnassignedVariable,
     UnlimitedCoefficient,
     ZeroPolynomial,
 )
 from epsgeom.gaussian import GaussianRational
-from epsgeom.levicivita import LC_ONE, LC_ZERO, LCFraction, LCNumber, lc_st
+from epsgeom.levicivita import LC_EPS, LC_ONE, LC_ZERO, LCFraction, LCNumber, lc_st
 from epsgeom.parser import format_poly, parse_lc, parse_poly
 from epsgeom.poly import (
     EXTENDED,
@@ -361,8 +374,9 @@ class TestPowerCache:
     )
     @settings(max_examples=40, deadline=None)
     def test_eval_with_fraction_coefficients(self, f, whole, num, x):
-        # LCFraction coefficients take the frac_acc path: a whole one, and
-        # c*z1^3 - c*z1^3*z2 with c = num/(1 + eps), a finite sum at z2 = 1
+        # LCFraction coefficients turn the sum into an LCFraction: a whole
+        # one, and c*z1^3 - c*z1^3*z2 with c = num/(1 + eps), a finite sum
+        # at z2 = 1
         c = LCFraction(num, L("1 + eps"))
         g = f.to_extended() + Poly(
             EXTENDED,
@@ -649,6 +663,139 @@ class TestCoefficientTypes:
     def test_other_extended_coefficients_are_refused(self, coeff):
         with pytest.raises(InvalidInput):
             Poly("extended", {Monomial([(1, 1)]): coeff})
+
+    @pytest.mark.parametrize("coeff", [1.5, "1", None], ids=repr)
+    def test_a_non_number_is_refused_by_each_entry(self, coeff):
+        with pytest.raises(InvalidInput, match="standard coefficients are Q"):
+            Poly.constant(coeff)
+        with pytest.raises(InvalidInput, match="unsupported coefficient type"):
+            P("z1 + 1").scale(coeff)
+        with pytest.raises(InvalidInput):
+            Poly("standard", {MONO_ONE: coeff})
+
+
+def _qi(rng):
+    return GaussianRational(Fraction(rng.randint(-3, 3), rng.choice((1, 2))), rng.randint(-1, 1))
+
+
+def _lc(rng):
+    x = LC_ZERO
+    for _ in range(rng.randint(0, 2)):
+        x = x + LCNumber.term(_qi(rng), Fraction(rng.randint(-3, 6), rng.choice((1, 3))))
+    return x
+
+
+def _number(rng):
+    """An int, a Fraction, a Q(i) number, an LC sum, a finite LCFraction or
+    a quotient that is not a finite sum."""
+    kind = rng.randrange(6)
+    if kind == 0:
+        return rng.randint(-2, 2)
+    if kind == 1:
+        return Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+    if kind == 2:
+        return _qi(rng)
+    if kind == 3:
+        return _lc(rng)
+    if kind == 4:
+        return LCFraction(_lc(rng) * (LC_ONE + LC_EPS), LC_ONE + LC_EPS)
+    return LCFraction(_lc(rng) or LC_ONE, LC_ONE + LCNumber.eps(rng.choice((1, Fraction(1, 2)))))
+
+
+def _poly(rng, domain, variables=(1, 2)):
+    """Up to three terms; extended coefficients of every kind _number makes."""
+    terms = {}
+    for _ in range(rng.randint(0, 3)):
+        m = Monomial([(v, rng.randint(1, 2)) for v in variables if rng.random() < 0.5])
+        c = _number(rng)
+        if domain == STANDARD and isinstance(c, (LCNumber, LCFraction)):
+            c = _qi(rng)
+        terms[m] = c
+    return Poly(domain, terms)
+
+
+def _affine(rng, domain):
+    """A polynomial of degree at most 1 in z1, z2."""
+    terms = {}
+    for v in rng.sample((0, 1, 2), rng.randint(0, 3)):
+        terms[Monomial([(v, 1)]) if v else MONO_ONE] = _number(rng) if domain == EXTENDED else _qi(rng)
+    return Poly(domain, terms)
+
+
+def _exact(fn, *args):
+    """repr of the result, which shows domain, term order and coefficient
+    types, or the error's type and message."""
+    try:
+        return repr(fn(*args))
+    except EpsgeomError as e:
+        return type(e).__name__, str(e)
+
+
+class TestConversionAgainstTheReference:
+    """Poly(...) and the numbers' operators against the helpers and the
+    callers that promoted a coefficient before they used it."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_conversions_and_ring_operations_match(self, seed):
+        rng = random.Random(9500 + seed)
+        seen = set()
+        for _ in range(150):
+            f = _poly(rng, rng.choice((STANDARD, EXTENDED)))
+            g = _poly(rng, rng.choice((STANDARD, EXTENDED)))
+            c = _number(rng) if rng.random() < 0.9 else rng.choice((1.5, "1", None))
+            assert _exact(Poly.to_extended, f) == _exact(reference_to_extended, f)
+            assert _exact(Poly.scale, f, c) == _exact(reference_scale, f, c)
+            if not isinstance(c, (float, str, type(None))):
+                assert _exact(f.__mul__, c) == _exact(reference_scale, f, c)
+                assert _exact(Poly.constant, c) == _exact(reference_constant, c)
+            if f.domain != g.domain:
+                fe, ge = reference_to_extended(f), reference_to_extended(g)
+                assert repr(f + g) == repr(fe + ge)
+                assert repr(f - g) == repr(fe - ge)
+                assert repr(f * g) == repr(fe * ge)
+            seen.add((f.domain, type(c).__name__))
+        # both domains met the five kinds of number and the three non-numbers
+        assert len(seen) == 2 * 8
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_evaluations_match(self, seed):
+        rng = random.Random(9600 + seed)
+        kinds = Counter()
+        for _ in range(150):
+            f = _poly(rng, rng.choice((STANDARD, EXTENDED)))
+            point = {v: _lc(rng) for v in (1, 2) if rng.random() < 0.95}
+            if rng.random() < 0.3:
+                # c*z1 with c = n/d at z1 = d*y: a quotient contribution
+                # whose sum is a finite one
+                d = LC_ONE + LCNumber.eps(rng.choice((1, Fraction(1, 2))))
+                f = f + Poly(EXTENDED, {Monomial([(1, 1)]): LCFraction(_lc(rng) or LC_ONE, d)})
+                point[1] = d * (_lc(rng) or LC_ONE)
+            got = _exact(poly_eval, f, point)
+            assert got == _exact(reference_poly_eval, f, point)
+            quotient = any(isinstance(c, LCFraction) for c in f.terms.values())
+            kinds[quotient, isinstance(got, str)] += 1
+        # quotient coefficients gave finite values and refusals
+        assert kinds[True, True] >= 10 and kinds[True, False] >= 5
+        assert kinds[False, True] >= 50
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_substitutions_match(self, seed):
+        rng = random.Random(9700 + seed)
+        kinds = Counter()
+        for _ in range(100):
+            f = _poly(rng, rng.choice((STANDARD, EXTENDED)))
+            mapping = {
+                v: _affine(rng, rng.choice((STANDARD, EXTENDED)))
+                for v in (1, 2)
+                if rng.random() < 0.95
+            }
+            s = AffineSubstitution(mapping)
+            got = _exact(s.apply, f)
+            assert got == _exact(reference_substitution_apply, s, f)
+            extended_values = any(g.domain == EXTENDED for g in mapping.values())
+            kinds[f.domain, extended_values] += 1
+        # a standard f met extended values, and every other pairing occurred
+        assert len(kinds) == 4 and kinds[STANDARD, True] >= 10
 
 
 class TestMonomialOrders:

@@ -14,23 +14,26 @@ from _oracles import (
     reference_collect_roots,
     reference_newton_puiseux_lift,
     reference_open_shadow_witness,
+    reference_reduce_on_variety,
     reference_univar_coeffs,
     reference_verify_shadow_closure,
 )
 from _strategies import extended_polys, gaussians, lc_numbers, limited_lc, polys
-from epsgeom import gaussian
+from epsgeom import gaussian, shadow
+from epsgeom.cli import run_command
 from epsgeom.errors import (
     EmptyOpen,
     EpsgeomError,
     InvalidInput,
     NotAShadowRoot,
     SupportMismatch,
+    UnlimitedCoefficient,
     UnlimitedValue,
 )
 from epsgeom.gaussian import QI_ZERO, GaussianRational
 from epsgeom.groebner import Ideal, ideal_member, radical_member
 from epsgeom.levicivita import LC_ONE, LC_ZERO, LCFraction, LCNumber, TruncationOrder, lc_st
-from epsgeom.parser import format_lc, parse_lc, parse_poly
+from epsgeom.parser import format_lc, format_poly, parse_lc, parse_poly
 from epsgeom.poly import (
     EXTENDED,
     AffineSubstitution,
@@ -112,6 +115,30 @@ class TestReduceOnVariety:
         r = reduce_on_variety(P("(1 + eps)*z1"), LINE)
         assert r.all_of_x
         assert r.poly is None
+
+    def test_one_radical_question_a_pass(self, monkeypatch):
+        # the shadow of the normalised g is asked about once a pass: z1, a
+        # member, then z2; asking before normalising too made it 3 calls
+        asked = []
+
+        def counted(g, ideal):
+            asked.append(format_poly(g))
+            return radical_member(g, ideal)
+
+        monkeypatch.setattr(shadow, "radical_member", counted)
+        r = reduce_on_variety(P("z1 + eps*z2"), LINE)
+        assert (r.poly, r.iterations) == (P("z2").to_extended(), 2)
+        assert asked == ["z1", "z2"]
+
+    def test_an_unlimited_f_is_normalised(self):
+        f = P("eps^(-1)*z1 + z2")
+        r = reduce_on_variety(f, LINE)
+        assert r == VarietyReduction(False, P("z2").to_extended(), 2)
+        with pytest.raises(UnlimitedCoefficient):
+            reference_reduce_on_variety(f, LINE)
+        code, out = run_command(["reduce-on-variety", "--poly=eps^(-1)*z1 + z2", "--variety=z1"])
+        assert code == 0
+        assert json.loads(out)["result"] == {"all_of_x": False, "poly": "z2", "iterations": 2}
 
     def test_random_instances(self):
         rng = random.Random(5001)
@@ -340,6 +367,20 @@ class TestOpenWitness:
     def test_zero_rejected(self):
         with pytest.raises(EmptyOpen):
             open_shadow_witness(Poly.zero("extended"), pt({1: "0"}))
+
+    def test_a_zero_line_costs_deg_f_evaluations(self, monkeypatch):
+        # z2^3 vanishes on the z1 line through the origin: the search
+        # evaluates it there at u = eps, 2*eps, 3*eps and moves on
+        points = []
+
+        def counted(f, point):
+            points.append(point)
+            return poly_eval(f, point)
+
+        monkeypatch.setattr(shadow, "poly_eval", counted)
+        xi = open_shadow_witness(P("z2^3"), pt({1: "0", 2: "0"}))
+        assert sum(not p[2] for p in points[1:]) == 3
+        assert xi.items() == [(1, LC_ZERO), (2, L("eps"))] and xi.value == L("eps^3")
 
     @pytest.mark.parametrize("f", ["z1 - 1", "z1", "z1*z2 - eps"])
     def test_plain_mapping_point(self, f):
@@ -711,6 +752,8 @@ class TestUnivariateLayerAgainstTheReference:
         for kind, f, a, s in _witness_cases(random.Random(9100 + seed), 120):
             got = _witness(open_shadow_witness, f, a, s)
             assert got == _witness(reference_open_shadow_witness, f, a, s), (format_poly(f), a)
+            if (standard := f.to_standard()) is not None:
+                assert _witness(open_shadow_witness, standard, a, s) == got
             kinds[kind, isinstance(got, str)] += 1
         # every zero-restriction case found a witness off the coordinate
         # lines, the other kinds found witnesses, and the errors kind erred
@@ -755,3 +798,45 @@ class TestUnivariateLayerAgainstTheReference:
             got = _collect_roots(sh, 1, candidates)
             assert repr(got) == repr(reference_collect_roots(sh, 1, candidates))
             assert all(isinstance(c, GaussianRational) for c in got[1]) and got[1] != [QI_ZERO]
+
+
+def _reduction(fn, f, X):
+    """The reduction's fields, the result's exact terms included, or the error."""
+    try:
+        r = fn(f, X)
+    except EpsgeomError as e:
+        return type(e).__name__, str(e)
+    return r.all_of_x, repr(r.poly), r.iterations
+
+
+class TestReduceAgainstTheReference:
+    """reduce_on_variety against the loop that asked the radical question
+    before and after normalising, and so refused an unlimited f."""
+
+    # (z1^2) is not radical: a unit multiple of z1 ends the loop with
+    # all_of_x after a subtraction
+    VARIETIES = [[], ["z1"], ["z1*z2"], ["z1 - z2"], ["z1 - 1", "z2"], ["z1^2"]]
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_reductions_match_where_the_reference_answers(self, seed):
+        rng = random.Random(9400 + seed)
+        outcomes = Counter()
+        for k in range(80):
+            X = VarietyPresentation((1, 2), [P(g) for g in rng.choice(self.VARIETIES)])
+            f = _rand_poly(rng, (1, 2), quotients=False)
+            if k % 2 and X.generators:
+                # a multiple of z1 or of a generator and eps-smaller terms,
+                # so the loop subtracts a shadow before it ends
+                h = X.generators[0] if k % 4 == 1 else Poly.variable(1)
+                f = Poly.constant(_rand_lc(rng, low=-1) or LC_ONE) * h + f.scale(LCNumber.eps(2))
+            want = _reduction(reference_reduce_on_variety, f, X)
+            got = _reduction(reduce_on_variety, f, X)
+            if want[0] == "UnlimitedCoefficient":
+                assert isinstance(got[0], bool), (format_poly(f), got)
+                outcomes["newly answered"] += 1
+            else:
+                assert got == want, format_poly(f)
+                outcomes[got[0], min(got[2], 2)] += 1
+        # g after two or more passes, and all_of_x after a subtraction
+        assert outcomes["newly answered"] >= 10
+        assert outcomes[False, 2] >= 10 and outcomes[True, 1] + outcomes[True, 2] >= 1
