@@ -25,8 +25,10 @@ Over Q(i) the engine's data are primitive Gaussian-integer pairs (a, b), and
 a reduction step scales the vector it reduces rather than dividing by the
 divisor's lead (see _ZiKernel).  Q(i) numbers appear only where data enter
 the engine and where the monic basis, remainders and cofactor rows leave it.
-The LCFraction field keeps dividing, on monic vectors (_LcKernel); the pair
-loop and inter-reduction are shared by both.
+The LCFraction field keeps dividing, on monic vectors (_LcKernel).  One pair
+loop, one inter-reduction and one reduction loop (_divmod) serve both
+fields; the kernels differ only in entry, exit, monic, cross, element and
+step.
 
 Cofactor rows ride in the vectors as tag terms below the column positions
 (Cox, Little & O'Shea, GTM 185; Caboara & Traverso, ISSAC 1998), so ordinary
@@ -134,12 +136,16 @@ def _variables(polys):
 # --- coefficient kernels ---------------------------------------------------------
 #
 # The engine runs over one of two fields, each behind a kernel with the same
-# operations; the pair loop and the inter-reduction below are shared.  A
-# kernel keeps vectors {term: coefficient} in its own form, and a reduction
+# operations; the pair loop, the inter-reduction and the reduction loop
+# _divmod below are shared, and the kernels differ only in entry, exit,
+# monic, cross, element and step.  A kernel keeps vectors {term: coefficient}
+# in its own form.  Each basis element is built once, by kernel.element, as
+# (vec, lead, aux), where aux is what step reads of the lead.  A reduction
 # returns an int multiplier m with
-#     m * vec = sum_i q_i * g_i + remainder.
-# No quotient is recorded: cofactor rows ride in the vectors as tag terms
-# (see _buchberger_pairs).
+#     m * vec = sum_i q_i * g_i + remainder,
+# subtracting each q_i * g_i through kernel.axpy, the multiply-accumulate
+# loop that products and S-vectors use too.  No quotient is recorded:
+# cofactor rows ride in the vectors as tag terms (see _buchberger_pairs).
 #
 # _ZiKernel runs Q(i) on Gaussian-integer pairs (a, b).  Vectors are stored
 # primitive (integer content 1), and a reduction step scales the remainder
@@ -206,98 +212,50 @@ class _ZiKernel:
         return (cj[0] // k, cj[1] // k), (-ci[0] // k, -ci[1] // k)
 
     @staticmethod
-    def normalise(vec, lead):
-        """vec over its integer content, so primitive."""
-        c = math.gcd(*chain.from_iterable(vec.values()))
-        return vec if c == 1 else {x: (a // c, b // c) for x, (a, b) in vec.items()}
-
-    @staticmethod
-    def reducer(vec, lead):
+    def element(vec, lead):
+        """(vec over its integer content, lead, (a, b, norm) of its lead)."""
+        c = math.gcd(*chain(*vec.values()))
+        vec = vec if c == 1 else {x: (a // c, b // c) for x, (a, b) in vec.items()}
         la, lb = vec[lead]
         return vec, lead, (la, lb, la * la + lb * lb)
 
     axpy = staticmethod(_zi_axpy)
 
     @staticmethod
-    def divmod(vec, basis, layout):
-        """Full fraction-free reduction of vec by reducers (vec, lead, (a, b, norm)).
+    def step(c, aux, p, rem, r):
+        """(-q, p, rem, r) for the term c against a lead L, aux = (re L, im L, |L|^2).
 
-        Returns (m, remainder) with m * vec = sum q_i * g_i + remainder, m a
-        positive int.  The terms still to reduce and the remainder so far are
-        one int vector R over a multiplier r, standing for R / r.  A step on
-        a term c with divisor lead L takes the quotient c * conj(L) / norm(L)
-        in lowest terms, and scales R and r by whatever denominator is left,
-        so no step divides and a unit lead scales nothing.  Before a scaling,
-        the factor r shares with R's content is taken out, so r stays the
-        least common denominator of the Q(i) values R / r stands for.  The
-        remainder has no term divisible by a basis lead.  Raises _Overflow.
+        The terms still to reduce p and the remainder so far rem are int
+        vectors over one multiplier r, standing for p / r and rem / r.  The
+        quotient c * conj(L) / norm(L) is taken in lowest terms, and p, rem
+        and r are scaled by whatever denominator is left, so no step divides
+        and a unit lead scales nothing.  Before a scaling, the factor r
+        shares with the content of p and rem is taken out, so r stays the
+        least common denominator of the Q(i) values they stand for.
         """
-        p = dict(vec)
-        rem = {}
-        r = 1
-        top, guard = layout.top, layout.guard
-        leads = {}
-        for idx, (_, lead, _) in enumerate(basis):
-            leads.setdefault(lead >> top, []).append((idx, lead))
-        gcd, flat = math.gcd, chain.from_iterable
-        push, pop = heapq.heappush, heapq.heappop
-        # lazy-deletion max-heap of negated terms, as in _LcKernel.divmod
-        heap = [-x for x in p]
-        heapq.heapify(heap)
-        while p:
-            x = -pop(heap)
-            c = p.get(x)
-            if c is None:
-                continue
-            for hit, lead in leads.get(x >> top, ()):
-                t = x - lead
-                if not t & guard:
-                    break
-            else:
-                rem[x] = c
-                del p[x]
-                continue
-            g, _, (la, lb, n) = basis[hit]
-            ca, cb = c
-            qa = ca * la + cb * lb
-            qb = cb * la - ca * lb
-            if n != 1:
-                k = gcd(qa, qb, n)
-                if k != n and r != 1:
-                    h = gcd(r, *flat(p.values()), *flat(rem.values()))
-                    if h != 1:
-                        r //= h
-                        p = {y: (a // h, b // h) for y, (a, b) in p.items()}
-                        rem = {y: (a // h, b // h) for y, (a, b) in rem.items()}
-                        ca, cb = p[x]
-                        qa = ca * la + cb * lb
-                        qb = cb * la - ca * lb
-                        k = gcd(qa, qb, n)
-                qa //= k
-                qb //= k
-                s = n // k
-                if s != 1:
-                    r *= s
-                    p = {y: (a * s, b * s) for y, (a, b) in p.items()}
-                    rem = {y: (a * s, b * s) for y, (a, b) in rem.items()}
-            for x2, (a2, b2) in g.items():
-                key = x2 + t
-                if key & guard:
-                    raise _Overflow
-                va = qa * a2 - qb * b2
-                vb = qa * b2 + qb * a2
-                old = p.get(key)
-                if old is None:
-                    p[key] = (-va, -vb)
-                    push(heap, -key)
-                else:
-                    va = old[0] - va
-                    vb = old[1] - vb
-                    if va or vb:
-                        p[key] = (va, vb)
-                    else:
-                        del p[key]
-        return r, rem
+        la, lb, n = aux
+        ca, cb = c
+        qa = ca * la + cb * lb
+        qb = cb * la - ca * lb
+        if n != 1:
+            k = math.gcd(qa, qb, n)
+            if k != n and r != 1:
+                h = math.gcd(r, *chain(*p.values(), *rem.values()))
+                if h != 1:
+                    r //= h
+                    p = {y: (a // h, b // h) for y, (a, b) in p.items()}
+                    rem = {y: (a // h, b // h) for y, (a, b) in rem.items()}
+                    qa //= h
+                    qb //= h
+                    k = math.gcd(qa, qb, n)
+            qa //= k
+            qb //= k
+            s = n // k
+            if s != 1:
+                r *= s
+                p = {y: (a * s, b * s) for y, (a, b) in p.items()}
+                rem = {y: (a * s, b * s) for y, (a, b) in rem.items()}
+        return (-qa, -qb), p, rem, r
 
 
 class _LcKernel:
@@ -332,71 +290,63 @@ class _LcKernel:
         return cj, -ci
 
     @staticmethod
-    def normalise(vec, lead):
-        """vec over its leading coefficient, so monic."""
+    def element(vec, lead):
+        """(vec over its leading coefficient, so monic, lead, None)."""
         c = vec[lead]
-        if c == _FRAC_ONE:
-            return vec
-        inv = _FRAC_ONE / c
-        return {x: inv * cc for x, cc in vec.items()}
-
-    @staticmethod
-    def reducer(vec, lead):
-        return vec, lead
+        if c != _FRAC_ONE:
+            inv = _FRAC_ONE / c
+            vec = {x: inv * cc for x, cc in vec.items()}
+        return vec, lead, None
 
     axpy = staticmethod(_axpy)
 
     @staticmethod
-    def divmod(vec, basis, layout):
-        """Full reduction of vec by monic reducers (vec, lead).
+    def step(c, aux, p, rem, r):
+        # the divisor is monic, so the quotient is the term's coefficient
+        return -c, p, rem, r
 
-        Returns (1, remainder).  The remainder has no term divisible by any
-        basis leading term, so against a reduced basis it is the unique
-        normal form.  Raises _Overflow.
-        """
-        p = dict(vec)
-        rem = {}
-        top, guard = layout.top, layout.guard
-        # divisor index: the leads at each position, in basis order
-        leads = {}
-        for idx, (_, lead) in enumerate(basis):
-            leads.setdefault(lead >> top, []).append((idx, lead))
-        push, pop = heapq.heappush, heapq.heappop
-        # lazy-deletion max-heap of negated terms: every live term of p has at
-        # least one entry, and entries whose term is gone are skipped on pop
-        heap = [-x for x in p]
-        heapq.heapify(heap)
-        while p:
-            x = -pop(heap)
-            if x not in p:
-                continue
-            q = p[x]
-            for hit, lead in leads.get(x >> top, ()):
-                t = x - lead
-                if not t & guard:
-                    break
-            else:
-                rem[x] = q
-                del p[x]
-                continue
-            # the divisor is monic, so the quotient is the term's coefficient
-            for x2, c2 in basis[hit][0].items():
-                key = x2 + t
-                if key & guard:
-                    raise _Overflow
-                s = p.get(key)
-                if s is None:
-                    v = -(q * c2)
-                    if v:
-                        p[key] = v
-                        push(heap, -key)
-                else:
-                    v = s - q * c2
-                    if v:
-                        p[key] = v
-                    else:
-                        del p[key]
-        return 1, rem
+
+def _divmod(vec, basis, layout, kernel):
+    """Full reduction of vec by the kernel elements (g, lead, aux) of basis.
+
+    Returns (m, remainder) with m * vec = sum q_i * g_i + remainder, where m
+    is a positive int (1 over the LCFraction field).  The remainder has no
+    term divisible by a basis lead, so against a reduced basis it is the
+    unique normal form up to m.  Terms are visited from the largest down; a
+    reducible term's divisor is the first basis element whose lead divides
+    it, the kernel's step gives the quotient (and, over Z[i], scales), and
+    the shared multiply-accumulate loop subtracts.  Raises _Overflow.
+    """
+    p = dict(vec)
+    rem = {}
+    r = 1
+    top, guard = layout.top, layout.guard
+    # divisor index: the leads at each position, in basis order
+    leads = {}
+    for idx, (_, lead, _) in enumerate(basis):
+        leads.setdefault(lead >> top, []).append((idx, lead))
+    step, axpy, pop = kernel.step, kernel.axpy, heapq.heappop
+    # lazy-deletion max-heap of negated terms: every live term of p has at
+    # least one entry, and entries whose term is gone are skipped on pop
+    heap = [-x for x in p]
+    heapq.heapify(heap)
+    while p:
+        x = -pop(heap)
+        c = p.get(x)
+        if c is None:
+            continue
+        for hit, lead in leads.get(x >> top, ()):
+            t = x - lead
+            if not t & guard:
+                break
+        else:
+            rem[x] = c
+            del p[x]
+            continue
+        g, _, aux = basis[hit]
+        q, p, rem, r = step(c, aux, p, rem, r)
+        axpy(p, q, t, g, guard, heap)
+    return r, rem
 
 
 def _vec_to_polys(vec, rank, domain, layout):
@@ -422,8 +372,8 @@ def _buchberger_pairs(inputs, layout, kernel, rank=None, syzygies=False):
     """The Buchberger pair loop: an unreduced module Groebner basis.
 
     inputs lists (vec, den), vec being den * column in the kernel's form.
-    Returns G, a list of (vec, lead) in insertion order, the nonzero
-    inputs first (all of them with syzygies), each normalised by the kernel.
+    Returns G, a list of kernel elements (vec, lead, aux) in insertion
+    order, the nonzero inputs first (all of them with syzygies).
 
     A rank r turns tags on: input k gets one more term, its tag -den at
     position r + k, below every column position.  Every vector is then a
@@ -447,7 +397,6 @@ def _buchberger_pairs(inputs, layout, kernel, rank=None, syzygies=False):
     fields = (1 << top) - 1
     axpy, times = kernel.axpy, kernel.times
     G = []
-    view = []
     scalar = all(x >> top == 0 for v, _ in inputs for x in v)
     # a unit lead (term 0) in a scalar run that keeps no syzygies divides
     # every other lead, so the reduced basis is that unit alone, its vector
@@ -457,9 +406,7 @@ def _buchberger_pairs(inputs, layout, kernel, rank=None, syzygies=False):
     def insert(vec):
         nonlocal unit
         lead = max(vec)
-        vec = kernel.normalise(vec, lead)
-        G.append((vec, lead))
-        view.append(kernel.reducer(vec, lead))
+        G.append(kernel.element(vec, lead))
         unit = unit or (lead == 0 and scalar and not syzygies)
         return len(G) - 1
 
@@ -499,8 +446,8 @@ def _buchberger_pairs(inputs, layout, kernel, rank=None, syzygies=False):
     while pairs and not unit:
         _, _, i, j = heapq.heappop(pairs)
         pending.discard((i, j))
-        gi, li = G[i]
-        gj, lj = G[j]
+        gi, li, _ = G[i]
+        gj, lj, _ = G[j]
         lcm = layout.lcm(li, lj)
         # product criterion is only sound for scalar (rank-1) column leads
         if scalar and lcm == li + lj and not li >> top:
@@ -515,7 +462,7 @@ def _buchberger_pairs(inputs, layout, kernel, rank=None, syzygies=False):
                 for m, c in gi.items():
                     if not m >> top:
                         axpy(k, times(c, -1), m, uj, guard)
-                _, rem = kernel.divmod(k, view, layout)
+                _, rem = _divmod(k, G, layout, kernel)
                 if rem:
                     add_pairs(insert(rem))
             continue
@@ -526,7 +473,7 @@ def _buchberger_pairs(inputs, layout, kernel, rank=None, syzygies=False):
         s = {}
         axpy(s, ai, ti, gi, guard)
         axpy(s, aj, tj, gj, guard)
-        _, rem = kernel.divmod(s, view, layout)
+        _, rem = _divmod(s, G, layout, kernel)
         if rem and (syzygies or rank is None or max(rem) >> top > -rank):
             add_pairs(insert(rem))
     return G
@@ -536,8 +483,8 @@ def _buchberger_vec(inputs, layout, kernel, rank=None, syzygies=False):
     """Reduced module Groebner basis, tagged when given a rank.
 
     The pair loop of _buchberger_pairs, then a minimal basis with
-    inter-reduced tails.  Returns G, a list of (vec, lead), each normalised
-    by the kernel, sorted by descending leading term.  A rank carries the
+    inter-reduced tails.  Returns G, a list of kernel elements (vec, lead,
+    aux), sorted by descending leading term.  A rank carries the
     tags of _buchberger_pairs through; the column parts are the same either
     way.  With syzygies, G is the tag-only part of the tagged module's
     reduced basis: no column lead divides a tag term, so those elements
@@ -555,14 +502,13 @@ def _buchberger_vec(inputs, layout, kernel, rank=None, syzygies=False):
             kept.append(t)
 
     # inter-reduce tails against the current state; leads never change
-    work = [list(G[t]) for t in kept]
-    for idx, w in enumerate(work):
-        others = [kernel.reducer(*v) for k, v in enumerate(work) if k != idx]
-        _, rem = kernel.divmod(w[0], others, layout)
-        w[0] = kernel.normalise(rem, w[1])
+    work = [G[t] for t in kept]
+    for idx, (vec, lead, _) in enumerate(work):
+        _, rem = _divmod(vec, work[:idx] + work[idx + 1 :], layout, kernel)
+        work[idx] = kernel.element(rem, lead)
 
     work.sort(key=lambda w: w[1], reverse=True)
-    return [tuple(w) for w in work]
+    return work
 
 
 def _tagged_reduced(rows, rank, kernel, top):
@@ -576,7 +522,7 @@ def _tagged_reduced(rows, rank, kernel, top):
     for k, row in enumerate(rows):
         lead = max(row)
         vec = {**row, -(rank + k) << top: kernel.times(row[lead], -1)}
-        G.append((kernel.normalise(vec, lead), lead))
+        G.append(kernel.element(vec, lead))
     return G
 
 
@@ -689,7 +635,8 @@ class Module:
 
         if self._gb is not None:
             self._gb = [
-                (repack(vec), new.term(*old.split(lead))) for vec, lead in self._gb
+                (repack(vec), new.term(*old.split(lead)), aux)
+                for vec, lead, aux in self._gb
             ]
         self._layout = new
         self._vecs = None
@@ -735,12 +682,11 @@ class Module:
             against = G, self._rank if self._tagged else None
         G, rank = against
         kernel, layout = self._kernel, self._layout
-        basis = [kernel.reducer(vec, lead) for vec, lead in G]
 
         def reduce(vec, den):
             # (remainder, row) of vec / den, as field values: with g_i =
             # -u_i . columns, a zero column remainder leaves tags m * row
-            m, rem = kernel.divmod(vec, basis, layout)
+            m, rem = _divmod(vec, G, layout, kernel)
             tags = {}
             if rank is not None:
                 rem, tags = _split(rem, rank, layout.top)
@@ -779,7 +725,7 @@ class Module:
         """Reduced basis of the columns' syzygies in kernel form, one tagged run."""
         layout, rank = self._layout, self._rank
         G = _buchberger_vec(self._vecs, layout, self._kernel, rank, syzygies=True)
-        return [_split(vec, rank, layout.top)[1] for vec, _ in G]
+        return [_split(vec, rank, layout.top)[1] for vec, _, _ in G]
 
     def syzygies(self):
         """The monic reduced basis of the columns' syzygies, as tuples of Poly."""
@@ -827,7 +773,7 @@ class Ideal(Module):
 
         def step():
             monic, top = self._kernel.monic, self._layout.top
-            vecs = [vec for vec, _ in self._basis_for()]
+            vecs = [vec for vec, _, _ in self._basis_for()]
             if self._tagged:
                 vecs = [_split(vec, 1, top)[0] for vec in vecs]
             return [
@@ -852,7 +798,7 @@ class Ideal(Module):
 
     def is_proper(self):
         """True iff 1 is not in the ideal: no basis lead is the unit term 0."""
-        return self._run(lambda: all(lead for _, lead in self._basis_for()))
+        return self._run(lambda: all(lead for _, lead, _ in self._basis_for()))
 
     def support(self):
         vs = set()

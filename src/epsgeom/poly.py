@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import functools
 from fractions import Fraction
+from heapq import heappush
 
 from .errors import (
     InvalidInput,
@@ -466,10 +467,12 @@ def _layout(kind, block, variables, width):
 # The multiply-accumulate loops: acc += coeff * x^mono * vec in place, in
 # vec's order, dropping a term as soon as it cancels, so a schoolbook product
 # keeps the term order of the plain loop over (Monomial, coefficient) pairs.
-# Both raise _Overflow when a sum sets a guard bit.
+# Both raise _Overflow when a sum sets a guard bit.  Given a heap, each key
+# they add to acc is pushed onto it as -key (the Groebner reduction's
+# max-heap of terms still to visit).
 
 
-def _zi_axpy(acc, coeff, mono, vec, guard):
+def _zi_axpy(acc, coeff, mono, vec, guard, heap=None):
     """The loop over Gaussian-integer pairs (a, b)."""
     ca, cb = coeff
     for x, (a, b) in vec.items():
@@ -481,6 +484,8 @@ def _zi_axpy(acc, coeff, mono, vec, guard):
         s = acc.get(key)
         if s is None:
             acc[key] = (pa, pb)
+            if heap is not None:
+                heappush(heap, -key)
         else:
             pa += s[0]
             pb += s[1]
@@ -490,7 +495,7 @@ def _zi_axpy(acc, coeff, mono, vec, guard):
                 del acc[key]
 
 
-def _axpy(acc, coeff, mono, vec, guard):
+def _axpy(acc, coeff, mono, vec, guard, heap=None):
     """The loop over any coefficient ring."""
     for x, c in vec.items():
         key = x + mono
@@ -500,6 +505,8 @@ def _axpy(acc, coeff, mono, vec, guard):
         p = coeff * c
         s = p if s is None else s + p
         if s:
+            if heap is not None and key not in acc:
+                heappush(heap, -key)
             acc[key] = s
         else:
             acc.pop(key, None)

@@ -22,11 +22,16 @@ coefficient conversion and the reduce-on-variety loop as they were before
 Poly(...) became the one place a coefficient converts: the promotion and
 domain helpers, constant, to_extended, scale, poly_eval with its second
 accumulator, substitution and ideal_combine that promoted first, and the
-loop that asked the radical question twice a pass.
+loop that asked the radical question twice a pass.  Last of all are the
+engine's two reduction loops as they were before one loop, groebner._divmod,
+served both fields: the fraction-free Z[i] one and the dividing LCFraction
+one, each with its own inline multiply-subtract.
 """
 
 import functools
+import heapq
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -84,6 +89,7 @@ from epsgeom.poly import (
     AffineSubstitution,
     Monomial,
     Poly,
+    _Overflow,
     _power,
     max_abs_normalize,
     poly_eval,
@@ -1204,3 +1210,139 @@ def reference_reduce_on_variety(f, X):
         g = g - sh.to_extended()
         if not g:
             return VarietyReduction(True, None, iterations)
+
+
+# --- the two reduction loops before groebner._divmod -----------------------
+
+
+def reference_zi_divmod(vec, basis, layout):
+    """Full fraction-free reduction of vec by reducers (vec, lead, (a, b, norm)).
+
+    Returns (m, remainder) with m * vec = sum q_i * g_i + remainder, m a
+    positive int.  The terms still to reduce and the remainder so far are
+    one int vector R over a multiplier r, standing for R / r.  A step on
+    a term c with divisor lead L takes the quotient c * conj(L) / norm(L)
+    in lowest terms, and scales R and r by whatever denominator is left,
+    so no step divides and a unit lead scales nothing.  Before a scaling,
+    the factor r shares with R's content is taken out, so r stays the
+    least common denominator of the Q(i) values R / r stands for.  The
+    remainder has no term divisible by a basis lead.  Raises _Overflow.
+    """
+    p = dict(vec)
+    rem = {}
+    r = 1
+    top, guard = layout.top, layout.guard
+    leads = {}
+    for idx, (_, lead, _) in enumerate(basis):
+        leads.setdefault(lead >> top, []).append((idx, lead))
+    gcd, flat = math.gcd, itertools.chain.from_iterable
+    push, pop = heapq.heappush, heapq.heappop
+    # lazy-deletion max-heap of negated terms, as in reference_lc_divmod
+    heap = [-x for x in p]
+    heapq.heapify(heap)
+    while p:
+        x = -pop(heap)
+        c = p.get(x)
+        if c is None:
+            continue
+        for hit, lead in leads.get(x >> top, ()):
+            t = x - lead
+            if not t & guard:
+                break
+        else:
+            rem[x] = c
+            del p[x]
+            continue
+        g, _, (la, lb, n) = basis[hit]
+        ca, cb = c
+        qa = ca * la + cb * lb
+        qb = cb * la - ca * lb
+        if n != 1:
+            k = gcd(qa, qb, n)
+            if k != n and r != 1:
+                h = gcd(r, *flat(p.values()), *flat(rem.values()))
+                if h != 1:
+                    r //= h
+                    p = {y: (a // h, b // h) for y, (a, b) in p.items()}
+                    rem = {y: (a // h, b // h) for y, (a, b) in rem.items()}
+                    ca, cb = p[x]
+                    qa = ca * la + cb * lb
+                    qb = cb * la - ca * lb
+                    k = gcd(qa, qb, n)
+            qa //= k
+            qb //= k
+            s = n // k
+            if s != 1:
+                r *= s
+                p = {y: (a * s, b * s) for y, (a, b) in p.items()}
+                rem = {y: (a * s, b * s) for y, (a, b) in rem.items()}
+        for x2, (a2, b2) in g.items():
+            key = x2 + t
+            if key & guard:
+                raise _Overflow
+            va = qa * a2 - qb * b2
+            vb = qa * b2 + qb * a2
+            old = p.get(key)
+            if old is None:
+                p[key] = (-va, -vb)
+                push(heap, -key)
+            else:
+                va = old[0] - va
+                vb = old[1] - vb
+                if va or vb:
+                    p[key] = (va, vb)
+                else:
+                    del p[key]
+    return r, rem
+
+
+def reference_lc_divmod(vec, basis, layout):
+    """Full reduction of vec by monic reducers (vec, lead).
+
+    Returns (1, remainder).  The remainder has no term divisible by any
+    basis leading term, so against a reduced basis it is the unique
+    normal form.  Raises _Overflow.
+    """
+    p = dict(vec)
+    rem = {}
+    top, guard = layout.top, layout.guard
+    # divisor index: the leads at each position, in basis order
+    leads = {}
+    for idx, (_, lead) in enumerate(basis):
+        leads.setdefault(lead >> top, []).append((idx, lead))
+    push, pop = heapq.heappush, heapq.heappop
+    # lazy-deletion max-heap of negated terms: every live term of p has at
+    # least one entry, and entries whose term is gone are skipped on pop
+    heap = [-x for x in p]
+    heapq.heapify(heap)
+    while p:
+        x = -pop(heap)
+        if x not in p:
+            continue
+        q = p[x]
+        for hit, lead in leads.get(x >> top, ()):
+            t = x - lead
+            if not t & guard:
+                break
+        else:
+            rem[x] = q
+            del p[x]
+            continue
+        # the divisor is monic, so the quotient is the term's coefficient
+        for x2, c2 in basis[hit][0].items():
+            key = x2 + t
+            if key & guard:
+                raise _Overflow
+            s = p.get(key)
+            if s is None:
+                v = -(q * c2)
+                if v:
+                    p[key] = v
+                    push(heap, -key)
+            else:
+                v = s - q * c2
+                if v:
+                    p[key] = v
+                else:
+                    del p[key]
+    return 1, rem

@@ -16,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import epsgeom
+from epsgeom import groebner
 from epsgeom.cli import _HANDLERS, DATA_DIR, SessionConfig, main, run_command
 from epsgeom.gaussian import GaussianRational
 from epsgeom.groebner import Ideal, MonomialOrder, buchberger, ideal_member, syzygy_basis
@@ -285,6 +286,44 @@ class TestMatchesLibrary:
         assert code == 0
         assert body["result"]["root"] == "%d*eps" % 10**200
         assert body["result"]["residual_valuation"] == "inf"
+
+
+class TestLcFractionEngine:
+    """Eps-carrying argvs run the engine's LCFraction kernel, which no corpus
+    fixture and no benchmark workload reaches."""
+
+    CASES = [
+        (
+            ["groebner", "--ideal=eps*z1 - 1; z1^2 - z2"],
+            ["z1 - eps^(-1)", "z2 - eps^(-2)"],
+        ),
+        (
+            ["syzygy", "--row=eps*z1; z2"],
+            {"coefficients": ["eps*z1", "z2"], "generators": [["z2", "-eps*z1"]]},
+        ),
+        (
+            # 1/(1 + eps) is a quotient with a non-unit denominator
+            ["point-ideal", "--ideal=(1+eps)*z1 - 1; z2 - eps"],
+            {"point": None, "reason": "a coordinate is not a finite Levi-Civita sum"},
+        ),
+    ]
+
+    @pytest.mark.parametrize(
+        "argv, result", CASES, ids=[argv[0] for argv, _ in CASES]
+    )
+    def test_result(self, argv, result, monkeypatch):
+        kernel = groebner._LcKernel
+        built = []
+
+        def element(vec, lead, _element=kernel.element):
+            built.append(lead)
+            return _element(vec, lead)
+
+        monkeypatch.setattr(kernel, "element", staticmethod(element))
+        code, body = run(*argv)
+        assert code == 0
+        assert body["result"] == result
+        assert built
 
 
 class TestConfig:

@@ -20,6 +20,8 @@ from _oracles import (
     monomials_upto,
     order_cmp,
     reference_ideal_combine,
+    reference_lc_divmod,
+    reference_zi_divmod,
 )
 from _strategies import monomials, polys
 from epsgeom import groebner
@@ -46,7 +48,15 @@ from epsgeom.groebner import (
 )
 from epsgeom.levicivita import LCFraction, LCNumber
 from epsgeom.parser import format_poly, parse_lc, parse_poly
-from epsgeom.poly import EXTENDED, Monomial, Poly, _Layout, _Overflow
+from epsgeom.poly import (
+    EXTENDED,
+    Monomial,
+    Poly,
+    _axpy,
+    _Layout,
+    _Overflow,
+    _zi_axpy,
+)
 
 
 def std(text):
@@ -790,10 +800,11 @@ class TestPackedTerms:
                 kernel.axpy({}, one, z1, {z2_3: one}, layout.guard)
             # z1^3 fits, and so does the lead product z1^2 * z1, but not z1^2 * z2^3
             with pytest.raises(_Overflow):
-                kernel.divmod(
+                groebner._divmod(
                     {layout.term(0, _mono("z1^3")): one},
-                    [kernel.reducer({z1: one, z2_3: kernel.times(one, -1)}, z1)],
+                    [kernel.element({z1: one, z2_3: kernel.times(one, -1)}, z1)],
                     layout,
+                    kernel,
                 )
 
 
@@ -860,7 +871,7 @@ class TestWidening:
 def _basis_vecs(M):
     """M's cached reduced basis, tags dropped, each element monic, as field values."""
     top = M._layout.top
-    return [M._kernel.monic(groebner._split(vec, M._rank, top)[0]) for vec, _ in M._gb]
+    return [M._kernel.monic(groebner._split(vec, M._rank, top)[0]) for vec, _, _ in M._gb]
 
 
 def _with_basis(M, rank):
@@ -1032,13 +1043,13 @@ class TestFieldChoice:
         G = bare._run(bare._basis_for)
         M = Module(cols, order)
         _with_basis(M, rank)
-        assert [lead for _, lead in M._gb] == [lead for _, lead in G]
+        assert [lead for _, lead, _ in M._gb] == [lead for _, lead, _ in G]
         # primitive over all terms, the tags included
-        for vec, _ in G + M._gb:
+        for vec, _, _ in G + M._gb:
             assert math.gcd(*(x for pair in vec.values() for x in pair)) == 1
         # column part = -(tag part) . columns, over Z[i]
         exit = M._kernel.exit
-        for vec, _ in M._gb:
+        for vec, _, _ in M._gb:
             part, tags = groebner._split(vec, rank, M._layout.top)
             r = groebner._vec_to_polys(exit(tags, 1), len(cols), "standard", M._layout)
             lhs = groebner._vec_to_polys(exit(part, 1), rank, "standard", M._layout)
@@ -1062,10 +1073,11 @@ def _embedded_reduce(M, target):
         # each tagged element made monic, its tags with it: the target's
         # reduction then leaves its cofactor row in the remainder's tags
         layout = M._layout
-        m, rem = lc.divmod(
+        m, rem = groebner._divmod(
             lc.entry(target, layout)[0],
-            [lc.reducer(embed(M._kernel.monic(vec)), lead) for vec, lead in M._gb],
+            [lc.element(embed(M._kernel.monic(vec)), lead) for vec, lead, _ in M._gb],
             layout,
+            lc,
         )
         assert m == 1
         rem, tags = groebner._split(rem, M._rank, layout.top)
@@ -1157,14 +1169,19 @@ class TestEpsSlices:
         assert I.normal_form(f) == _embedded_reduce(I, [f])[0][0]
 
 
+def _small_lc(rng):
+    """c + d*eps^q with small Gaussian-integer c and d."""
+    c = LCNumber.from_gaussian(GaussianRational(rng.randint(-2, 2), rng.choice((0, 1))))
+    return c + LCNumber.term(rng.choice((1, -1, 2)), rng.choice((1, Fraction(1, 2), -1)))
+
+
 def _small_eps_poly(rng):
     """One or two terms of degree at most 1 in z1, z2, each coefficient c + d*eps^q."""
     acc = Poly.zero(EXTENDED)
     for _ in range(rng.randint(1, 2)):
-        c = LCNumber.from_gaussian(GaussianRational(rng.randint(-2, 2), rng.choice((0, 1))))
-        e = LCNumber.term(rng.choice((1, -1, 2)), rng.choice((1, Fraction(1, 2), -1)))
+        c = _small_lc(rng)
         m = rng.choice(monomials_upto(range(1, 3), 1))
-        acc = acc + Poly(EXTENDED, {m: c + e})
+        acc = acc + Poly(EXTENDED, {m: c})
     return acc
 
 
@@ -1206,3 +1223,149 @@ class TestEpsModules:
                 assert not I.normal_form(inside[0])
                 assert not I.normal_form(outside[0] - rem)
                 _assert_one_form([rem])
+
+
+# --- the one reduction loop, against the two it replaced ---------------------
+
+
+def _element_lists(rng, field):
+    """(M, kind, G) triples: the elements of real _buchberger_vec runs.
+
+    field is "zi" (Q(i) columns), "lc" (the same columns on the dividing
+    kernel) or "eps" (eps columns); kind is "plain", "tagged" or "syzygies",
+    the three runs the engine makes.
+    """
+    if field == "eps":
+        rank, ncols = rng.choice(((1, 1), (1, 2), (2, 1), (2, 2)))
+        draw = _small_eps_poly
+    else:
+        rank, ncols = rng.choice(((1, 1), (1, 2), (1, 3), (2, 1), (2, 2), (2, 3)))
+        draw = random_std_poly
+    cols = [[draw(rng) for _ in range(rank)] for _ in range(ncols)]
+    if not any(f for col in cols for f in col):
+        return []
+    order = rng.choice((GREVLEX, LEX, MonomialOrder("elimination", [1])))
+    M = Module(_lifted(cols) if field == "lc" else cols, order)
+    if field == "lc":
+        _dividing(M)
+    out = []
+    for kind, tags, syzygies in (
+        ("plain", None, False),
+        ("tagged", rank, False),
+        ("syzygies", rank, True),
+    ):
+
+        def run(tags=tags, syzygies=syzygies):
+            return groebner._buchberger_vec(
+                M._vecs, M._layout, M._kernel, tags, syzygies
+            )
+
+        out.append((M, kind, M._run(run)))
+    return out
+
+
+def _random_vec(rng, M, G):
+    """A vector over the columns' and the tags' positions, in M's kernel form.
+
+    Multiples of basis elements, alone now and then (so that some
+    remainders are zero), else with random terms and, now and then, a term
+    at the top of the layout's fields, so that a product in the reduction
+    may overflow.  Raises _Overflow when a term does not fit at all.
+    """
+    kernel, layout = M._kernel, M._layout
+    lc = kernel is groebner._LcKernel
+    variables = sorted(layout.variables)
+    monos = monomials_upto(variables, 2)
+    domain = EXTENDED if lc else "standard"
+    inside = rng.random() < 0.3
+    polys = []
+    for _ in range(M._rank + len(M.columns)):
+        f = Poly.zero(domain)
+        for _ in range(0 if inside else rng.randint(0, 2)):
+            if lc:
+                c = _small_lc(rng)
+            else:
+                c = GaussianRational(
+                    Fraction(rng.randint(-3, 3), rng.randint(1, 3)), rng.randint(-1, 1)
+                )
+            f = f + Poly(domain, {rng.choice(monos): c})
+        polys.append(f)
+    if variables and not inside and rng.random() < 0.3:
+        e = 2 ** (layout.width - 1) - rng.randint(1, 2)
+        k = rng.randrange(M._rank)
+        polys[k] = polys[k] + Poly(domain, {Monomial([(rng.choice(variables), e)]): 1})
+    vec, _ = kernel.entry(polys, layout)
+    for g, _, _ in rng.sample(G, min(len(G), rng.randint(inside, 2))):
+        if lc:
+            c = LCFraction(_small_lc(rng))
+        else:
+            c = (rng.randint(-3, 3) or 1, rng.randint(-2, 2))
+        kernel.axpy(vec, c, layout.term(0, rng.choice(monos)), g, layout.guard)
+    return vec
+
+
+class TestOneReductionLoop:
+    """groebner._divmod serves both fields through kernel.step and kernel.axpy;
+    the fraction-free and the dividing loops it replaced are the references."""
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_matches_the_reference_loops(self, seed, monkeypatch):
+        # narrow fields, so that some reductions overflow
+        monkeypatch.setattr(groebner, "_START_WIDTH", 3)
+        rng = random.Random(seed)
+        seen = Counter()
+        for instance in range(30):
+            field = ("zi", "lc", "eps")[instance % 3]
+            for M, kind, G in _element_lists(rng, field):
+                kernel, layout = M._kernel, M._layout
+                if kernel is groebner._ZiKernel:
+                    ref, ref_basis = reference_zi_divmod, G
+                else:
+                    ref, ref_basis = reference_lc_divmod, [(g, lead) for g, lead, _ in G]
+                for _ in range(4):
+                    try:
+                        vec = _random_vec(rng, M, G)
+                    except _Overflow:
+                        continue
+                    try:
+                        m, rem = ref(vec, ref_basis, layout)
+                    except _Overflow:
+                        with pytest.raises(_Overflow):
+                            groebner._divmod(vec, G, layout, kernel)
+                        seen["overflow"] += 1
+                        continue
+                    got_m, got = groebner._divmod(vec, G, layout, kernel)
+                    assert got_m == m
+                    assert list(got.items()) == list(rem.items())
+                    seen[kernel.__name__, kind, "zero" if not rem else "rem"] += 1
+                    seen["scaled"] += m != 1
+        for name in ("_ZiKernel", "_LcKernel"):
+            for kind in ("plain", "tagged", "syzygies"):
+                assert seen[name, kind, "rem"], (name, kind)
+            assert seen[name, "tagged", "zero"], name
+        assert seen["overflow"] and seen["scaled"]
+
+    @pytest.mark.parametrize(
+        "axpy, one", [(_zi_axpy, (1, 0)), (_axpy, LCFraction(1))], ids=["zi", "any-ring"]
+    )
+    def test_axpy_pushes_each_new_key_once(self, axpy, one):
+        layout = _Layout("grevlex", (), [1, 2], 8)
+        term = functools.partial(layout.term, 0)
+        z1, z2, unit = term(_mono("z1")), term(_mono("z2")), term(_mono("1"))
+        minus = (-1, 0) if one == (1, 0) else -one
+        # times z1: z1^2 cancels, z1*z2 stays, z1 is new
+        vec = {z1: one, z2: one, unit: one}
+        acc = {term(_mono("z1^2")): minus, term(_mono("z1*z2")): one}
+        plain = dict(acc)
+        axpy(plain, one, z1, vec, layout.guard)
+        heap = []
+        axpy(acc, one, z1, vec, layout.guard, heap)
+        assert acc == plain
+        assert list(acc) == list(plain)
+        assert heap == [-z1]
+        # a second pass brings back z1^2, the one key absent again
+        axpy(acc, one, z1, vec, layout.guard, heap)
+        want = sorted([-z1, -term(_mono("z1^2"))])
+        assert sorted(heap) == want
+        axpy(acc, one, z1, {unit: one}, layout.guard, heap)
+        assert sorted(heap) == want

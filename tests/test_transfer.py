@@ -185,7 +185,8 @@ class TestFlatnessWitnessReference:
                 inputs = [kernel.entry(c, layout) for c in columns]
                 run = groebner._buchberger_vec(inputs, layout, kernel, n)
                 return columns, [
-                    [(lead, kernel.monic(vec)) for vec, lead in G] for G in (seeded, run)
+                    [(lead, kernel.monic(vec)) for vec, lead, _ in G]
+                    for G in (seeded, run)
                 ]
 
             columns, (seeded, run) = I._run(step)
