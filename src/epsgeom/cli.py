@@ -103,6 +103,29 @@ class _HelpFormatter(argparse.HelpFormatter):
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        # whether each option string takes a value; "--" ends the options
+        self.takes_value = {"--": False}
+        super().__init__(*args, **kwargs)
+
+    def add_argument(self, *args, **kwargs):
+        action = super().add_argument(*args, **kwargs)
+        self.takes_value.update(dict.fromkeys(action.option_strings, action.nargs != 0))
+        return action
+
+    def parse_known_args(self, args=None, namespace=None):
+        # argparse reads "-3*eps^2" or "-i" as an option; a value that starts
+        # with "-" and is none of this parser's options binds to the option
+        # before it, as --option=value
+        args, k = list(args), 1
+        while k < len(args) and args[k - 1] != "--":
+            option, value = args[k - 1], args[k]
+            known = value.partition("=")[0] in self.takes_value
+            if self.takes_value.get(option) and value.startswith("-") and not known:
+                args[k - 1 : k + 1] = [option + "=" + value]
+            k += 1
+        return super().parse_known_args(args, namespace)
+
     def error(self, message):
         raise _UsageError(message)
 
@@ -118,13 +141,6 @@ def _build_parser():
     parse_args keeps its state in the namespace it returns and never changes
     the parser, so threads can share it.
     """
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--truncation-order", dest="truncation_order")
-    common.add_argument("--order", dest="monomial_order")
-    common.add_argument("--seed", dest="seed")
-    common.add_argument("--power-bound", dest="power_bound")
-    common.add_argument("--config", dest="config")
-
     p = _Parser(
         prog="epsgeom",
         description=__doc__.splitlines()[0],
@@ -132,10 +148,14 @@ def _build_parser():
     )
     sub = p.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
-    def add(name, **kwargs):
-        return sub.add_parser(
-            name, parents=[common], formatter_class=_HelpFormatter, **kwargs
-        )
+    def add(name):
+        q = sub.add_parser(name, formatter_class=_HelpFormatter)
+        q.add_argument("--truncation-order", dest="truncation_order")
+        q.add_argument("--order", dest="monomial_order")
+        q.add_argument("--seed", dest="seed")
+        q.add_argument("--power-bound", dest="power_bound")
+        q.add_argument("--config", dest="config")
+        return q
 
     for name in ("st", "classify"):
         add(name).add_argument("expr")

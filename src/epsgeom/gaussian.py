@@ -1,14 +1,23 @@
 """Exact complex rationals Q(i) and root extraction inside them.
 
-The root finder is complete: every root of a polynomial over Q(i) that lies in
-Q(i) is found, via the rational-root theorem over the Gaussian integers (Z[i]
-is a UFD, so candidates are unit multiples of divisor quotients).  Degrees and
-coefficient sizes here are desk scale, so trial division is plenty.  Square
+The root finder is complete: it finds every root in Q(i) of a polynomial
+over Q(i).  Degrees 1 and 2 are solved in closed form.  From degree 3 it
+takes the squarefree part h = f / gcd(f, f') over Z[i].  For a root y,
+s = lead * y is a root of the monic lead^(n-1) * h(s / lead), so s lies in
+Z[i], which is integrally closed.  Modulo the least prime p = 3 mod 4 at
+which lead is a unit and every root of h in F_p[i] = Z[i]/(p) is simple,
+each such root lifts uniquely (Hensel's lemma), by Newton steps that square
+the modulus.  Past twice the Cauchy bound |s| <= |lead| + max |h_k|, s is a
+symmetric residue; exact division then checks it and gives its multiplicity.
+No integer is factored: a skipped prime divides lead or the discriminant of
+h, so fewer are skipped than their norms have bits, a prime p costs p^2
+evaluations of h, and a lift about log2(log_p(bound)) Newton steps.  Square
 roots are exact, on math.isqrt, whatever the size of the radicand.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -230,89 +239,18 @@ def gaussian_sqrt(c):
 # --- Gaussian integers as (a, b) int pairs ---------------------------------
 
 
-def _gi_norm(w):
-    return w[0] * w[0] + w[1] * w[1]
-
-
 def _gi_mul(u, v):
     return (u[0] * v[0] - u[1] * v[1], u[0] * v[1] + u[1] * v[0])
 
 
-def _gi_exact_div(w, d):
-    """w/d in Z[i] if exact, else None."""
-    n = _gi_norm(d)
-    if n == 0:
-        return None
-    a = w[0] * d[0] + w[1] * d[1]
-    b = w[1] * d[0] - w[0] * d[1]
-    if a % n or b % n:
-        return None
-    return (a // n, b // n)
-
-
-def _prime_factors(n):
-    out = {}
-    d = 2
-    while d * d <= n:
-        while n % d == 0:
-            out[d] = out.get(d, 0) + 1
-            n //= d
-        d += 1 if d == 2 else 2
-    if n > 1:
-        out[n] = out.get(n, 0) + 1
-    return out
-
-
-def _two_squares(p):
-    # p prime, p % 4 == 1; small p so brute force is fine
-    for a in range(1, math.isqrt(p) + 1):
-        b2 = p - a * a
-        b = math.isqrt(b2)
-        if b * b == b2:
-            return (a, b)
-    raise ArithmeticError("no two-square decomposition for %d" % p)
-
-
-def _gaussian_prime_power(w, pi):
-    """Largest e with pi^e | w, together with w / pi^e."""
-    e = 0
-    while True:
-        q = _gi_exact_div(w, pi)
-        if q is None:
-            return e, w
-        e += 1
-        w = q
-
-
-def gaussian_int_divisors(w):
-    """All divisors of a nonzero Gaussian integer, up to unit multiples."""
-    divisors = [(1, 0)]
-    rem = w
-    for p, _ in _prime_factors(_gi_norm(w)).items():
-        if p == 2:
-            primes = [(1, 1)]
-        elif p % 4 == 3:
-            primes = [(p, 0)]
-        else:
-            a, b = _two_squares(p)
-            primes = [(a, b), (a, -b)]
-        for pi in primes:
-            e, rem = _gaussian_prime_power(rem, pi)
-            if e:
-                divisors = [
-                    _gi_mul(d, _pow_gi(pi, k)) for d in divisors for k in range(e + 1)
-                ]
-    return divisors
-
-
-def _pow_gi(w, k):
-    out = (1, 0)
-    for _ in range(k):
-        out = _gi_mul(out, w)
-    return out
-
-
-_UNITS = ((1, 0), (0, 1), (-1, 0), (0, -1))
+def _value_and_slope(g, r, m):
+    """(g(r), g'(r)) modulo m, for g ascending over Z[i] and r in Z[i]."""
+    x, y = r
+    va = vb = da = db = 0
+    for a, b in reversed(g):
+        da, db = (da * x - db * y + va) % m, (da * y + db * x + vb) % m
+        va, vb = (va * x - vb * y + a) % m, (va * y + vb * x + b) % m
+    return (va, vb), (da, db)
 
 
 # --- univariate polynomials over Q(i), dense coefficient lists -------------
@@ -335,6 +273,58 @@ def _divide_out(coeffs, r):
             break
         mult, coeffs = mult + 1, c[1:]
     return mult, coeffs
+
+
+def _poly_divmod(a, b):
+    """(quotient, remainder) of ascending coefficient lists, b's last entry
+    nonzero; the remainder has no trailing zeros."""
+    r, n = list(a), len(b) - 1
+    q = [QI_ZERO] * max(len(r) - n, 0)
+    for k in range(len(q) - 1, -1, -1):
+        c = q[k] = r[k + n] / b[n]
+        for j in range(n + 1):
+            r[k + j] = r[k + j] - c * b[j]
+    del r[n:]
+    while r and not r[-1]:
+        r.pop()
+    return q, r
+
+
+def _lifted_candidates(coeffs):
+    """Candidates for the Q(i) roots of a polynomial of degree >= 1: the
+    roots of its squarefree part modulo an inert prime, lifted."""
+    a, b = coeffs, [k * c for k, c in enumerate(coeffs)][1:]
+    while b:
+        a, b = b, _poly_divmod(a, b)[1]
+    h = gaussian_integers(_poly_divmod(coeffs, a)[0])[1]
+    lead = h[-1]
+    # at least twice the Cauchy bound |lead| + max |h_k| (k < n) on |lead * y|
+    bound = 4 * max(abs(x) + abs(y) for x, y in h)
+    for p in itertools.count(3, 4):
+        prime = all(p % q for q in range(3, math.isqrt(p) + 1, 2))
+        if prime and (lead[0] % p or lead[1] % p):
+            roots = {}  # the roots in F_p[i], among all p^2 residues: h' there
+            for r in itertools.product(range(p), repeat=2):
+                value, slope = _value_and_slope(h, r, p)
+                if value == (0, 0):
+                    roots[r] = slope
+            if (0, 0) not in roots.values():
+                break
+    candidates = []
+    for r in roots:
+        m = p
+        while m <= bound:
+            # a Newton step squares the modulus; (x + yi)^-1 = (x - yi) / (x^2 + y^2)
+            m = m * m
+            value, (x, y) = _value_and_slope(h, r, m)
+            n = pow(x * x + y * y, -1, m)
+            step = _gi_mul(value, (x * n, -y * n))
+            r = ((r[0] - step[0]) % m, (r[1] - step[1]) % m)
+        # lead * y is a Gaussian integer within the Cauchy bound
+        s = [(c + m // 2) % m - m // 2 for c in _gi_mul(lead, r)]
+        if 2 * max(map(abs, s)) <= bound:
+            candidates.append(GaussianRational(*s) / GaussianRational(*lead))
+    return candidates
 
 
 def gaussian_poly_roots(coeffs):
@@ -367,17 +357,7 @@ def gaussian_poly_roots(coeffs):
             two_a = GaussianRational(2) * coeffs[2]
             candidates = [(-coeffs[1] + s) / two_a, (-coeffs[1] - s) / two_a]
     elif deg >= 3:
-        # scale to Z[i] and enumerate p/q with p | constant, q | leading
-        zi = gaussian_integers(coeffs)[1]
-        seen = set()
-        for p in gaussian_int_divisors(zi[0]):
-            for q in gaussian_int_divisors(zi[-1]):
-                qq = GaussianRational(q[0], q[1])
-                for u in _UNITS:
-                    cand = GaussianRational(*_gi_mul(p, u)) / qq
-                    if cand not in seen:
-                        seen.add(cand)
-                        candidates.append(cand)
+        candidates = _lifted_candidates(coeffs)
     for cand in candidates:
         if any(cand == r for r, _ in found):
             continue
@@ -393,7 +373,5 @@ def gaussian_nth_root(c, n):
     """A y in Q(i) with y^n = c, or None; deterministic branch choice."""
     if n == 1 or not c:
         return c
-    if n == 2:
-        return gaussian_sqrt(c)
     roots = gaussian_poly_roots([-c] + [QI_ZERO] * (n - 1) + [QI_ONE])
     return roots[0][0] if roots else None

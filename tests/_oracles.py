@@ -25,7 +25,9 @@ accumulator, substitution and ideal_combine that promoted first, and the
 loop that asked the radical question twice a pass.  Last of all are the
 engine's two reduction loops as they were before one loop, groebner._divmod,
 served both fields: the fraction-free Z[i] one and the dividing LCFraction
-one, each with its own inline multiply-subtract.
+one, each with its own inline multiply-subtract.  After them comes the Q(i)
+root finder as it was before it lifted roots modulo an inert prime: the
+rational-root search over Gaussian divisors, on trial-division factoring.
 """
 
 import functools
@@ -54,6 +56,7 @@ from epsgeom.gaussian import (
     gaussian_integers,
     gaussian_nth_root,
     gaussian_poly_roots,
+    gaussian_sqrt,
 )
 from epsgeom.groebner import (
     Ideal,
@@ -1346,3 +1349,145 @@ def reference_lc_divmod(vec, basis, layout):
                 else:
                     del p[key]
     return 1, rem
+
+
+# --- the rational-root search of gaussian_poly_roots before p-adic lifting:
+# every unit multiple of a quotient of Gaussian divisors of the constant and
+# the leading coefficient, found by trial-division factoring of their norms
+
+
+def _gi_norm(w):
+    return w[0] * w[0] + w[1] * w[1]
+
+
+def _gi_mul(u, v):
+    return (u[0] * v[0] - u[1] * v[1], u[0] * v[1] + u[1] * v[0])
+
+
+def _gi_exact_div(w, d):
+    """w/d in Z[i] if exact, else None."""
+    n = _gi_norm(d)
+    if n == 0:
+        return None
+    a = w[0] * d[0] + w[1] * d[1]
+    b = w[1] * d[0] - w[0] * d[1]
+    if a % n or b % n:
+        return None
+    return (a // n, b // n)
+
+
+def _prime_factors(n):
+    out = {}
+    d = 2
+    while d * d <= n:
+        while n % d == 0:
+            out[d] = out.get(d, 0) + 1
+            n //= d
+        d += 1 if d == 2 else 2
+    if n > 1:
+        out[n] = out.get(n, 0) + 1
+    return out
+
+
+def _two_squares(p):
+    # p prime, p % 4 == 1; small p so brute force is fine
+    for a in range(1, math.isqrt(p) + 1):
+        b2 = p - a * a
+        b = math.isqrt(b2)
+        if b * b == b2:
+            return (a, b)
+    raise ArithmeticError("no two-square decomposition for %d" % p)
+
+
+def _gaussian_prime_power(w, pi):
+    """Largest e with pi^e | w, together with w / pi^e."""
+    e = 0
+    while True:
+        q = _gi_exact_div(w, pi)
+        if q is None:
+            return e, w
+        e += 1
+        w = q
+
+
+def gaussian_int_divisors(w):
+    """All divisors of a nonzero Gaussian integer, up to unit multiples."""
+    divisors = [(1, 0)]
+    rem = w
+    for p, _ in _prime_factors(_gi_norm(w)).items():
+        if p == 2:
+            primes = [(1, 1)]
+        elif p % 4 == 3:
+            primes = [(p, 0)]
+        else:
+            a, b = _two_squares(p)
+            primes = [(a, b), (a, -b)]
+        for pi in primes:
+            e, rem = _gaussian_prime_power(rem, pi)
+            if e:
+                divisors = [
+                    _gi_mul(d, _pow_gi(pi, k)) for d in divisors for k in range(e + 1)
+                ]
+    return divisors
+
+
+def _pow_gi(w, k):
+    out = (1, 0)
+    for _ in range(k):
+        out = _gi_mul(out, w)
+    return out
+
+
+_UNITS = ((1, 0), (0, 1), (-1, 0), (0, -1))
+
+
+def reference_gaussian_poly_roots(coeffs):
+    """All roots in Q(i) of sum coeffs[k] * y^k, as (root, multiplicity) pairs.
+
+    coeffs must have a nonzero entry.  Roots are sorted by (re, im) descending
+    so callers that need one root get a deterministic pick.
+    """
+    coeffs = list(coeffs)
+    while coeffs and not coeffs[-1]:
+        coeffs.pop()
+    if not coeffs:
+        raise ValueError("zero polynomial has every root")
+    found = []
+    k0 = 0
+    while not coeffs[0]:
+        coeffs = coeffs[1:]
+        k0 += 1
+    if k0:
+        found.append((QI_ZERO, k0))
+    deg = len(coeffs) - 1
+    candidates = []
+    if deg == 1:
+        # the one candidate of a linear polynomial is its simple root
+        found.append((-coeffs[0] / coeffs[1], 1))
+    elif deg == 2:
+        disc = coeffs[1] * coeffs[1] - GaussianRational(4) * coeffs[2] * coeffs[0]
+        s = gaussian_sqrt(disc)
+        if s is not None:
+            two_a = GaussianRational(2) * coeffs[2]
+            candidates = [(-coeffs[1] + s) / two_a, (-coeffs[1] - s) / two_a]
+    elif deg >= 3:
+        # scale to Z[i] and enumerate p/q with p | constant, q | leading
+        zi = gaussian_integers(coeffs)[1]
+        seen = set()
+        for p in gaussian_int_divisors(zi[0]):
+            for q in gaussian_int_divisors(zi[-1]):
+                qq = GaussianRational(q[0], q[1])
+                for u in _UNITS:
+                    cand = GaussianRational(*_gi_mul(p, u)) / qq
+                    if cand not in seen:
+                        seen.add(cand)
+                        candidates.append(cand)
+    for cand in candidates:
+        if any(cand == r for r, _ in found):
+            continue
+        # the first remainder is the value at cand
+        mult = reference_divide_out(coeffs, cand)[0]
+        if mult:
+            found.append((cand, mult))
+    found.sort(key=lambda rm: (rm[0].re, rm[0].im), reverse=True)
+    return found

@@ -162,11 +162,21 @@ class TestExitCodes:
         }
 
     def test_value_starting_with_minus_takes_equals_form(self):
-        # argparse reads a separate "-3*eps^2" as a flag; --flag=value does not
         code, body = run("verify-closure", "--roots=-3*eps^2")
         assert code == 0
         assert body["ok"] is True
         assert body["result"]["instance"] == ["-3*eps^2"]
+
+    def test_value_starting_with_minus_binds_to_the_flag_before_it(self):
+        # argparse alone reads a separate "-3*eps^2" or "-i" as a flag
+        joined = run_command(["verify-closure", "--roots=-3*eps^2"])
+        assert run_command(["verify-closure", "--roots", "-3*eps^2"]) == joined
+        code, body = run("lift", "--poly", "z1^2 + 1", "--at", "-i")
+        assert code == 0 and body["result"]["root"] == "-i"
+        # one of the subcommand's own flags is still a flag
+        code, body = run("lift", "--poly", "--at", "0")
+        assert code == 2
+        assert body["error"]["message"] == "argument --poly: expected one argument"
 
 
 class TestHelp:
@@ -508,6 +518,20 @@ def lift_argvs(draw):
 
 
 @st.composite
+def large_constant_lift_argvs(draw):
+    # edges of degree 3 to 6 at the shadow root 0 with constants up to 10^40:
+    # z1^n minus a constant, perhaps an n-th power, or n roots c_k*eps
+    big = st.builds(GaussianRational, st.integers(-10**40, 10**40), st.integers(-10**40, 10**40))
+    n = draw(st.integers(3, 6))
+    if draw(st.booleans()):
+        power = "^%d" % n if draw(st.booleans()) else ""
+        poly = "z1^%d - (%s)%s*eps^%d" % (n, format_gaussian(draw(big)), power, n)
+    else:
+        poly = _factored(1, [LCNumber.term(draw(big), 1) for _ in range(n)])
+    return ["lift", "--poly=" + poly, "--at=0"] + draw(truncation_flags)
+
+
+@st.composite
 def verify_closure_argvs(draw):
     roots = draw(st.lists(lc_roots(), min_size=1, max_size=5))
     roots = "; ".join(format_lc(r) for r in roots)
@@ -545,13 +569,39 @@ def _assert_contract(argvs):
     check()
 
 
+# an edge polynomial of degree 6 whose root is -i
+DEGREE_6_EDGE = (
+    "(-332908/28125 + 3988/75*i)*eps^6 + (-177526/1875 + 1100158/28125*i)*eps^5*z1^1"
+    " + (-1577/25 + 19651/1875*i)*eps^4*z1^2 + (-39457/450 + 7387/450*i)*eps^3*z1^3"
+    " + (-4543/90 + -20261/450*i)*eps^2*z1^4 + (31/6 + -629/30*i)*eps^1*z1^5"
+    " + (5/2 + -1/2*i)*z1^6"
+)
+
+
 class TestLiftingArgvProperty:
     @pytest.mark.parametrize(
-        "argvs", [lift_argvs(), verify_closure_argvs(), open_witness_argvs()],
-        ids=["lift", "verify-closure", "open-witness"],
+        "argvs",
+        [lift_argvs(), large_constant_lift_argvs(), verify_closure_argvs(), open_witness_argvs()],
+        ids=["lift", "lift-large-constants", "verify-closure", "open-witness"],
     )
     def test_one_json_line_and_a_contract_exit_code(self, argvs):
         _assert_contract(argvs)
+
+    @pytest.mark.parametrize(
+        "poly, code, want",
+        [
+            ("z1^3 - 10^39*eps^3", 0, '"root":"%d*eps"' % 10**13),
+            ("z1^3 - 1000000007*eps^3", 1, '"code":"NonConstructibleRoot"'),
+            ("z1^3 - 10^120*eps^3", 0, '"root":"%d*eps"' % 10**40),
+            (DEGREE_6_EDGE, 0, '"root":"-i*eps"'),
+        ],
+        ids=["10^39", "1000000007", "10^120", "degree-6-edge"],
+    )
+    def test_edge_roots_within_5_s(self, poly, code, want):
+        # the rational-root search over Gaussian divisors took 6.4 s, over
+        # 40 s, over 60 s and 5 s on these on a 2-core box
+        got, out = _within_5_s(lambda: run_command(["lift", "--poly=" + poly, "--at=0"]))
+        assert got == code and want in out
 
 
 # Well-formed argvs for the ideal commands. One generator may be a

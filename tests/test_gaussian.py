@@ -12,6 +12,7 @@ from _oracles import (
     eval_coeffs,
     poly_from_roots,
     reference_divide_out,
+    reference_gaussian_poly_roots,
 )
 from _strategies import gaussians
 from epsgeom.errors import DivisionByZero
@@ -21,6 +22,7 @@ from epsgeom.gaussian import (
     QI_ZERO,
     GaussianRational,
     _divide_out,
+    gaussian_nth_root,
     gaussian_poly_roots,
     gaussian_sqrt,
 )
@@ -130,6 +132,59 @@ class TestPolyRoots:
         assert [c1 * c for c in poly_from_roots(roots)] == coeffs
         for r, _ in found:
             assert eval_coeffs(coeffs, r) == QI_ZERO
+
+
+# irreducible quadratics and cubics over Q(i): cofactors with no root in Q(i)
+ROOTLESS = [
+    [GaussianRational(-2), QI_ZERO, QI_ONE],
+    [QI_ONE, QI_ONE, QI_ONE],
+    [GaussianRational(0, -1), QI_ZERO, QI_ONE],
+    [GaussianRational(1, 1), QI_ZERO, QI_ONE],
+    [GaussianRational(-2), QI_ZERO, QI_ZERO, QI_ONE],
+    [QI_ONE, QI_ONE, QI_ZERO, QI_ONE],
+]
+
+
+def _times(a, b):
+    out = [QI_ZERO] * (len(a) + len(b) - 1)
+    for j, x in enumerate(a):
+        for k, y in enumerate(b):
+            out[j + k] = out[j + k] + x * y
+    return out
+
+
+def _degree_3_to_8(rng):
+    """Ascending coefficients of degree 3 to 8: Q(i) roots up to multiplicity
+    3, zero roots, rootless cofactors and a leading coefficient."""
+    qi = lambda: GaussianRational(
+        Fraction(rng.randint(-3, 3), rng.randint(1, 2)), Fraction(rng.randint(-2, 2), rng.randint(1, 2))
+    )
+    while True:
+        roots = [QI_ZERO] * rng.choice((0, 0, 1, 2))
+        for _ in range(rng.randint(1, 3)):
+            roots += [qi()] * rng.randint(1, 3)
+        unit = qi() or QI_ONE
+        coeffs = [unit * c for c in poly_from_roots(roots)]
+        for _ in range(rng.choice((0, 0, 1, 2))):
+            coeffs = _times(coeffs, rng.choice(ROOTLESS))
+        if 4 <= len(coeffs) <= 9:
+            return coeffs
+
+
+class TestPolyRootsMatchReference:
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_same_roots_as_the_divisor_search(self, seed):
+        # against the rational-root search over Gaussian divisors, which
+        # lifting modulo an inert prime replaced: the same roots,
+        # multiplicities and order
+        rng = random.Random(2500 + seed)
+        for _ in range(40):
+            coeffs = _degree_3_to_8(rng)
+            assert repr(gaussian_poly_roots(coeffs)) == repr(reference_gaussian_poly_roots(coeffs))
+
+    def test_cube_root_of_a_121_digit_radicand(self):
+        # the divisor search did not end on this radicand
+        assert gaussian_nth_root(GaussianRational(10**120), 3) == 10**40
 
 
 # --- differential check against the Fraction-pair reference ---------------
