@@ -3,7 +3,12 @@
 One binary, subcommand style.  Every invocation prints a single JSON
 object with the resolved session configuration echoed first, then either
 the result or a coded error.  Exit codes: 0 success, 1 domain error,
-2 usage error.
+2 usage error.  A value that starts with "-", such as -3*eps or -i, which
+argparse alone reads as an option, binds to the flag before it when that
+flag takes a value, as --flag=value, and otherwise to the subcommand's
+positional, as if it came after "--".  "--" is still needed before a
+positional value that starts with "--" or "-h", and "=" after an
+abbreviated flag.
 """
 
 import argparse
@@ -11,7 +16,7 @@ import functools
 import json
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from pathlib import Path
 
@@ -65,27 +70,26 @@ DATA_DIR = Path(__file__).resolve().parent / "data"
 
 @dataclass(frozen=True)
 class SessionConfig:
-    """Run-wide knobs, echoed into every JSON output for reproducibility."""
+    """Run-wide knobs, echoed into every JSON output for reproducibility.
+
+    Each field is a config-file key and a flag of every subcommand: its name
+    with "-" for "_" (truncation_order, --truncation-order) unless its
+    metadata names the flag.  Its type converts the raw text.
+    """
 
     truncation_order: Fraction = Fraction(16)
-    monomial_order: str = "grevlex"
+    monomial_order: str = field(default="grevlex", metadata={"flag": "--order"})
     seed: int = 0
     power_bound: int = 6
 
     def to_json(self):
-        return {
-            "truncation_order": str(self.truncation_order),
-            "monomial_order": self.monomial_order,
-            "seed": self.seed,
-            "power_bound": self.power_bound,
-        }
+        return {k: str(v) if isinstance(v, Fraction) else v for k, v in vars(self).items()}
 
     def order(self):
         return MonomialOrder.from_name(self.monomial_order)
 
 
 _DEFAULT_CONFIG = SessionConfig()
-_CONFIG_FIELDS = ("truncation_order", "monomial_order", "seed", "power_bound")
 
 
 class _UsageError(Exception):
@@ -96,35 +100,11 @@ class _HelpRequested(Exception):
     pass
 
 
-class _HelpFormatter(argparse.HelpFormatter):
-    # a fixed width, so the help text does not depend on the terminal
-    def __init__(self, prog):
-        super().__init__(prog, width=80)
-
-
 class _Parser(argparse.ArgumentParser):
-    def __init__(self, *args, **kwargs):
-        # whether each option string takes a value; "--" ends the options
-        self.takes_value = {"--": False}
-        super().__init__(*args, **kwargs)
-
-    def add_argument(self, *args, **kwargs):
-        action = super().add_argument(*args, **kwargs)
-        self.takes_value.update(dict.fromkeys(action.option_strings, action.nargs != 0))
-        return action
-
-    def parse_known_args(self, args=None, namespace=None):
-        # argparse reads "-3*eps^2" or "-i" as an option; a value that starts
-        # with "-" and is none of this parser's options binds to the option
-        # before it, as --option=value
-        args, k = list(args), 1
-        while k < len(args) and args[k - 1] != "--":
-            option, value = args[k - 1], args[k]
-            known = value.partition("=")[0] in self.takes_value
-            if self.takes_value.get(option) and value.startswith("-") and not known:
-                args[k - 1 : k + 1] = [option + "=" + value]
-            k += 1
-        return super().parse_known_args(args, namespace)
+    def __init__(self, **kwargs):
+        # a fixed width, so the help text does not depend on the terminal
+        formatter = functools.partial(argparse.HelpFormatter, width=80)
+        super().__init__(formatter_class=formatter, **kwargs)
 
     def error(self, message):
         raise _UsageError(message)
@@ -134,6 +114,46 @@ class _Parser(argparse.ArgumentParser):
         raise _HelpRequested(self.format_help())
 
 
+class _CommandParser(_Parser):
+    """A subcommand's parser, which binds values that start with "-" as the
+    module docstring says."""
+
+    def __init__(self, **kwargs):
+        # whether each option string takes a value; "--" ends the options
+        self.takes_value = {"--": False}
+        self.has_positional = False
+        super().__init__(**kwargs)
+
+    def add_argument(self, *args, **kwargs):
+        action = super().add_argument(*args, **kwargs)
+        self.takes_value.update(dict.fromkeys(action.option_strings, action.nargs != 0))
+        self.has_positional = self.has_positional or not action.option_strings
+        return action
+
+    def parse_known_args(self, args=None, namespace=None):
+        rest, dashed = [], []
+        for k, value in enumerate(args):
+            if value == "--":
+                rest += args[k:]
+                break
+            if value.startswith("-") and value.partition("=")[0] not in self.takes_value:
+                if rest and self.takes_value.get(rest[-1]):
+                    rest[-1] += "=" + value
+                    continue
+                # a token that starts with "--" or "-h" stays an option, so
+                # abbreviations such as --trunc keep working
+                if self.has_positional and value[:2] not in self.takes_value:
+                    dashed.append(value)
+                    continue
+            rest.append(value)
+        added = bool(dashed) and "--" not in rest
+        namespace, extras = super().parse_known_args(rest + ["--"] * added + dashed, namespace)
+        if added and "--" in extras:
+            # the positional was given, so the dashed values are extras
+            extras.remove("--")
+        return namespace, extras
+
+
 @functools.cache
 def _build_parser():
     """The argument parser, built on first use and shared after that.
@@ -141,84 +161,25 @@ def _build_parser():
     parse_args keeps its state in the namespace it returns and never changes
     the parser, so threads can share it.
     """
-    p = _Parser(
-        prog="epsgeom",
-        description=__doc__.splitlines()[0],
-        formatter_class=_HelpFormatter,
-    )
-    sub = p.add_subparsers(dest="command", required=True, parser_class=_Parser)
-
-    def add(name):
-        q = sub.add_parser(name, formatter_class=_HelpFormatter)
-        q.add_argument("--truncation-order", dest="truncation_order")
-        q.add_argument("--order", dest="monomial_order")
-        q.add_argument("--seed", dest="seed")
-        q.add_argument("--power-bound", dest="power_bound")
-        q.add_argument("--config", dest="config")
-        return q
-
-    for name in ("st", "classify"):
-        add(name).add_argument("expr")
-    add("shadow-poly").add_argument("expr")
-    add("normalize").add_argument("expr")
-
-    q = add("reduce-on-variety")
-    q.add_argument("--poly", required=True)
-    q.add_argument("--variety", required=True)
-    q.add_argument("--ambient")
-
-    q = add("lift")
-    q.add_argument("--poly", required=True)
-    q.add_argument("--at", required=True)
-
-    q = add("open-witness")
-    q.add_argument("--poly", required=True)
-    q.add_argument("--at", required=True)
-
-    add("verify-closure").add_argument("--roots", required=True)
-    add("groebner").add_argument("--ideal", required=True)
-
-    for name in ("member", "radical-member"):
-        q = add(name)
-        q.add_argument("--ideal", required=True)
-        q.add_argument("--poly", required=True)
-
-    q = add("contract")
-    q.add_argument("--ideal", required=True)
-    q.add_argument("--keep", required=True, type=int)
-
-    add("syzygy").add_argument("--row", required=True)
-    add("point-ideal").add_argument("--ideal", required=True)
-    add("domain-witness").add_argument("--denominators", required=True)
-
-    for name in ("family-build", "family-check"):
-        q = add(name)
-        q.add_argument("--parameters", required=True)
-        q.add_argument("--extra", action="store_true")
-
-    q = add("flat-witness")
-    q.add_argument("--row", required=True)
-    q.add_argument("--solution", required=True)
-
-    add("kernel-check").add_argument("--matrix", required=True)
-
-    q = add("exact-check")
-    q.add_argument("--first", required=True)
-    q.add_argument("--second", required=True)
-
-    add("tensor-check").add_argument("--matrix", required=True)
-
-    q = add("corpus")
-    q.add_argument("--threads", type=int, default=1)
-    q.add_argument("--fixtures")
-    q.add_argument("--write-golden", action="store_true")
-
+    p = _Parser(prog="epsgeom", description=__doc__.splitlines()[0])
+    sub = p.add_subparsers(dest="command", required=True, parser_class=_CommandParser)
+    for name, _, arguments in _COMMANDS:
+        q = sub.add_parser(name)
+        for f in fields(SessionConfig):
+            q.add_argument(f.metadata.get("flag", "--" + f.name.replace("_", "-")), dest=f.name)
+        q.add_argument("--config")
+        for argument in arguments:
+            if isinstance(argument, str):
+                # a positional, or an option that must be given
+                argument = argument, {"required": True} if argument.startswith("-") else {}
+            q.add_argument(argument[0], **argument[1])
     return p
 
 
 def _resolve_config(ns):
-    values = {f: getattr(_DEFAULT_CONFIG, f) for f in _CONFIG_FIELDS}
-    if getattr(ns, "config", None):
+    types = {f.name: f.type for f in fields(SessionConfig)}
+    values = {}
+    if ns.config:
         try:
             text = Path(ns.config).read_text()
         except OSError as ex:
@@ -228,27 +189,23 @@ def _resolve_config(ns):
             if not line:
                 continue
             if "=" not in line:
-                raise _UsageError(
-                    "config line %d is not key=value" % lineno
-                )
+                raise _UsageError("config line %d is not key=value" % lineno)
             key, val = (s.strip() for s in line.split("=", 1))
-            if key not in _CONFIG_FIELDS:
+            if key not in types:
                 raise _UsageError("unknown config key: %s" % key)
             values[key] = val
-    for f in _CONFIG_FIELDS:
-        flag = getattr(ns, f, None)
-        if flag is not None:
-            values[f] = flag
+    # flags win over the file; a key left unset keeps its default
+    values.update((f, getattr(ns, f)) for f in types if getattr(ns, f) is not None)
     parsed = {}
-    for f, convert in zip(_CONFIG_FIELDS, (Fraction, str, int, int)):
+    for f, convert in types.items():
+        if f not in values:
+            continue
         try:
             parsed[f] = convert(values[f])
             if f == "monomial_order":
                 MonomialOrder.from_name(parsed[f])
         except (ValueError, ZeroDivisionError, EpsgeomError):
-            raise _UsageError(
-                "bad config value: %s = %s" % (f, values[f])
-            ) from None
+            raise _UsageError("bad config value: %s = %s" % (f, values[f])) from None
     config = SessionConfig(**parsed)
     if config.truncation_order <= 0:
         raise _UsageError("truncation order must be positive")
@@ -502,30 +459,42 @@ def _cmd_corpus(config, ns):
     return {"total": len(results), "matched": len(results)}
 
 
-_HANDLERS = {
-    "st": _cmd_st,
-    "classify": _cmd_classify,
-    "shadow-poly": _cmd_shadow_poly,
-    "normalize": _cmd_normalize,
-    "reduce-on-variety": _cmd_reduce_on_variety,
-    "lift": _cmd_lift,
-    "open-witness": _cmd_open_witness,
-    "verify-closure": _cmd_verify_closure,
-    "groebner": _cmd_groebner,
-    "member": _cmd_member,
-    "radical-member": _cmd_radical_member,
-    "contract": _cmd_contract,
-    "syzygy": _cmd_syzygy,
-    "point-ideal": _cmd_point_ideal,
-    "domain-witness": _cmd_domain_witness,
-    "family-build": _cmd_family_build,
-    "family-check": _cmd_family_check,
-    "flat-witness": _cmd_flat_witness,
-    "kernel-check": _cmd_kernel_check,
-    "exact-check": _cmd_exact_check,
-    "tensor-check": _cmd_tensor_check,
-    "corpus": _cmd_corpus,
-}
+# Each subcommand: its name, its handler and the arguments it adds to the
+# config flags, in order.  An argument is a positional or a required option,
+# or an (option, add_argument keywords) pair.
+_COMMANDS = (
+    ("st", _cmd_st, ["expr"]),
+    ("classify", _cmd_classify, ["expr"]),
+    ("shadow-poly", _cmd_shadow_poly, ["expr"]),
+    ("normalize", _cmd_normalize, ["expr"]),
+    ("reduce-on-variety", _cmd_reduce_on_variety, ["--poly", "--variety", ("--ambient", {})]),
+    ("lift", _cmd_lift, ["--poly", "--at"]),
+    ("open-witness", _cmd_open_witness, ["--poly", "--at"]),
+    ("verify-closure", _cmd_verify_closure, ["--roots"]),
+    ("groebner", _cmd_groebner, ["--ideal"]),
+    ("member", _cmd_member, ["--ideal", "--poly"]),
+    ("radical-member", _cmd_radical_member, ["--ideal", "--poly"]),
+    ("contract", _cmd_contract, ["--ideal", ("--keep", {"required": True, "type": int})]),
+    ("syzygy", _cmd_syzygy, ["--row"]),
+    ("point-ideal", _cmd_point_ideal, ["--ideal"]),
+    ("domain-witness", _cmd_domain_witness, ["--denominators"]),
+    ("family-build", _cmd_family_build, ["--parameters", ("--extra", {"action": "store_true"})]),
+    ("family-check", _cmd_family_check, ["--parameters", ("--extra", {"action": "store_true"})]),
+    ("flat-witness", _cmd_flat_witness, ["--row", "--solution"]),
+    ("kernel-check", _cmd_kernel_check, ["--matrix"]),
+    ("exact-check", _cmd_exact_check, ["--first", "--second"]),
+    ("tensor-check", _cmd_tensor_check, ["--matrix"]),
+    (
+        "corpus",
+        _cmd_corpus,
+        [
+            ("--threads", {"type": int, "default": 1}),
+            ("--fixtures", {}),
+            ("--write-golden", {"action": "store_true"}),
+        ],
+    ),
+)
+_HANDLERS = {name: handler for name, handler, _ in _COMMANDS}
 
 
 def _dump(config, ok, result=None, error=None):

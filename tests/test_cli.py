@@ -178,6 +178,75 @@ class TestExitCodes:
         assert code == 2
         assert body["error"]["message"] == "argument --poly: expected one argument"
 
+    @pytest.mark.parametrize(
+        "argv",
+        [["st", "-3*eps"], ["classify", "-i"], ["shadow-poly", "-z1"]],
+        ids=["st", "classify", "shadow-poly"],
+    )
+    def test_positional_value_starting_with_minus(self, argv):
+        # argparse alone reads it as an unknown option and finds no positional
+        code, out = run_command(argv)
+        assert code == 0
+        assert (code, out) == run_command([argv[0], "--", argv[1]])
+
+    def test_positional_value_starting_with_minus_before_a_flag(self):
+        code, body = run("st", "-3*eps", "--order", "lex")
+        assert code == 0
+        assert body["result"] == "0" and body["config"]["monomial_order"] == "lex"
+
+    def test_positional_value_starting_with_minus_after_an_abbreviation(self):
+        # a token that starts with "--" stays an option, abbreviated or not
+        expected = run_command(["st", "--truncation-order", "4", "--", "-eps"])
+        assert expected[0] == 0
+        assert run_command(["st", "--trunc", "4", "-eps"]) == expected
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            # a value after a flag that takes one binds to that flag
+            (["st", "--order", "-3*eps"], "the following arguments are required: expr"),
+            # with the positional given, the value is an unknown argument
+            (["st", "-3*eps", "2"], "unrecognized arguments: -3*eps"),
+            (["st", "1", "--order", "lex", "-i"], "unrecognized arguments: -i"),
+        ],
+        ids=["after-a-flag", "positional-given", "positional-given-before-a-flag"],
+    )
+    def test_dash_values_that_stay_usage_errors(self, argv, message):
+        code, body = run(*argv)
+        assert code == 2
+        assert body["error"] == {"code": "usage", "message": message}
+
+
+SHARED_FLAGS = (
+    "[--truncation-order TRUNCATION_ORDER] [--order MONOMIAL_ORDER] [--seed SEED]"
+    " [--power-bound POWER_BOUND] [--config CONFIG]"
+)
+# each subcommand's own arguments, as its usage line lists them
+OWN_ARGUMENTS = {
+    "st": "expr",
+    "classify": "expr",
+    "shadow-poly": "expr",
+    "normalize": "expr",
+    "reduce-on-variety": "--poly POLY --variety VARIETY [--ambient AMBIENT]",
+    "lift": "--poly POLY --at AT",
+    "open-witness": "--poly POLY --at AT",
+    "verify-closure": "--roots ROOTS",
+    "groebner": "--ideal IDEAL",
+    "member": "--ideal IDEAL --poly POLY",
+    "radical-member": "--ideal IDEAL --poly POLY",
+    "contract": "--ideal IDEAL --keep KEEP",
+    "syzygy": "--row ROW",
+    "point-ideal": "--ideal IDEAL",
+    "domain-witness": "--denominators DENOMINATORS",
+    "family-build": "--parameters PARAMETERS [--extra]",
+    "family-check": "--parameters PARAMETERS [--extra]",
+    "flat-witness": "--row ROW --solution SOLUTION",
+    "kernel-check": "--matrix MATRIX",
+    "exact-check": "--first FIRST --second SECOND",
+    "tensor-check": "--matrix MATRIX",
+    "corpus": "[--threads THREADS] [--fixtures FIXTURES] [--write-golden]",
+}
+
 
 class TestHelp:
     @pytest.mark.parametrize("command", ["(top level)"] + sorted(_HANDLERS))
@@ -193,6 +262,12 @@ class TestHelp:
             assert body["config"] == DEFAULT_CONFIG
             assert body["result"].startswith("usage: %s " % prog)
         assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize("command", sorted(_HANDLERS))
+    def test_usage_lists_shared_flags_then_own_arguments(self, command):
+        _, body = run(command, "--help")
+        usage = " ".join(body["result"].split("\n\n")[0].split())
+        assert usage == "usage: epsgeom %s [-h] %s %s" % (command, SHARED_FLAGS, OWN_ARGUMENTS[command])
 
     def test_help_ignores_terminal_width(self, monkeypatch):
         outputs = set()
