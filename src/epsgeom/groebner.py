@@ -410,7 +410,8 @@ def _buchberger_pairs(inputs, layout, kernel, rank=None, syzygies=False):
         unit = unit or (lead == 0 and scalar and not syzygies)
         return len(G) - 1
 
-    # normal selection: pairs pop by (lcm degree, lcm order, i, j)
+    # normal selection: pairs pop by (lcm degree, lcm order, i, j); the lcm
+    # rides along as a fifth entry, and (i, j) is unique, so it never orders
     pairs = []
     pending = set()
 
@@ -420,7 +421,7 @@ def _buchberger_pairs(inputs, layout, kernel, rank=None, syzygies=False):
             li = G[i][1]
             if li >> top == lj >> top:
                 lcm = layout.lcm(li, lj)
-                heapq.heappush(pairs, (layout.degree(lcm), lcm & fields, i, j))
+                heapq.heappush(pairs, (layout.degree(lcm), lcm & fields, i, j, lcm))
                 pending.add((i, j))
 
     for k, (v, den) in enumerate(inputs):
@@ -444,11 +445,10 @@ def _buchberger_pairs(inputs, layout, kernel, rank=None, syzygies=False):
         return False
 
     while pairs and not unit:
-        _, _, i, j = heapq.heappop(pairs)
+        _, _, i, j, lcm = heapq.heappop(pairs)
         pending.discard((i, j))
         gi, li, _ = G[i]
         gj, lj, _ = G[j]
-        lcm = layout.lcm(li, lj)
         # product criterion is only sound for scalar (rank-1) column leads
         if scalar and lcm == li + lj and not li >> top:
             if syzygies:
@@ -482,18 +482,25 @@ def _buchberger_pairs(inputs, layout, kernel, rank=None, syzygies=False):
 def _buchberger_vec(inputs, layout, kernel, rank=None, syzygies=False):
     """Reduced module Groebner basis, tagged when given a rank.
 
-    The pair loop of _buchberger_pairs, then a minimal basis with
-    inter-reduced tails.  Returns G, a list of kernel elements (vec, lead,
-    aux), sorted by descending leading term.  A rank carries the
-    tags of _buchberger_pairs through; the column parts are the same either
-    way.  With syzygies, G is the tag-only part of the tagged module's
-    reduced basis: no column lead divides a tag term, so those elements
-    minimalise and inter-reduce among themselves.  Raises _Overflow.
+    The pair loop of _buchberger_pairs, then its reduce step _reduce_basis.
+    Returns G, a list of kernel elements (vec, lead, aux), sorted by
+    descending leading term.  A rank carries the tags of _buchberger_pairs
+    through; the column parts are the same either way.  With syzygies, G is
+    the tag-only part of the tagged module's reduced basis: no column lead
+    divides a tag term, so those elements minimalise and inter-reduce among
+    themselves.  Module runs the two steps apart, so that is_proper can read
+    the pair loop's leads alone.  Raises _Overflow.
     """
     G = _buchberger_pairs(inputs, layout, kernel, rank, syzygies)
     if syzygies:
         G = [g for g in G if g[1] >> layout.top <= -rank]
+    return _reduce_basis(G, layout, kernel)
 
+
+def _reduce_basis(G, layout, kernel):
+    """The reduced basis of a Groebner basis G of kernel elements: a minimal
+    basis with inter-reduced tails, sorted by descending leading term.
+    Raises _Overflow."""
     # minimal set: leads pairwise non-divisible
     kept = []
     for t in sorted(range(len(G)), key=lambda t: G[t][1]):
@@ -576,10 +583,12 @@ def _eps_join(parts, scale):
 class Module:
     """Submodule spanned by columns (each a list of Poly), with cached bases.
 
-    The reduced Groebner basis is computed once, and the syzygies once, as
-    the tag-only part of a tagged run's reduced basis (see _buchberger_pairs).
-    When member first needs cofactors, the basis is computed again with tags
-    and replaces the untagged one.
+    The pair loop (_buchberger_pairs) runs once, and its Groebner basis is
+    cached: Ideal.is_proper reads its leads and nothing more.  The first
+    groebner_basis, normal_form or member reduces it (_reduce_basis), once.
+    The syzygies are computed once, as the tag-only part of a tagged run's
+    reduced basis.  When member first needs cofactors, the pair loop runs
+    again with tags, and its bases replace the untagged ones.
 
     The engine runs over Q(i) (_ZiKernel) when every coefficient of the
     columns is eps-free, whatever their declared domain, and over the
@@ -621,23 +630,30 @@ class Module:
             order.kind, order.block, frozenset(_variables(flat)), _START_WIDTH
         )
         self._vecs = None
+        self._pairs = None
         self._gb = None
         self._tagged = False
         self._syz = None
 
     def _relayout(self, variables, width):
-        """Move to a new layout, repacking the cached basis."""
+        """Move to a new layout, repacking the cached bases."""
         old = self._layout
         new = _layout(self.order.kind, self.order.block, variables, width)
 
-        def repack(vec):
-            return {new.term(*old.split(x)): c for x, c in vec.items()}
-
-        if self._gb is not None:
-            self._gb = [
-                (repack(vec), new.term(*old.split(lead)), aux)
-                for vec, lead, aux in self._gb
+        def repack(G):
+            if G is None:
+                return None
+            return [
+                (
+                    {new.term(*old.split(x)): c for x, c in vec.items()},
+                    new.term(*old.split(lead)),
+                    aux,
+                )
+                for vec, lead, aux in G
             ]
+
+        self._pairs = repack(self._pairs)
+        self._gb = repack(self._gb)
         self._layout = new
         self._vecs = None
 
@@ -660,12 +676,23 @@ class Module:
             except _Overflow:
                 self._relayout(self._layout.variables, 2 * self._layout.width)
 
+    def _pair_basis(self, tagged=False):
+        """The pair loop's Groebner basis over self._field, with tags if
+        asked for; unreduced, in insertion order."""
+        if self._pairs is None or (tagged and not self._tagged):
+            rank = self._rank if tagged else None
+            self._pairs = _buchberger_pairs(
+                self._vecs, self._layout, self._kernel, rank
+            )
+            self._gb = None
+            self._tagged = rank is not None
+        return self._pairs
+
     def _basis_for(self, tagged=False):
         """The reduced basis over self._field, with tags if asked for."""
-        if self._gb is None or (tagged and not self._tagged):
-            rank = self._rank if tagged else None
-            self._gb = _buchberger_vec(self._vecs, self._layout, self._kernel, rank)
-            self._tagged = rank is not None
+        G = self._pair_basis(tagged)
+        if self._gb is None:
+            self._gb = _reduce_basis(G, self._layout, self._kernel)
         return self._gb
 
     def _reduce(self, target, cofactors, against=None):
@@ -797,8 +824,10 @@ class Ideal(Module):
         return not self.normal_form(f)
 
     def is_proper(self):
-        """True iff 1 is not in the ideal: no basis lead is the unit term 0."""
-        return self._run(lambda: all(lead for _, lead, _ in self._basis_for()))
+        """True iff 1 is not in the ideal: no lead of the pair loop's basis is
+        the unit term 0.  1 lies in an ideal iff some element of any of its
+        Groebner bases has a unit lead, so nothing is reduced."""
+        return self._run(lambda: all(lead for _, lead, _ in self._pair_basis()))
 
     def support(self):
         vs = set()

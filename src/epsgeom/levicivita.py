@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from fractions import Fraction
 
 from .errors import DivisionByZero, InvalidInput, NonConstructibleRoot, UnlimitedValue
@@ -271,8 +272,9 @@ class LCNumber:
         return self.coefficient(0)
 
 
-def square_and_multiply(x, k, one):
-    """x ** k for an int k >= 0, with one returned for k == 0.
+def square_and_multiply(x, k, one, mul=operator.mul):
+    """x ** k for an int k >= 0 under the product mul, with one returned for
+    k == 0.
 
     Right to left over the bits of k: the result starts as the power at the
     lowest set bit rather than as one * x, and squaring stops at the top bit,
@@ -281,14 +283,14 @@ def square_and_multiply(x, k, one):
     if not k:
         return one
     while not k & 1:
-        x = x * x
+        x = mul(x, x)
         k >>= 1
     out = x
     k >>= 1
     while k:
-        x = x * x
+        x = mul(x, x)
         if k & 1:
-            out = out * x
+            out = mul(out, x)
         k >>= 1
     return out
 

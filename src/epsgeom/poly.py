@@ -258,35 +258,32 @@ class Poly:
                 a.domain,
                 {ma.mul(mb): ca * cb for ma, ca in ta.items() for mb, cb in tb.items()},
             )
-        # one lex layout whose fields hold the sum of the total degrees below
-        # their guard bits, so no monomial product overflows
-        width = (max(m.deg for m in ta) + max(m.deg for m in tb)).bit_length() + 1
-        variables = frozenset(v for m in (*ta, *tb) for v, _ in m.exps)
-        layout = _layout("lex", (), variables, width)
-        term, guard, acc = layout.term, layout.guard, {}
-        if a.domain == STANDARD:
-            # Z[i] pairs over one common denominator, each sum normalised once
-            da, ca = gaussian_integers(ta.values())
-            db, cb = gaussian_integers(tb.values())
-            axpy = _zi_axpy
-        else:
-            ca, cb, axpy = ta.values(), tb.values(), _axpy
-        right = {term(0, m): c for m, c in zip(tb, cb)}
-        for m, c in zip(ta, ca):
-            axpy(acc, c, term(0, m), right, guard)
-        if a.domain == STANDARD:
-            den = da * db
-            norm = _new if den == 1 else _normalised
-            acc = {x: norm(re, im, den) for x, (re, im) in acc.items()}
-        split = layout.split
-        return Poly(a.domain, {split(x)[1]: c for x, c in acc.items()})
+        layout = _product_layout(
+            (*ta, *tb), max(m.deg for m in ta) + max(m.deg for m in tb)
+        )
+        da, va = _pack(a, layout)
+        db, vb = _pack(b, layout)
+        vec = _product(va, vb, layout.guard, a.domain)
+        return _unpack(a.domain, vec, da * db, layout)
 
     __rmul__ = __mul__
 
     def __pow__(self, k):
         if not isinstance(k, int) or k < 0:
             raise InvalidInput("polynomial powers take nonnegative integers")
-        return square_and_multiply(self, k, Poly(self.domain, {MONO_ONE: 1}))
+        terms = self.terms
+        if k < 2 or len(terms) <= 1:
+            return square_and_multiply(self, k, Poly(self.domain, {MONO_ONE: 1}))
+        # packed once, over a layout whose fields hold the power's degree:
+        # the ladder's products stay packed, and only the power is unpacked
+        # (k >= 2, so the ladder never returns its one)
+        layout = _product_layout(terms, k * max(m.deg for m in terms))
+        den, vec = _pack(self, layout)
+        guard, domain = layout.guard, self.domain
+        power = square_and_multiply(
+            vec, k, None, lambda a, b: _product(a, b, guard, domain)
+        )
+        return _unpack(domain, power, den ** k, layout)
 
     def scale(self, c):
         if not isinstance(c, _NUMBERS):
@@ -462,6 +459,44 @@ def _layout(kind, block, variables, width):
     """The shared (immutable) _Layout of an order kind and block, a frozenset
     of variables and a width."""
     return _Layout(kind, block, variables, width)
+
+
+def _product_layout(monomials, degree):
+    """One lex layout over the variables of monomials whose fields hold a
+    product of total degree at most degree below their guard bits, so no
+    monomial product overflows."""
+    variables = frozenset(v for m in monomials for v, _ in m.exps)
+    return _layout("lex", (), variables, degree.bit_length() + 1)
+
+
+def _pack(f, layout):
+    """(den, vec): den * f as a vector of monomials (position 0), its
+    coefficients Z[i] pairs over one common denominator in the standard
+    domain and f's own (den 1) in the extended one."""
+    terms, term = f.terms, layout.term
+    if f.domain == STANDARD:
+        den, coeffs = gaussian_integers(terms.values())
+    else:
+        den, coeffs = 1, terms.values()
+    return den, {term(0, m): c for m, c in zip(terms, coeffs)}
+
+
+def _product(a, b, guard, domain):
+    """The schoolbook product of two packed vectors of one domain."""
+    axpy = _zi_axpy if domain == STANDARD else _axpy
+    acc = {}
+    for x, c in a.items():
+        axpy(acc, c, x, b, guard)
+    return acc
+
+
+def _unpack(domain, vec, den, layout):
+    """The Poly of a packed vector over den, each Q(i) sum normalised once."""
+    if domain == STANDARD:
+        norm = _new if den == 1 else _normalised
+        vec = {x: norm(re, im, den) for x, (re, im) in vec.items()}
+    split = layout.split
+    return Poly(domain, {split(x)[1]: c for x, c in vec.items()})
 
 
 # The multiply-accumulate loops: acc += coeff * x^mono * vec in place, in

@@ -285,6 +285,101 @@ class TestProperExamples:
         assert improper >= 20
 
 
+class TestProperReadsThePairLoop:
+    # is_proper reads the leads of the pair loop's Groebner basis and reduces
+    # nothing; the first question that needs the reduced basis reduces that
+    # cached basis once, so family_checks' is_proper then ideal_member makes
+    # one pair-loop run and one reduce step
+    CASES = [
+        (["z1^2 - z2", "z1*z2 - 1"], True),
+        (["z1^2 - z2", "z1*z2 - 1", "z2 - 2"], False),
+        (["z1", "z1 - 1"], False),
+        (["(1 + eps)*z1^2 - z2", "z2"], True),
+        (["z1^2 - eps", "z1"], False),
+    ]
+
+    @staticmethod
+    def _ideal(gens):
+        return Ideal([ext(g) if "eps" in g else std(g) for g in gens])
+
+    @pytest.mark.parametrize("gens,proper", CASES)
+    def test_runs_the_pair_loop_once_and_no_reduce_step(
+        self, gens, proper, pair_runs, reduce_runs
+    ):
+        I = self._ideal(gens)
+        assert I.is_proper() is proper
+        assert is_proper(I) is proper
+        assert (len(pair_runs), len(reduce_runs)) == (1, 0)
+
+    @pytest.mark.parametrize("ask", ["groebner_basis", "normal_form", "ideal_member"])
+    @pytest.mark.parametrize("gens,proper", CASES)
+    def test_a_later_question_reduces_the_cached_basis_once(
+        self, gens, proper, ask, pair_runs, reduce_runs
+    ):
+        f = std("z1^3*z2 - z2^2 + 1")
+
+        def answer(I):
+            if ask == "groebner_basis":
+                return I.groebner_basis()
+            if ask == "normal_form":
+                return I.normal_form(f)
+            return ideal_member(f, I)
+
+        I = self._ideal(gens)
+        assert I.is_proper() is proper
+        got = [answer(I), answer(I)]
+        assert (len(pair_runs), len(reduce_runs)) == (1, 1)
+        assert got == [answer(self._ideal(gens))] * 2
+
+    def test_member_runs_the_tagged_pair_loop_and_reduces_once(
+        self, engine_runs, reduce_runs
+    ):
+        # cofactor rows ride in a tagged run, so member after is_proper runs
+        # the pair loop again with tags, as after groebner_basis; is_proper
+        # after member reads the tagged run's leads
+        gens = [std("z1^2 - z2"), std("z1*z2 - 1")]
+        f = std("z1^3 - z1*z2 + z1*z2^2 - z2")
+        I = Ideal(gens)
+        assert I.is_proper()
+        r = I.member([f])
+        assert I.is_proper()
+        assert engine_runs == [False, True]
+        assert len(reduce_runs) == 1
+        assert r is not None
+        assert r[0] * gens[0] + r[1] * gens[1] == f
+        J = Ideal(gens)
+        assert J.member([f]) is not None and J.is_proper()
+        assert engine_runs == [False, True, True]
+        assert len(reduce_runs) == 2
+
+    def test_a_new_target_variable_repacks_the_cached_basis(
+        self, pair_runs, reduce_runs
+    ):
+        gens = [std("z1^3 - z2"), std("z2^2 - z1")]
+        f = std("z1^4*z5 + z2*z5^2")
+        I = Ideal(gens)
+        assert I.is_proper()
+        got = I.normal_form(f)
+        assert (len(pair_runs), len(reduce_runs)) == (1, 1)
+        assert got == Ideal(gens).normal_form(f)
+        assert got == std("z1*z2*z5 + z2*z5^2")
+
+    @pytest.mark.parametrize(
+        "g,gens,member",
+        [
+            ("z1 - z2", ["(z1 - z2)^3", "(z1 + 1)^2"], True),
+            ("z1 - z2 + 1", ["(z1 - z2)^3", "(z1 + 1)^2"], False),
+            ("z1", ["z1^2", "z2 - 1"], True),
+            ("z1*z2 - 1", ["z1^2 - z2", "z1*z2 - 1"], True),
+        ],
+    )
+    def test_radical_member_runs_no_reduce_step(
+        self, g, gens, member, pair_runs, reduce_runs
+    ):
+        assert radical_member(std(g), Ideal([std(t) for t in gens])) is member
+        assert (len(pair_runs), len(reduce_runs)) == (1, 0)
+
+
 class TestSyzygyExamples:
     def test_two_variables(self):
         b = syzygy_basis([std("z1"), std("z2")])
@@ -595,15 +690,15 @@ class TestIdealCache:
 
 @pytest.fixture
 def engine_runs(monkeypatch):
-    """Whether each _buchberger_vec run carried cofactor tags, in call order."""
+    """Whether each pair-loop run carried cofactor tags, in call order."""
     runs = []
-    engine = groebner._buchberger_vec
+    engine = groebner._buchberger_pairs
 
-    def counted(vecs, layout, kernel, rank=None):
+    def counted(vecs, layout, kernel, rank=None, syzygies=False):
         runs.append(rank is not None)
-        return engine(vecs, layout, kernel, rank)
+        return engine(vecs, layout, kernel, rank, syzygies)
 
-    monkeypatch.setattr(groebner, "_buchberger_vec", counted)
+    monkeypatch.setattr(groebner, "_buchberger_pairs", counted)
     return runs
 
 

@@ -26,6 +26,7 @@ from _strategies import (
     monomials,
     polys,
 )
+from epsgeom import poly
 from epsgeom.errors import (
     EpsgeomError,
     InvalidInput,
@@ -34,7 +35,15 @@ from epsgeom.errors import (
     ZeroPolynomial,
 )
 from epsgeom.gaussian import GaussianRational
-from epsgeom.levicivita import LC_EPS, LC_ONE, LC_ZERO, LCFraction, LCNumber, lc_st
+from epsgeom.levicivita import (
+    LC_EPS,
+    LC_ONE,
+    LC_ZERO,
+    LCFraction,
+    LCNumber,
+    lc_st,
+    square_and_multiply,
+)
 from epsgeom.parser import format_poly, parse_lc, parse_poly
 from epsgeom.poly import (
     EXTENDED,
@@ -516,19 +525,105 @@ class TestProductKernel:
 
     @pytest.mark.parametrize("k", range(10))
     def test_power_product_count(self, k, monkeypatch):
-        # square-and-multiply makes bit_length + popcount - 2 products
-        for cls, x in ((Poly, P("z1 + i*z2 - 1")), (LCNumber, L("1 + eps^(1/2)"))):
+        # square-and-multiply makes bit_length + popcount - 2 products; a
+        # Poly power makes them on its packed terms, with no Poly product
+        for owner, name, x in (
+            (poly, "_product", P("z1 + i*z2 - 1")),
+            (Poly, "__mul__", P("z1 + i*z2 - 1")),
+            (LCNumber, "__mul__", L("1 + eps^(1/2)")),
+        ):
             calls = []
-            mul = cls.__mul__
+            mul = getattr(owner, name)
 
-            def counting(a, b, mul=mul, calls=calls):
+            def counting(*args, mul=mul, calls=calls):
                 calls.append(None)
-                return mul(a, b)
+                return mul(*args)
 
-            monkeypatch.setattr(cls, "__mul__", counting)
+            monkeypatch.setattr(owner, name, counting)
             x ** k
             monkeypatch.undo()
-            assert len(calls) == _products(k), cls.__name__
+            want = 0 if owner is Poly else _products(k)
+            assert len(calls) == want, (owner.__name__, name)
+
+
+# bases of two or three terms, small enough that their 7th powers stay cheap
+_power_monomials = st.lists(
+    st.tuples(st.sampled_from(WIDE_VARS), st.integers(1, 2)), max_size=2
+).map(Monomial)
+
+
+def _power_bases(coeffs, domain):
+    return st.dictionaries(_power_monomials, coeffs, min_size=2, max_size=3).map(
+        lambda terms: Poly(domain, terms)
+    )
+
+
+class TestPackedPower:
+    # Poly.__pow__ packs a base of two or more terms once and runs the
+    # square-and-multiply ladder on the packed terms; the repeated product
+    # is the reference for the value, and the ladder over Poly products for
+    # the term order too
+    @staticmethod
+    def _check(g, k):
+        one = Poly(g.domain, {MONO_ONE: 1})
+        want = one
+        for _ in range(k):
+            want = want * g
+        got = g ** k
+        assert got == want
+        assert got.domain == g.domain
+        assert _same(got, square_and_multiply(g, k, one))
+
+    @given(_power_bases(kernel_standard_coeffs, STANDARD), st.integers(0, 7))
+    @settings(max_examples=80, deadline=None)
+    def test_standard(self, g, k):
+        self._check(g, k)
+
+    # finite sums only: an LCFraction power of a few terms can take seconds
+    # (test_quotient_coefficients has one)
+    @given(
+        _power_bases(
+            st.one_of(
+                unit_gaussians.map(LCNumber.from_gaussian), lc_numbers(max_terms=2)
+            ),
+            EXTENDED,
+        ),
+        st.integers(0, 7),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_extended(self, g, k):
+        self._check(g, k)
+
+    def test_quotient_coefficients(self):
+        q = LCFraction(L("1 + eps"), L("1 - eps"))
+        g = Poly(EXTENDED, {Monomial([(1, 1)]): q, MONO_ONE: L("eps")})
+        assert isinstance(g.terms[Monomial([(1, 1)])], LCFraction)
+        self._check(g, 3)
+
+    def test_non_integral_coefficients(self):
+        g = P("1/2*z1 - 1/3*i")
+        assert g ** 3 == P("1/8*z1^3 - 1/4*i*z1^2 - 1/6*z1 + 1/27*i")
+        self._check(g, 3)
+
+    def test_lone_large_exponent(self):
+        g = P("z1^1000000 + z2")
+        want = P("z1^3000000 + 3*z1^2000000*z2 + 3*z1^1000000*z2^2 + z2^3")
+        assert _same(g ** 3, want)
+        self._check(g, 3)
+
+    @pytest.mark.parametrize("k", [0, 1, 2, 5])
+    def test_zero_and_constant_bases(self, k):
+        for domain in (STANDARD, EXTENDED):
+            zero, one = Poly.zero(domain), Poly(domain, {MONO_ONE: 1})
+            assert _same(zero ** k, one if k == 0 else zero)
+        self._check(P("2 - i"), k)
+        self._check(Poly.constant(L("1 + eps")), k)
+
+    @pytest.mark.parametrize("text", ["z1 + i*z2 - 1", "(1 + eps)*z1 - eps^(1/2)"])
+    def test_exponents_zero_and_one(self, text):
+        g = P(text)
+        assert _same(g ** 0, Poly(g.domain, {MONO_ONE: 1}))
+        assert _same(g ** 1, g)
 
 
 @st.composite

@@ -238,6 +238,16 @@ class TestFamilyChecks:
         rep = family_checks(FamilySpec([]), 4)
         assert rep["pass"]
 
+    @pytest.mark.parametrize("extra", [False, True])
+    def test_one_pair_loop_and_one_reduce_step_per_call(
+        self, extra, pair_runs, reduce_runs
+    ):
+        # is_proper reads the pair loop's leads, and ideal_member on the same
+        # Ideal reduces that cached basis
+        rep = family_checks(FamilySpec([qi(1), qi(2)], include_extra=extra), 5)
+        assert rep["pass"]
+        assert (len(pair_runs), len(reduce_runs)) == (1, 1)
+
     def test_random_parameter_sets(self):
         rng = random.Random(6003)
         for _ in range(8):
