@@ -13,6 +13,9 @@ Grammar (whitespace ignored):
 Rational or negative exponents are legal only on the eps atom.  `wK` is an
 input alias for `zK`; the formatter always emits `zK`.  Parsing the canonical
 format returns an equal polynomial (term order is irrelevant to equality).
+Constants fold as numbers: a rational, `i` or `eps^q` is a GaussianRational
+or an LCNumber, numbers combine with their own operators, and a value becomes
+a Poly only where it meets a variable or a Poly.
 Parentheses nest at most 100 deep; deeper input is a ParseError rather than
 a RecursionError.
 """
@@ -22,14 +25,18 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import InvalidInput, ParseError
-from .gaussian import GaussianRational, QI_I
-from .levicivita import LCFraction, LCNumber
+from .gaussian import GaussianRational, QI_I, QI_ONE
+from .levicivita import LC_EPS, LCFraction, LCNumber, square_and_multiply
 from .poly import EXTENDED, Poly
 
 _OPS = set("+-*^()=,;/")
 
 # each parenthesis level costs four Python frames (expr, term, factor, base)
 _MAX_NESTING = 100
+
+
+def _as_poly(x):
+    return x if isinstance(x, Poly) else Poly.constant(x)
 
 
 def _tokenize(text):
@@ -102,6 +109,8 @@ class _Parser:
             if kind == "op" and val in "+-":
                 self.next()
                 rhs, _ = self.term()
+                if isinstance(out, Poly) or isinstance(rhs, Poly):
+                    out, rhs = _as_poly(out), _as_poly(rhs)
                 out = out + rhs if val == "+" else out - rhs
             else:
                 return out
@@ -129,7 +138,9 @@ class _Parser:
             if not plain and not eps_atom:
                 self.fail("rational exponents are legal only on eps")
             if eps_atom:
-                return Poly.constant(LCNumber.eps(exp)), False
+                return LCNumber.eps(exp), False
+            if isinstance(base, GaussianRational):
+                return square_and_multiply(base, int(exp), QI_ONE), False
             return base ** int(exp), False
         return base, eps_atom
 
@@ -171,8 +182,8 @@ class _Parser:
                 raise ParseError("expected digits after /", at)
             if int(val) == 0:
                 raise ParseError("zero denominator", at)
-            return Poly.constant(GaussianRational(Fraction(num, int(val))))
-        return Poly.constant(GaussianRational(num))
+            return GaussianRational(Fraction(num, int(val)))
+        return GaussianRational(num)
 
     # base := rational | 'i' | 'eps' | var | '(' expr ')'
     def base(self):
@@ -187,9 +198,9 @@ class _Parser:
             return self._rational_tail(-int(val)), False
         if kind == "name":
             if val == "i":
-                return Poly.constant(QI_I), False
+                return QI_I, False
             if val == "eps":
-                return Poly.constant(LCNumber.eps()), True
+                return LC_EPS, True
             if val[0] in "zw" and len(val) > 1 and val[1:].isdigit():
                 return Poly.variable(int(val[1:])), False
             raise ParseError("unknown name %r" % val, at)
@@ -204,23 +215,31 @@ class _Parser:
         raise ParseError("expected a value", at)
 
 
-def parse_poly(text):
-    """Parse an expression into a canonical Poly (standard if eps-free)."""
+def _parse(text):
+    """The value of an expression: a Poly, or a number when it has no
+    variable."""
     p = _Parser(text)
     out = p.expr()
     kind, _, at = p.peek()
     if kind != "end":
         raise ParseError("trailing input", at)
+    return out
+
+
+def parse_poly(text):
+    """Parse an expression into a canonical Poly (standard if eps-free)."""
+    out = _as_poly(_parse(text))
     demoted = out.to_standard() if out.domain == EXTENDED else out
     return demoted if demoted is not None else out
 
 
 def parse_lc(text):
     """Parse a constant expression into an LCNumber."""
-    p = parse_poly(text)
-    if not p.is_constant():
-        raise InvalidInput("expected a constant expression, got %r" % text)
-    c = p.as_constant()
+    c = _parse(text)
+    if isinstance(c, Poly):
+        if not c.is_constant():
+            raise InvalidInput("expected a constant expression, got %r" % text)
+        c = c.as_constant()
     if isinstance(c, GaussianRational):
         return LCNumber.from_gaussian(c)
     return c

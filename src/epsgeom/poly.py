@@ -185,6 +185,20 @@ class Poly:
         object.__setattr__(self, "domain", domain)
         object.__setattr__(self, "terms", cleaned)
 
+    @staticmethod
+    def _raw(domain, terms):
+        # terms: a fresh dict of nonzero coefficients, GaussianRational in
+        # the standard domain; an extended one that is not an LCNumber (an
+        # LCFraction sum or product can be a finite sum) goes through Poly()
+        if domain == EXTENDED:
+            for c in terms.values():
+                if type(c) is not LCNumber:
+                    return Poly(domain, terms)
+        out = _object_new(Poly)
+        _set_domain(out, domain)
+        _set_terms(out, terms)
+        return out
+
     def __setattr__(self, name, value):
         raise AttributeError("Poly is immutable")
 
@@ -228,23 +242,30 @@ class Poly:
         return self.to_extended(), other.to_extended()
 
     def __add__(self, other):
+        return self._sum(other, False)
+
+    def __sub__(self, other):
+        return self._sum(other, True)
+
+    def _sum(self, other, subtract):
+        """self + other, or self - other: other's terms go into a copy of
+        self's in their order, and a term that cancels is dropped."""
         a, b = self._unify(other)
         acc = dict(a.terms)
         for m, c in b.terms.items():
             s = acc.get(m)
-            s = c if s is None else s + c
-            if s:
-                acc[m] = s
+            if s is None:
+                acc[m] = -c if subtract else c
             else:
-                acc.pop(m, None)
-        return Poly(a.domain, acc)
-
-    def __sub__(self, other):
-        a, b = self._unify(other)
-        return a + (-b)
+                s = s - c if subtract else s + c
+                if s:
+                    acc[m] = s
+                else:
+                    del acc[m]
+        return Poly._raw(a.domain, acc)
 
     def __neg__(self):
-        return Poly(self.domain, {m: -c for m, c in self.terms.items()})
+        return Poly._raw(self.domain, {m: -c for m, c in self.terms.items()})
 
     def __mul__(self, other):
         if isinstance(other, _NUMBERS):
@@ -254,7 +275,7 @@ class Poly:
         if len(ta) <= 1 or len(tb) <= 1:
             # a term times a polynomial: the products have distinct
             # monomials, so there is nothing to collect or cancel
-            return Poly(
+            return Poly._raw(
                 a.domain,
                 {ma.mul(mb): ca * cb for ma, ca in ta.items() for mb, cb in tb.items()},
             )
@@ -289,7 +310,9 @@ class Poly:
         if not isinstance(c, _NUMBERS):
             raise InvalidInput("unsupported coefficient type %r" % type(c).__name__)
         domain = EXTENDED if isinstance(c, (LCNumber, LCFraction)) else self.domain
-        return Poly(domain, {m: cc * c for m, cc in self.terms.items()})
+        if not c:
+            return Poly(domain, {})
+        return Poly._raw(domain, {m: cc * c for m, cc in self.terms.items()})
 
     def __bool__(self):
         return bool(self.terms)
@@ -345,6 +368,8 @@ class Poly:
         return sorted(terms.items(), key=lambda t: term(0, t[0]), reverse=True)
 
 
+_set_domain = Poly.domain.__set__
+_set_terms = Poly.terms.__set__
 QI_ZERO_FOR = {STANDARD: QI_ZERO, EXTENDED: LC_ZERO}
 
 
@@ -496,7 +521,7 @@ def _unpack(domain, vec, den, layout):
         norm = _new if den == 1 else _normalised
         vec = {x: norm(re, im, den) for x, (re, im) in vec.items()}
     split = layout.split
-    return Poly(domain, {split(x)[1]: c for x, c in vec.items()})
+    return Poly._raw(domain, {split(x)[1]: c for x, c in vec.items()})
 
 
 # The multiply-accumulate loops: acc += coeff * x^mono * vec in place, in

@@ -211,19 +211,12 @@ def _univar_coeffs(f, v, zero):
     return c
 
 
-def _taylor_shift(c, s, t):
-    """Turn the ascending coefficients c of f(z) into those of f(s + t*z).
-
-    Horner's rule shifts by s in place in n(n-1)/2 multiply-adds (von zur
-    Gathen & Gerhard, ISSAC 1997); coefficient j is then scaled by t^j.
-    """
-    n = len(c) - 1
-    for i in range(n):
+def _taylor_shift(c, s):
+    """Turn the ascending coefficients c of f(z) into those of f(s + z), in
+    place, by Horner's rule in n(n+1)/2 multiply-adds (von zur Gathen &
+    Gerhard, ISSAC 1997)."""
+    for i in range(len(c) - 1):
         _horner_pass(c, s, i)
-    tj = t
-    for j in range(1, n + 1):
-        c[j] = c[j] * tj
-        tj = tj * t
 
 
 def newton_puiseux_lift(f, a, t=TruncationOrder()):
@@ -234,9 +227,9 @@ def newton_puiseux_lift(f, a, t=TruncationOrder()):
     residual valuation clears t.order.  The returned point ξ satisfies
     st(ξ) = a and valuation(f(ξ)) > t.order (often exactly zero).
 
-    ξ.value is f(ξ), exact: the loop keeps the coefficients of
-    fn(ξ + scale*z) with fn = f / u for one term u, and truncates none of
-    them, so their constant one is fn(ξ) and f(ξ) = u * fn(ξ).
+    ξ.value is f(ξ), exact: the loop keeps the coefficients of fn(ξ + z)
+    with fn = f / u for one term u, and truncates none of them, so their
+    constant one is fn(ξ) and f(ξ) = u * fn(ξ).
     """
     if isinstance(a, (int, Fraction)):
         a = GaussianRational(a)
@@ -261,10 +254,16 @@ def newton_puiseux_lift(f, a, t=TruncationOrder()):
 def _lift(fn, u, v, a, t):
     """The Newton loop of newton_puiseux_lift on fn = f / u, a nonconstant
     max-abs-normalised polynomial in z_v, at the standard root a of its
-    shadow; the point's value is u * fn(ξ)."""
+    shadow; the point's value is u * fn(ξ).
+
+    c holds the coefficients of fn(ξ + z) and is never rescaled.  A step
+    takes the steepest edge of c's Newton polygon, of slope q, shifts c by
+    the single term gamma*eps^q and sets M = q.  That is the step of the
+    rescaled polygon, that of fn(ξ + eps^M*z), whose point k sits at
+    valuation(c[k]) + k*M and whose steepest slope q - M must be positive.
+    """
     c = _univar_coeffs(fn, v, LC_ZERO)
     acc = LCNumber.from_gaussian(a)
-    scale = LC_ONE
     # the first shift, z -> a + z, one Horner pass at a time: after the
     # first pass c[0] = fn(a), and fn is limited, so st(c[0]) is its
     # shadow's value at a
@@ -275,21 +274,22 @@ def _lift(fn, u, v, a, t):
         )
     for i in range(1, len(c) - 1):
         _horner_pass(c, acc, i)
+    M = 0
     for _ in range(4096):
         v0 = c[0].valuation()
         if v0 > t.order:
             return EvaluatedPoint({v: acc}, u * c[0])
-        mu = None
+        q = None
         for k in range(1, len(c)):
             if c[k]:
                 cand = Fraction(v0 - c[k].valuation(), k)
-                if mu is None or cand > mu:
-                    mu = cand
-        if mu is None or mu <= 0:
+                if q is None or cand > q:
+                    q = cand
+        if q is None or q <= M:
             raise InvalidInput("internal: no infinitesimal branch remains")
         edge = {}
         for k, ck in enumerate(c):
-            if ck and ck.valuation() + k * mu == v0:
+            if ck and ck.valuation() + k * q == v0:
                 edge[k] = ck.leading()[1]
         phi = [edge.get(k, QI_ZERO) for k in range(max(edge) + 1)]
         roots = gaussian_poly_roots(phi)
@@ -297,12 +297,10 @@ def _lift(fn, u, v, a, t):
             raise NonConstructibleRoot(
                 "edge polynomial has no root in the coefficient field"
             )
-        gamma = roots[0][0]
-        step = LCNumber.term(gamma, mu)
-        acc = acc + scale * step
-        t_mu = LCNumber.eps(mu)
-        _taylor_shift(c, step, t_mu)
-        scale = scale * t_mu
+        delta = LCNumber.term(roots[0][0], q)
+        _taylor_shift(c, delta)
+        acc = acc + delta
+        M = q
     raise InvalidInput("internal: lifting did not converge")
 
 

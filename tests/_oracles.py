@@ -789,7 +789,13 @@ def reference_newton_puiseux_lift(f, a, t=TruncationOrder()):
         step = LCNumber.term(gamma, mu)
         acc = acc + scale * step
         t_mu = LCNumber.eps(mu)
-        _taylor_shift(c, step, t_mu)
+        # coefficient j of fn(ξ + scale*z) shifted by step, then scaled by
+        # t_mu^j: those of fn(ξ + scale*(step + t_mu*z))
+        _taylor_shift(c, step)
+        tj = t_mu
+        for j in range(1, len(c)):
+            c[j] = c[j] * tj
+            tj = tj * t_mu
         scale = scale * t_mu
     raise InvalidInput("internal: lifting did not converge")
 

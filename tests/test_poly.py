@@ -247,6 +247,16 @@ class TestRingLaws:
         assert f * (g + h) == f * g + f * h
         assert f - f == Poly.zero("extended")
 
+    @given(polys(), polys(), extended_polys(limited=False), extended_polys(limited=False))
+    @settings(max_examples=60, deadline=None)
+    def test_difference_is_the_sum_with_the_negation(self, f, g, fe, ge):
+        # repr shows the term order and the coefficient types; h shares
+        # every monomial of f, so terms cancel and are re-added
+        for a, b in ((f, g), (fe, ge), (f, ge), (fe, g)):
+            h = a + b
+            for x, y in ((a, b), (h, a), (a, h), (h, b)):
+                assert repr(x - y) == repr(x + (-y))
+
     @given(polys(), polys())
     @settings(max_examples=40, deadline=None)
     def test_embedding_is_a_hom(self, f, g):
@@ -731,6 +741,18 @@ class TestCoefficientTypes:
             assert g.terms[z1] == finite
         g = Poly("extended", {z1: x}) * Poly("extended", {MONO_ONE: one_eps})
         assert g.terms == {z1: LC_ONE} and type(g.terms[z1]) is LCNumber
+
+    def test_a_finite_sum_of_quotients_is_stored_as_its_numerator(self):
+        # 1/(1 + eps) + eps/(1 + eps) is 1: the sum is an LCFraction, and
+        # Poly's own results convert it as Poly(...) does
+        z1 = Monomial([(1, 1)])
+        one_eps = parse_lc("1 + eps")
+        a = Poly("extended", {z1: LCFraction(LC_ONE, one_eps), MONO_ONE: LC_ONE})
+        b = Poly("extended", {z1: LCFraction(LC_EPS, one_eps)})
+        for g in (a + b, b + a, a - (-b), -(-a - b)):
+            assert g.terms == {z1: LC_ONE, MONO_ONE: LC_ONE}
+            assert all(type(c) is LCNumber for c in g.terms.values())
+        assert (a - a).terms == {}
 
     # 1/(1 + eps) is limited and appreciable, so a call that refuses it does
     # so only because it is a quotient that is not a finite sum; split_inf_ap

@@ -275,6 +275,14 @@ def _shift_reference(c, s, t):
     return [g.coefficient(Monomial(((1, k),))) for k in range(len(c))]
 
 
+def _shift_and_scale(c, s, t):
+    """c shifted by s in place, then coefficient j scaled by t^j: the
+    coefficients of f(s + t*z)."""
+    _taylor_shift(c, s)
+    for j in range(1, len(c)):
+        c[j] = c[j] * t ** j
+
+
 class TestTaylorShift:
     @given(
         st.lists(lc_numbers(max_terms=3), min_size=1, max_size=8),
@@ -284,19 +292,19 @@ class TestTaylorShift:
     @settings(max_examples=80, deadline=None)
     def test_matches_substitution(self, c, s, t):
         shifted = list(c)
-        _taylor_shift(shifted, s, t)
+        _shift_and_scale(shifted, s, t)
         assert shifted == _shift_reference(c, s, t)
 
     def test_examples(self):
         # (z - 1)^3 at z -> 1 + eps*z is eps^3*z^3; z^2 + z at z -> -1 + z
         c = [L("-1"), L("3"), L("-3"), L("1")]
-        _taylor_shift(c, L("1"), L("eps"))
+        _shift_and_scale(c, L("1"), L("eps"))
         assert c == [LC_ZERO, LC_ZERO, LC_ZERO, L("eps^3")]
         c = [LC_ZERO, L("1"), L("1")]
-        _taylor_shift(c, L("-1"), L("1"))
+        _taylor_shift(c, L("-1"))
         assert c == [LC_ZERO, L("-1"), L("1")]
         c = [L("eps^(1/2)")]
-        _taylor_shift(c, L("2 + eps"), L("eps^(-1/3)"))
+        _shift_and_scale(c, L("2 + eps"), L("eps^(-1/3)"))
         assert c == [L("eps^(1/2)")]
 
 
@@ -605,6 +613,50 @@ class TestLiftWork:
         # every Newton step has a linear edge; the candidate check divided
         # out once per step, 8 times here
         assert calls == []
+
+    @staticmethod
+    def _products(monkeypatch):
+        """The operand pairs of every LCNumber.__mul__ call, each tagged
+        with whether it ran inside shadow._lift."""
+        products, inside = [], []
+        mul, lift = LCNumber.__mul__, shadow._lift
+
+        def counted(a, b):
+            products.append((bool(inside), a, b))
+            return mul(a, b)
+
+        def traced(*args):
+            inside.append(1)
+            try:
+                return lift(*args)
+            finally:
+                inside.pop()
+
+        monkeypatch.setattr(LCNumber, "__mul__", counted)
+        monkeypatch.setattr(shadow, "_lift", traced)
+        return products
+
+    def test_newton_steps_shift_unscaled_coefficients(self, monkeypatch):
+        f, g = P("(z1 - 2)*(z1 + 1) - 3*eps"), P("(z1 - 2)*(z1 + 3) - 3*eps^2")
+        products = self._products(monkeypatch)
+        xi = newton_puiseux_lift(f, 2)
+        assert len(xi[1].terms) == 17
+        # 16 steps of one 3-product shift each, the first shift by 2, the
+        # value u*c[0] and 3 products normalising f; scaling each c[j] by
+        # eps^(j*mu) and carrying the scale took 151
+        assert len(products) == 55
+        products.clear()
+        xi = newton_puiseux_lift(g, 2)
+        assert xi[1].terms[:2] == ((0, GaussianRational(2)), (2, GaussianRational(Fraction(3, 5))))
+
+        def eps_power(x):
+            return isinstance(x, LCNumber) and x.is_term() and x.leading()[1] == 1
+
+        # no step of this lift has gamma = 1, so a coefficient-1 eps power
+        # would be a scale factor
+        assert not [
+            (a, b) for inside, a, b in products if inside and (eps_power(a) or eps_power(b))
+        ]
 
 
 class TestShadowPreservesMembership:
