@@ -32,6 +32,7 @@ from .groebner import (
 )
 from .levicivita import INF, LCNumber, TruncationOrder, lc_classify, lc_st
 from .parser import (
+    _parse_list,
     format_gaussian,
     format_lc,
     format_poly,
@@ -217,10 +218,6 @@ def _resolve_config(ns):
 # --- argument parsing helpers -------------------------------------------------
 
 
-def _parse_lc_list(text):
-    return [parse_lc(chunk) for chunk in text.split(";") if chunk.strip()]
-
-
 def _parse_gaussian(text):
     x = parse_lc(text)
     st = x.standard_part()
@@ -323,7 +320,7 @@ def _cmd_open_witness(config, ns):
 
 def _cmd_verify_closure(config, ns):
     return verify_shadow_closure(
-        _parse_lc_list(ns.roots), TruncationOrder(config.truncation_order)
+        _parse_list(ns.roots, parse_lc), TruncationOrder(config.truncation_order)
     )
 
 
@@ -372,12 +369,7 @@ def _cmd_domain_witness(config, ns):
 
 
 def _family_spec(ns):
-    params = [
-        _parse_gaussian(chunk)
-        for chunk in ns.parameters.split(";")
-        if chunk.strip()
-    ]
-    return FamilySpec(params, include_extra=ns.extra)
+    return FamilySpec(_parse_list(ns.parameters, _parse_gaussian), include_extra=ns.extra)
 
 
 def _cmd_family_build(config, ns):

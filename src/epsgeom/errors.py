@@ -30,6 +30,7 @@ class ParseError(EpsgeomError):
 
     def __init__(self, message, position):
         super().__init__("%s (at position %d)" % (message, position))
+        self.reason = message
         self.position = position
 
 

@@ -98,9 +98,9 @@ class MonomialOrder:
                 piece = piece.strip()
                 if not piece:
                     continue
-                if piece[0] in "zw" and piece[1:].isdigit():
+                if piece[0] in "zw" and piece[1:].isdecimal():
                     block.append(int(piece[1:]))
-                elif piece.isdigit():
+                elif piece.isdecimal():
                     block.append(int(piece))
                 else:
                     raise InvalidInput("bad block variable %r" % piece)

@@ -2,22 +2,26 @@
 
 Grammar (whitespace ignored):
 
-    expr     := ['-'] term (('+'|'-') term)*
+    expr     := term (('+'|'-') term)*
     term     := factor ('*' factor)*
-    factor   := base ['^' exponent]
+    factor   := '-' factor | base ['^' exponent]
     base     := rational | 'i' | 'eps' | var | '(' expr ')'
     var      := ('z'|'w') digits
     rational := digits ['/' digits]
-    exponent := digits | '(' ['-'] digits ['/' digits] ')'
+    exponent := digits | '(' ['-'] rational ')'
 
-Rational or negative exponents are legal only on the eps atom.  `wK` is an
-input alias for `zK`; the formatter always emits `zK`.  Parsing the canonical
-format returns an equal polynomial (term order is irrelevant to equality).
+A minus binds looser than `^` and tighter than `*`, wherever it stands:
+`-3^2`, `0 + -3^2` and `0 - 3^2` are all -9, and `2*-3^2` is -18.  Digits are
+decimal digits, those `int()` reads.  Rational or negative exponents are
+legal only on the eps atom.  `wK` is an input alias for `zK`; the formatter
+always emits `zK`.  Parsing the canonical format returns an equal polynomial
+(term order is irrelevant to equality).
 Constants fold as numbers: a rational, `i` or `eps^q` is a GaussianRational
 or an LCNumber, numbers combine with their own operators, and a value becomes
 a Poly only where it meets a variable or a Poly.
 Parentheses nest at most 100 deep; deeper input is a ParseError rather than
-a RecursionError.
+a RecursionError.  A ParseError's position counts from the start of the whole
+text, also in a list or a point.
 """
 
 from __future__ import annotations
@@ -48,9 +52,9 @@ def _tokenize(text):
         if ch.isspace():
             i += 1
             continue
-        if ch.isdigit():
+        if ch.isdecimal():
             j = i
-            while j < n and text[j].isdigit():
+            while j < n and text[j].isdecimal():
                 j += 1
             tokens.append(("int", text[i:j], i))
             i = j
@@ -73,7 +77,6 @@ def _tokenize(text):
 
 class _Parser:
     def __init__(self, text):
-        self.text = text
         self.tokens = _tokenize(text)
         self.pos = 0
         self.depth = 0
@@ -86,29 +89,26 @@ class _Parser:
         self.pos += 1
         return tok
 
+    def accept(self, op):
+        """Consume the next token if it is the operator op."""
+        kind, val, _ = self.tokens[self.pos]
+        if kind == "op" and val == op:
+            self.pos += 1
+            return True
+        return False
+
     def expect_op(self, op):
-        kind, val, at = self.next()
-        if kind != "op" or val != op:
-            raise ParseError("expected %r" % op, at)
+        if not self.accept(op):
+            raise ParseError("expected %r" % op, self.peek()[2])
 
-    def fail(self, message):
-        raise ParseError(message, self.peek()[2])
-
-    # expr := ['-'] term (('+'|'-') term)*
+    # expr := term (('+'|'-') term)*
     def expr(self):
-        negate = False
-        kind, val, _ = self.peek()
-        if kind == "op" and val == "-":
-            self.next()
-            negate = True
-        out, _ = self.term()
-        if negate:
-            out = -out
+        out = self.term()
         while True:
             kind, val, _ = self.peek()
             if kind == "op" and val in "+-":
                 self.next()
-                rhs, _ = self.term()
+                rhs = self.term()
                 if isinstance(out, Poly) or isinstance(rhs, Poly):
                     out, rhs = _as_poly(out), _as_poly(rhs)
                 out = out + rhs if val == "+" else out - rhs
@@ -117,92 +117,74 @@ class _Parser:
 
     # term := factor ('*' factor)*
     def term(self):
-        out, eps_atom = self.factor()
-        while True:
-            kind, val, _ = self.peek()
-            if kind == "op" and val == "*":
-                self.next()
-                rhs, _ = self.factor()
-                out = out * rhs
-                eps_atom = False
-            else:
-                return out, eps_atom
+        out = self.factor()
+        while self.accept("*"):
+            out = out * self.factor()
+        return out
 
-    # factor := base ['^' exponent]
+    # factor := '-' factor | base ['^' exponent]
     def factor(self):
-        base, eps_atom = self.base()
-        kind, val, _ = self.peek()
-        if kind == "op" and val == "^":
-            self.next()
-            exp, plain = self.exponent()
-            if not plain and not eps_atom:
-                self.fail("rational exponents are legal only on eps")
-            if eps_atom:
-                return LCNumber.eps(exp), False
-            if isinstance(base, GaussianRational):
-                return square_and_multiply(base, int(exp), QI_ONE), False
-            return base ** int(exp), False
-        return base, eps_atom
+        # a loop, not recursion, so that any run of signs parses
+        negate = False
+        tok = self.next()
+        while tok[0] == "op" and tok[1] == "-":
+            negate = not negate
+            tok = self.next()
+        out = self.base(tok)
+        if self.accept("^"):
+            on_eps = tok[0] == "name" and tok[1] == "eps"
+            exp = self.exponent(on_eps)
+            if on_eps:
+                out = LCNumber.eps(exp)
+            elif isinstance(out, GaussianRational):
+                out = square_and_multiply(out, exp, QI_ONE)
+            else:
+                out = out ** exp
+        return -out if negate else out
 
-    def exponent(self):
-        """Returns (Fraction, is_plain_digits)."""
+    # exponent := digits | '(' ['-'] rational ')'
+    def exponent(self, on_eps):
         kind, val, at = self.next()
         if kind == "int":
-            return Fraction(int(val)), True
-        if kind == "op" and val == "(":
-            sign = 1
-            kind, val, at = self.next()
-            if kind == "op" and val == "-":
-                sign = -1
-                kind, val, at = self.next()
-            if kind != "int":
-                raise ParseError("expected digits in exponent", at)
-            num = int(val)
-            den = 1
-            kind, val, at = self.peek()
-            if kind == "op" and val == "/":
-                self.next()
-                kind, val, at = self.next()
-                if kind != "int":
-                    raise ParseError("expected digits after /", at)
-                den = int(val)
-                if den == 0:
-                    raise ParseError("zero exponent denominator", at)
-            self.expect_op(")")
-            q = Fraction(sign * num, den)
-            return q, q >= 0 and q.denominator == 1 and sign == 1
-        raise ParseError("expected an exponent", at)
-
-    def _rational_tail(self, num):
-        kind, val, _ = self.peek()
-        if kind == "op" and val == "/":
-            self.next()
-            kind, val, at = self.next()
-            if kind != "int":
-                raise ParseError("expected digits after /", at)
-            if int(val) == 0:
-                raise ParseError("zero denominator", at)
-            return GaussianRational(Fraction(num, int(val)))
-        return GaussianRational(num)
-
-    # base := rational | 'i' | 'eps' | var | '(' expr ')'
-    def base(self):
+            return int(val)
+        if kind != "op" or val != "(":
+            raise ParseError("expected an exponent", at)
+        negative = self.accept("-")
         kind, val, at = self.next()
+        if kind != "int":
+            raise ParseError("expected digits in exponent", at)
+        q = self.rational(val)
+        self.expect_op(")")
+        if on_eps:
+            return -q if negative else q
+        if negative or q.denominator != 1:
+            raise ParseError("rational exponents are legal only on eps", self.peek()[2])
+        return int(q)
+
+    # rational := digits ['/' digits], read on from its first digits: an int,
+    # or a Fraction when a denominator follows
+    def rational(self, digits):
+        if not self.accept("/"):
+            return int(digits)
+        kind, val, at = self.next()
+        if kind != "int":
+            raise ParseError("expected digits after /", at)
+        if int(val) == 0:
+            raise ParseError("zero denominator", at)
+        return Fraction(int(digits), int(val))
+
+    # base := rational | 'i' | 'eps' | var | '(' expr ')', from its first token
+    def base(self, tok):
+        kind, val, at = tok
         if kind == "int":
-            return self._rational_tail(int(val)), False
-        if kind == "op" and val == "-":
-            # signed rational literal in base position
-            kind, val, at = self.next()
-            if kind != "int":
-                raise ParseError("expected digits after -", at)
-            return self._rational_tail(-int(val)), False
+            return GaussianRational(self.rational(val))
         if kind == "name":
             if val == "i":
-                return QI_I, False
+                return QI_I
             if val == "eps":
-                return LC_EPS, True
-            if val[0] in "zw" and len(val) > 1 and val[1:].isdigit():
-                return Poly.variable(int(val[1:])), False
+                return LC_EPS
+            if val[0] in "zw" and val[1:].isdecimal():
+                return Poly.variable(int(val[1:]))
             raise ParseError("unknown name %r" % val, at)
         if kind == "op" and val == "(":
             if self.depth == _MAX_NESTING:
@@ -211,7 +193,7 @@ class _Parser:
             out = self.expr()
             self.expect_op(")")
             self.depth -= 1
-            return out, False
+            return out
         raise ParseError("expected a value", at)
 
 
@@ -223,6 +205,27 @@ def _parse(text):
     kind, _, at = p.peek()
     if kind != "end":
         raise ParseError("trailing input", at)
+    return out
+
+
+def _shifted(parse, text, start):
+    """parse(text), where text starts `start` characters into a longer text
+    that a ParseError's position counts from."""
+    try:
+        return parse(text)
+    except ParseError as ex:
+        raise ParseError(ex.reason, start + ex.position) from None
+
+
+def _parse_list(text, parse_item):
+    """The items of a `;`-separated list, each read by parse_item; blank
+    items are skipped."""
+    out = []
+    start = 0
+    for chunk in text.split(";"):
+        if chunk.strip():
+            out.append(_shifted(parse_item, chunk, start))
+        start += len(chunk) + 1
     return out
 
 
@@ -250,27 +253,26 @@ def parse_point(text):
     out = {}
     if not text.strip():
         return out
+    start = 0
     for chunk in text.split(","):
         if "=" not in chunk:
-            raise ParseError("expected var=value", 0)
+            raise ParseError("expected var=value", start)
         name, value = chunk.split("=", 1)
+        at = start + len(name) - len(name.lstrip())
         name = name.strip()
-        if not (name and name[0] in "zw" and name[1:].isdigit()):
-            raise ParseError("bad variable name %r" % name, 0)
+        if not (name and name[0] in "zw" and name[1:].isdecimal()):
+            raise ParseError("bad variable name %r" % name, at)
         idx = int(name[1:])
         if idx in out:
-            raise ParseError("variable %s assigned twice" % name, 0)
-        out[idx] = parse_lc(value)
+            raise ParseError("variable %s assigned twice" % name, at)
+        out[idx] = _shifted(parse_lc, value, start + len(chunk) - len(value))
+        start += len(chunk) + 1
     return dict(sorted(out.items()))
 
 
 def parse_generators(text):
     """Parse a `;`-separated generator list; empty text is the zero ideal."""
-    gens = []
-    for chunk in text.split(";"):
-        if chunk.strip():
-            gens.append(parse_poly(chunk))
-    return gens
+    return _parse_list(text, parse_poly)
 
 
 # --- formatting --------------------------------------------------------------

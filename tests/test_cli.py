@@ -124,6 +124,16 @@ class TestExitCodes:
         assert code == 0
         assert body["result"] == "1"
 
+    @pytest.mark.parametrize(
+        "argv",
+        [["verify-closure", "--roots", "1; 2 + $"], ["family-check", "--parameters", "1; 2 + $"]],
+        ids=["roots", "parameters"],
+    )
+    def test_parse_error_position_counts_from_the_start_of_the_list(self, argv):
+        code, body = run(*argv)
+        assert code == 1
+        assert body["error"] == {"code": "ParseError", "message": "unexpected character '$' (at position 7)"}
+
     def test_unexpected_exception_is_internal_error(self, monkeypatch):
         def broken(config, ns):
             raise RuntimeError("boom")
@@ -987,7 +997,7 @@ class TestModuleArgvProperty:
 
 EXPR_ATOMS = ["eps", "i", "2/3", "eps^(1/2)", "eps^(-2)", "eps^(-1/3)", "(1+i*eps)"]
 VARIABLE_ATOMS = ["z1", "z2", "z3", "z1^2", "z2^3"]
-MALFORMED_ATOMS = ["eps^(1/0)", "z1^(1/2)", "2/0", "z1^(-1)", "eps^", "(z1", "z0", "1/eps"]
+MALFORMED_ATOMS = ["eps^(1/0)", "z1^(1/2)", "2/0", "z1^(-1)", "eps^", "(z1", "z0", "1/eps", "z\u00b2", "2^\u00b2"]
 CONFIG_FLAGS = [[], ["--truncation-order=1/2"], ["--power-bound=0"], ["--power-bound=3"], ["--order=lex"]]
 BAD_CONFIG_FLAGS = [
     ["--truncation-order=1/0"], ["--power-bound=-1"], ["--power-bound=-7"], ["--power-bound=1.5"], ["--seed=x"],

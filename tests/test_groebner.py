@@ -834,6 +834,12 @@ class TestOrderKeys:
         with pytest.raises(InvalidInput):
             MonomialOrder(*args)
 
+    @pytest.mark.parametrize("name", ["elimination(z\u00b2)", "elimination(\u00b2)"])
+    def test_a_non_decimal_digit_is_a_bad_block_variable(self, name):
+        # str.isdigit() is true for a superscript two, which int() refuses
+        with pytest.raises(InvalidInput, match="bad block variable"):
+            MonomialOrder.from_name(name)
+
 
 PACKING_ORDERS = [
     GREVLEX,

@@ -187,6 +187,73 @@ class TestConstantFolding:
         assert str(info.value) == message
 
 
+class TestOneUnaryMinus:
+    """A minus binds looser than `^` and tighter than `*`, wherever it
+    stands."""
+
+    @pytest.mark.parametrize(
+        "text, expected",
+        [
+            ("-3^2", "-9"),
+            ("0 + -3^2", "-9"),
+            ("0 - 3^2", "-9"),
+            ("2*-3^2", "-18"),
+            ("0 - -3^2", "9"),
+            ("1 + -eps", "1 - eps"),
+            ("2*-z1", "-2*z1"),
+            ("--3", "3"),
+            ("-" * 10001 + "1", "-1"),
+            ("--eps^(1/2)", "eps^(1/2)"),
+            ("2*-3/4^2", "-9/8"),
+        ],
+        ids=[
+            "leading", "after-plus", "binary-minus", "after-times", "after-minus",
+            "eps", "variable", "double", "ten-thousand-and-one", "eps-power", "rational",
+        ],
+    )
+    def test_values(self, text, expected):
+        assert parse_poly(text) == parse_poly(expected)
+
+
+class TestDecimalDigitsAndPositions:
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("\u00b2", "unexpected character '\u00b2' (at position 0)"),
+            ("z\u00b2", "unknown name 'z\u00b2' (at position 0)"),
+            ("z1^\u00b2", "unexpected character '\u00b2' (at position 3)"),
+            ("eps^(1/\u00b2)", "unexpected character '\u00b2' (at position 7)"),
+            ("eps^(1/0)", "zero denominator (at position 7)"),
+        ],
+        ids=["digit", "variable", "exponent", "eps-exponent", "zero-denominator"],
+    )
+    def test_parse_errors(self, text, message):
+        with pytest.raises(ParseError) as info:
+            parse_poly(text)
+        assert str(info.value) == message
+
+    def test_decimal_digits_of_other_scripts_read_as_digits(self):
+        assert parse_lc("\u0663") == parse_lc("3")
+        assert parse_poly("z\u0661") == parse_poly("z1")
+
+    @pytest.mark.parametrize(
+        "parse, text, message",
+        [
+            (parse_generators, "z1; z2 + $", "unexpected character '$' (at position 9)"),
+            (parse_point, "z1=1, z2=$", "unexpected character '$' (at position 9)"),
+            (parse_point, "z1=1, zz=3", "bad variable name 'zz' (at position 6)"),
+            (parse_point, "z1=1, z1=2", "variable z1 assigned twice (at position 6)"),
+            (parse_point, "z1=1, z2", "expected var=value (at position 5)"),
+            (parse_point, "z\u00b2=0", "bad variable name 'z\u00b2' (at position 0)"),
+        ],
+        ids=["generators", "point-value", "point-name", "point-twice", "point-no-equals", "point-digit"],
+    )
+    def test_positions_count_from_the_start_of_the_text(self, parse, text, message):
+        with pytest.raises(ParseError) as info:
+            parse(text)
+        assert str(info.value) == message
+
+
 def _rand_qi(rng):
     # units, integers, fractions, pure imaginaries and mixed values
     re = Fraction(rng.choice((0, 0, 1, -1, 2, -3, 7)), rng.choice((1, 1, 1, 2, 3)))
