@@ -6,9 +6,10 @@ the result or a coded error.  Exit codes: 0 success, 1 domain error,
 2 usage error.  A value that starts with "-", such as -3*eps or -i, which
 argparse alone reads as an option, binds to the flag before it when that
 flag takes a value, as --flag=value, and otherwise to the subcommand's
-positional, as if it came after "--".  "--" is still needed before a
-positional value that starts with "--" or "-h", and "=" after an
-abbreviated flag.
+positional, as if it came after "--", as does a value that starts with
+"--" but abbreviates none of the subcommand's options, such as --3.  "--"
+is still needed before a positional value that starts with "-h" or
+abbreviates an option, and "=" after an abbreviated flag.
 """
 
 import argparse
@@ -141,9 +142,9 @@ class _CommandParser(_Parser):
                 if rest and self.takes_value.get(rest[-1]):
                     rest[-1] += "=" + value
                     continue
-                # a token that starts with "--" or "-h" stays an option, so
-                # abbreviations such as --trunc keep working
-                if self.has_positional and value[:2] not in self.takes_value:
+                # a token that starts with "-h", or with "--" and abbreviates
+                # an option, such as --trunc, stays an option
+                if self.has_positional and not self._names_option(value):
                     dashed.append(value)
                     continue
             rest.append(value)
@@ -153,6 +154,12 @@ class _CommandParser(_Parser):
             # the positional was given, so the dashed values are extras
             extras.remove("--")
         return namespace, extras
+
+    def _names_option(self, value):
+        if value.startswith("--"):
+            head = value.partition("=")[0]
+            return any(s.startswith(head) for s in self.takes_value)
+        return value[:2] in self.takes_value
 
 
 @functools.cache

@@ -34,7 +34,8 @@ Cofactor rows ride in the vectors as tag terms below the column positions
 (Cox, Little & O'Shea, GTM 185; Caboara & Traverso, ISSAC 1998), so ordinary
 reduction keeps them up to date; runs that need no rows carry no tags.  The
 syzygies of the columns are the tag-only part of one tagged run's reduced
-basis.
+basis, or none, with no run, when Q(i) columns are independent at one point
+modulo a prime.
 """
 
 from __future__ import annotations
@@ -533,6 +534,61 @@ def _tagged_reduced(rows, rank, kernel, top):
     return G
 
 
+# a prime = 3 (mod 4), so Z[i]/(_P) is a field
+_P = 2**61 - 1
+
+
+def _at_point(col):
+    """den * col at z_v = v + 2, as (re, im) pairs modulo _P, for a column of
+    Q(i) Polys and a positive int den."""
+    _, pairs = gaussian_integers([c for f in col for c in f.terms.values()])
+    pairs = iter(pairs)
+    out = []
+    for f in col:
+        re = im = 0
+        for m in f.terms:
+            a, b = next(pairs)
+            x = math.prod([pow(v + 2, e, _P) for v, e in m.exps])
+            re += a * x
+            im += b * x
+        out.append((re % _P, im % _P))
+    return out
+
+
+def _independent_at_point(columns):
+    """True when the Q(i) columns at z_v = v + 2 are independent modulo _P.
+
+    Then some maximal minor of the Gaussian integers den * col at that point
+    is nonzero modulo _P, so it is nonzero, and so is the polynomial minor:
+    the columns have full column rank over the fraction field, and their
+    only syzygy is 0 (Schwartz, J. ACM 27, 1980, the exact half).  False
+    proves nothing: every maximal minor may vanish at the point, or _P may
+    divide its value there.  Working modulo _P keeps the numbers small
+    whatever the exponents: a power of v + 2 is never built in full.
+    A column w kept with pivot p clears entry p of each later column v as
+    w[p]*v - v[p]*w, which keeps the zeros of v at the earlier pivots.
+    """
+    kept = []
+    for col in columns:
+        v = _at_point(col)
+        for p, w in kept:
+            ca, cb = v[p]
+            if ca or cb:
+                wa, wb = w[p]
+                v = [
+                    (
+                        (wa * a - wb * b - ca * c + cb * d) % _P,
+                        (wa * b + wb * a - ca * d - cb * c) % _P,
+                    )
+                    for (a, b), (c, d) in zip(v, w)
+                ]
+        p = next((k for k, (a, b) in enumerate(v) if a or b), None)
+        if p is None:
+            return False
+        kept.append((p, v))
+    return True
+
+
 # --- modules and ideals -------------------------------------------------------
 
 
@@ -587,8 +643,10 @@ class Module:
     cached: Ideal.is_proper reads its leads and nothing more.  The first
     groebner_basis, normal_form or member reduces it (_reduce_basis), once.
     The syzygies are computed once, as the tag-only part of a tagged run's
-    reduced basis.  When member first needs cofactors, the pair loop runs
-    again with tags, and its bases replace the untagged ones.
+    reduced basis, with no run for Q(i) columns that a rank certificate
+    shows to be independent (_syzygy_rows).  When member first needs
+    cofactors, the pair loop runs again with tags, and its bases replace the
+    untagged ones.
 
     The engine runs over Q(i) (_ZiKernel) when every coefficient of the
     columns is eps-free, whatever their declared domain, and over the
@@ -629,7 +687,7 @@ class Module:
         self._layout = _layout(
             order.kind, order.block, frozenset(_variables(flat)), _START_WIDTH
         )
-        self._vecs = None
+        self._packed = None
         self._pairs = None
         self._gb = None
         self._tagged = False
@@ -655,7 +713,7 @@ class Module:
         self._pairs = repack(self._pairs)
         self._gb = repack(self._gb)
         self._layout = new
-        self._vecs = None
+        self._packed = None
 
     def _run(self, step, polys=()):
         """step() under a layout covering the variables of polys.
@@ -667,14 +725,20 @@ class Module:
             self._relayout(self._layout.variables | extra, self._layout.width)
         while True:
             try:
-                if self._vecs is None:
-                    self._vecs = [
-                        self._kernel.entry(col, self._layout)
-                        for col in self._field_columns
-                    ]
                 return step()
             except _Overflow:
                 self._relayout(self._layout.variables, 2 * self._layout.width)
+
+    @property
+    def _vecs(self):
+        """The columns in kernel form under the current layout, packed on
+        first use inside _run, which a certified syzygy call never makes.
+        Raises _Overflow."""
+        if self._packed is None:
+            self._packed = [
+                self._kernel.entry(col, self._layout) for col in self._field_columns
+            ]
+        return self._packed
 
     def _pair_basis(self, tagged=False):
         """The pair loop's Groebner basis over self._field, with tags if
@@ -749,8 +813,20 @@ class Module:
         return self._run(step, target)
 
     def _syzygy_rows(self):
-        """Reduced basis of the columns' syzygies in kernel form, one tagged run."""
+        """Reduced basis of the columns' syzygies in kernel form, one tagged run.
+
+        Q(i) columns, no more of them than rows, that are independent at one
+        point (_independent_at_point) have no syzygy but 0, so they take no
+        run: their reduced basis is the empty one a run would return.
+        """
         layout, rank = self._layout, self._rank
+        cols = self._field_columns
+        if (
+            len(cols) <= (rank or 0)
+            and self._kernel is _ZiKernel
+            and _independent_at_point(cols)
+        ):
+            return []
         G = _buchberger_vec(self._vecs, layout, self._kernel, rank, syzygies=True)
         return [_split(vec, rank, layout.top)[1] for vec, _, _ in G]
 

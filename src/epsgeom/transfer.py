@@ -5,15 +5,17 @@ across the two coefficient fields; faithful flatness shows up concretely as
 the solvability of extended linear systems in terms of standard syzygies.
 Module runs eps-free columns over Q(i) whatever their domain (see Module),
 so an extended run would replay the standard one term for term.  So each
-check computes each Groebner basis once, and three facts hold by
-construction: the extended kernel is the standard one promoted, each
-promoted kernel vector has the unit vector as its cofactors over the
-standard kernel, and B*A = 0 is the inclusion im(A) in ker(B).  What is
-still computed is ker(A), the inclusion ker(B) in im(A) by membership, and
-flatness witnesses by membership in the span of the standard syzygies.  A
-witness needs one run too: the syzygy run's reduced basis is the tagged
-basis of their span, and a solution in that span solves sum a_i*x_i = 0
-by construction, so the sum is formed only for an x outside it.
+check computes each Groebner basis at most once, and none for a matrix of
+full column rank at one point, whose kernel is {0} (see
+Module._syzygy_rows).  Three facts hold by construction: the extended
+kernel is the standard one promoted, each promoted kernel vector has the
+unit vector as its cofactors over the standard kernel, and B*A = 0 is the
+inclusion im(A) in ker(B).  What is still computed is ker(A), the
+inclusion ker(B) in im(A) by membership, and flatness witnesses by
+membership in the span of the standard syzygies.  A witness needs one run
+too: the syzygy run's reduced basis is the tagged basis of their span, and
+a solution in that span solves sum a_i*x_i = 0 by construction, so the sum
+is formed only for an x outside it.
 """
 
 from .errors import InvalidInput, NotAComplex, NotASolution
@@ -126,7 +128,8 @@ def flatness_witness(a, x):
 def _kernel_comparison(A):
     """ker(A) over both domains, each kernel in the other's span.
 
-    One engine run gives the monic reduced basis of the standard kernel.
+    At most one engine run gives the monic reduced basis of the standard
+    kernel; a matrix of full column rank at one point needs none.
     The extended kernel is that basis promoted, and formats the same (an
     eps^0 coefficient formats as its Q(i) value).  Reducing basis vector k
     against the basis leaves cofactor 1 at k and 0 elsewhere, so both span

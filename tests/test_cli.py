@@ -205,10 +205,45 @@ class TestExitCodes:
         assert body["result"] == "0" and body["config"]["monomial_order"] == "lex"
 
     def test_positional_value_starting_with_minus_after_an_abbreviation(self):
-        # a token that starts with "--" stays an option, abbreviated or not
+        # a "--" token that names or abbreviates an option stays an option
         expected = run_command(["st", "--truncation-order", "4", "--", "-eps"])
         assert expected[0] == 0
         assert run_command(["st", "--trunc", "4", "-eps"]) == expected
+
+    @pytest.mark.parametrize(
+        "argv, result",
+        [
+            (["st", "--3"], "3"),
+            (["st", "--eps"], "0"),
+            (["st", "--trunc=4", "--3"], "3"),
+            (["classify", "---i*--i^3*-i"], {"valuation": "0", "label": "appreciable"}),
+        ],
+        ids=["st", "st-eps", "st-after-an-abbreviation", "classify"],
+    )
+    def test_positional_value_starting_with_two_minus_signs(self, argv, result):
+        # a "--" token that abbreviates none of the options is the positional
+        code, body = run(*argv)
+        assert code == 0 and body["result"] == result
+        positional = argv[-1]
+        assert run_command(argv) == run_command(argv[:-1] + ["--", positional])
+
+    def test_mistyped_flag_reaches_the_parser(self):
+        # --trunction-order abbreviates no option, so it is read as the expression
+        code, body = run("st", "--trunction-order")
+        assert code == 1
+        assert body["error"] == {
+            "code": "ParseError",
+            "message": "unknown name 'trunction' (at position 2)",
+        }
+
+    def test_abbreviated_option_stays_an_option(self):
+        # --tr and --trunc=4 abbreviate --truncation-order; --he abbreviates --help
+        code, body = run("st", "--tr")
+        assert code == 2
+        assert body["error"]["message"] == "argument --truncation-order: expected one argument"
+        _, body = run("st", "--trunc=4", "eps")
+        assert body["config"]["truncation_order"] == "4"
+        assert run_command(["st", "--he"]) == run_command(["st", "--help"])
 
     @pytest.mark.parametrize(
         "argv, message",

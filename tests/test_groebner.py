@@ -608,6 +608,112 @@ class TestModuleSyzygyOracle:
                         assert module_member(kernels[0], sol, order) is not None
 
 
+def _tagged_run_syzygies(columns, order=GREVLEX):
+    """The columns' syzygies from one tagged run, formatted as module_syzygies
+    formats them, with no rank certificate tried first."""
+    M = Module(columns, order)
+
+    def step():
+        layout, rank, kernel = M._layout, M._rank, M._kernel
+        G = groebner._buchberger_vec(M._vecs, layout, kernel, rank, syzygies=True)
+        rows = [kernel.monic(groebner._split(vec, rank, layout.top)[1]) for vec, _, _ in G]
+        return [groebner._vec_to_polys(row, len(columns), M.domain, layout) for row in rows]
+
+    return M._run(step)
+
+
+class TestRankCertificate:
+    """Square and tall Q(i) matrices whose columns are independent at
+    z_v = v + 2 take no run; every kernel must be the tagged run's."""
+
+    @pytest.mark.parametrize("order", [GREVLEX, LEX], ids=lambda o: o.name)
+    @pytest.mark.parametrize("domain", ["standard", "extended"])
+    def test_certificate_matches_the_tagged_run(self, order, domain, pair_runs):
+        rng = random.Random(4030)
+        lift = Poly.to_extended if domain == "extended" else Poly.to_standard
+        skipped = 0
+        # a full-rank 4x3 or 4x4 tagged run under lex can take minutes, the
+        # cost the certificate avoids, so the comparison keeps to smaller shapes
+        shapes = ((1, 1), (2, 2), (3, 3), (3, 2), (4, 2), (5, 2)) * 2
+        for shape in shapes:
+            for variant in ("plain", "zero column", "repeated column", "multiple column"):
+                rows, cols = shape
+                if cols == 1 and variant in ("repeated column", "multiple column"):
+                    continue
+                columns = [
+                    [random_std_poly(rng, max_vars=3, max_degree=2) for _ in range(rows)]
+                    for _ in range(cols)
+                ]
+                if variant == "zero column":
+                    columns[rng.randrange(cols)] = [Poly.zero("standard")] * rows
+                elif variant == "repeated column":
+                    columns[-1] = list(columns[0])
+                elif variant == "multiple column":
+                    m = random_std_poly(rng, max_vars=3, max_degree=1)
+                    columns[-1] = [m * f for f in columns[0]]
+                columns = [[lift(f) for f in col] for col in columns]
+                runs = len(pair_runs)
+                kernel = module_syzygies(columns, order)
+                if len(pair_runs) == runs:
+                    skipped += 1
+                    # only independent columns may skip the run
+                    assert variant == "plain" and kernel == [], (shape, variant)
+                assert kernel == _tagged_run_syzygies(columns, order), (shape, variant)
+        # every plain matrix drawn here is independent at the point, so the
+        # comparison covers the certificate and not only the fallback
+        assert skipped == len(shapes)
+
+    @pytest.mark.parametrize(
+        "matrix",
+        [
+            [["z1", "3"], ["1", "1"]],
+            [["z1*z2", "z2"], ["3", "1"]],
+            [["z1 - 3", "0", "0"], ["0", "z2 - 4", "0"], ["0", "0", "z3 - 5 + i*z1 - 3*i"]],
+            [["z1 - 3", "z2"], ["0", "z2 - 4"], ["z1^2 - 9", "z1*z2 - 12"]],
+            [["z1^2 - 9"]],
+        ],
+        ids=["2x2", "2x2-product", "3x3-diagonal", "3x2", "1x1"],
+    )
+    def test_minors_that_vanish_at_the_point_fall_back(self, matrix, pair_runs):
+        # each maximal minor is a nonzero polynomial that vanishes at
+        # z = (3, 4, 5), so the certificate fails and the tagged run answers
+        columns = [[std(row[j]) for row in matrix] for j in range(len(matrix[0]))]
+        assert not groebner._independent_at_point(columns)
+        assert module_syzygies(columns) == [] == _tagged_run_syzygies(columns)
+        assert len(pair_runs) == 2
+
+    def test_large_exponents_take_no_time(self, pair_runs):
+        # the point's powers are taken modulo a prime, so an exponent of
+        # 10^9 costs what a small one does; exact powers would hold 1.6e9 bits
+        def timeout(signum, frame):
+            raise TimeoutError("past 5 s")
+
+        columns = [
+            [std("z1^1000000000"), std("z1^1000000000 + z3")],
+            [std("z2^3000000000 + 1"), std("z2^30000000000000")],
+        ]
+        previous = signal.signal(signal.SIGALRM, timeout)
+        signal.alarm(5)
+        try:
+            assert module_syzygies([[std("z1^1000000000")]]) == []
+            assert module_syzygies(columns) == []
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+        assert len(pair_runs) == 0
+        # 3^200 is past the prime, so the point's values must have been reduced
+        assert all(0 <= x < groebner._P for pair in groebner._at_point([std("z1^200")]) for x in pair)
+
+    def test_eps_columns_keep_the_engine(self, pair_runs):
+        # the LCFraction field gets no certificate: it runs the engine
+        assert module_syzygies([[ext("eps*z1"), ext("1")], [ext("z2"), ext("eps")]]) == []
+        assert len(pair_runs) == 1
+
+    def test_more_columns_than_rows_keep_the_engine(self, pair_runs):
+        assert module_syzygies([[std("z1")], [std("z2")]]) == [[std("z2"), std("-z1")]]
+        assert len(pair_runs) == 1
+
+
 class TestDeterminism:
     def test_shuffle_invariance(self):
         rng = random.Random(4006)

@@ -1,4 +1,5 @@
 import random
+import signal
 
 import pytest
 from hypothesis import given, settings
@@ -385,6 +386,55 @@ class TestEngineRuns:
         # ker(B) in one run as above, then the tagged basis of im(A);
         # im(A) in ker(B) is B*A = 0, so the kernel's span needs no run
         assert len(pair_runs) == 2
+
+    def test_full_rank_kernel_extension_runs_nothing(self, pair_runs):
+        report = kernel_extension_check(PolyMatrix.from_strings([["z1", "1"], ["z2", "z1"]]))
+        # the columns are independent at one point, so ker(A) = 0 needs no run
+        assert report["standard_kernel"] == report["extended_kernel"] == []
+        assert len(pair_runs) == 0
+
+    def test_full_rank_tensor_iso_runs_nothing(self, pair_runs):
+        report = tensor_iso_check(PolyMatrix.from_strings([["z1"], ["z2"], ["1"]]))
+        assert report["witnesses"] == [] and report["pass"] is True
+        assert len(pair_runs) == 0
+
+    def test_full_rank_exactness_runs_nothing(self, pair_runs):
+        A = PolyMatrix.from_strings([["0"], ["0"]])
+        B = PolyMatrix.from_strings([["z1", "z2"], ["1", "z1*z2"]])
+        report = exactness_transfer_check(A, B)
+        # ker(B) = 0 takes no run, and an empty kernel needs no membership
+        assert report["exact_standard"] is True
+        assert len(pair_runs) == 0
+
+
+# A 5x5 matrix with two-term entries and a nonzero determinant: its tagged
+# syzygy run took past 120 s; the rank certificate answers it without one.
+FULL_RANK_5X5 = [
+    ["-3*z1^2 + 3", "-3*z1^2 + 3*z1", "2*z2^2 + z1*z3", "-z2 + 2", "-2*z3^2 - 1"],
+    ["-z2*z3 + 2*z2", "-2*z2^2 - 2*z2", "-z1^2 + 3", "-z2^2 - 3*z2", "-3*z1^2 - 3*z3^2"],
+    ["3*z1^2 + 3", "2*z1^2 - z2^2", "-3*z1 + 1", "2*z1^2 + 2*z1", "z1^2 - z1"],
+    ["z1^2 - z1", "2*z3 - 2", "2*z1 + 1", "3*z3^2 + z2", "z1^2 - 3*z2"],
+    ["2*z1 + 3*z2", "-3*z1*z3 - 2*z3^2", "-z2^2 - 3*z2", "-z1^2 + z2", "-z1 - 2"],
+]
+
+
+class TestFullRankKernel:
+    def test_five_by_five_within_budget(self, pair_runs):
+        def timeout(signum, frame):
+            raise TimeoutError("past 5 s")
+
+        A = PolyMatrix.from_strings(FULL_RANK_5X5)
+        previous = signal.signal(signal.SIGALRM, timeout)
+        signal.alarm(5)
+        try:
+            report = kernel_extension_check(A)
+            iso = tensor_iso_check(A)
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+        assert report["standard_kernel"] == report["extended_kernel"] == []
+        assert iso["kernel_check"] == report and iso["witnesses"] == []
+        assert len(pair_runs) == 0
 
 
 class TestMaximalIdealCondition:
