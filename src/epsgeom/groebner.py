@@ -34,12 +34,15 @@ Cofactor rows ride in the vectors as tag terms below the column positions
 (Cox, Little & O'Shea, GTM 185; Caboara & Traverso, ISSAC 1998), so ordinary
 reduction keeps them up to date; runs that need no rows carry no tags.  The
 syzygies of the columns are the tag-only part of one tagged run's reduced
-basis, or none, with no run, when Q(i) columns are independent at one point
-modulo a prime.
+basis.  Q(i) columns may instead be read with no run (Module._syzygy_rows):
+a zero column gives a unit syzygy, columns independent at one point modulo
+a prime have none, and m + 1 columns over m <= 3 rows with two coprime
+maximal minors have the one syzygy of all their signed maximal minors.
 """
 
 from __future__ import annotations
 
+import functools
 import heapq
 import math
 from dataclasses import dataclass
@@ -589,6 +592,125 @@ def _independent_at_point(columns):
     return True
 
 
+def _maximal_minors(columns, layout):
+    """The signed maximal minors of the m x (m + 1) matrix of Q(i) columns.
+
+    Minor j is (-1)^j det(A without column j), times one positive int common
+    to all of them, as a packed Z[i] vector at position 0.  Each determinant
+    is expanded along its first row, and the minors of the lower rows are
+    shared between the column sets, so m = 3 costs 6 products a minor.
+    Raises _Overflow.
+    """
+    _, pairs = gaussian_integers([c for col in columns for f in col for c in f.terms.values()])
+    pairs = iter(pairs)
+    entries = [[{layout.term(0, m): next(pairs) for m in f.terms} for f in col] for col in columns]
+    rank, guard = len(columns[0]), layout.guard
+    minors = {(): {0: (1, 0)}}
+
+    def det(cols):
+        # the minor on the last len(cols) rows and the columns cols
+        if cols not in minors:
+            acc, row = {}, rank - len(cols)
+            for k, j in enumerate(cols):
+                entry = entries[j][row]
+                if entry:
+                    sub = det(cols[:k] + cols[k + 1 :])
+                    for x, (a, b) in entry.items():
+                        _zi_axpy(acc, (-a, -b) if k % 2 else (a, b), x, sub, guard)
+            minors[cols] = acc
+        return minors[cols]
+
+    every = tuple(range(len(columns)))
+    out = [det(every[:j] + every[j + 1 :]) for j in every]
+    return [{x: (-a, -b) for x, (a, b) in d.items()} if j % 2 else d for j, d in enumerate(out)]
+
+
+# a minor of higher total degree is not restricted to a line (_coprime_on_line)
+_LINE_DEGREE = 32
+
+
+@functools.lru_cache(maxsize=256)
+def _line_power(v, e):
+    """(v + 2 + t * (v + 1))^e modulo _P, its coefficients in t lowest first."""
+    return tuple(
+        math.comb(e, k) * pow(v + 2, e - k, _P) * pow(v + 1, k, _P) % _P
+        for k in range(e + 1)
+    )
+
+
+def _on_line(vec, layout, degree):
+    """The Z[i] vector vec of total degree degree at z_v = v + 2 + t * (v + 1),
+    as the (re, im) coefficients modulo _P of a polynomial in t, lowest first."""
+    re, im = [0] * (degree + 1), [0] * (degree + 1)
+    for x, (a, b) in vec.items():
+        u = (1,)
+        for v, e in layout.split(x)[1].exps:
+            w = _line_power(v, e)
+            if len(u) > 1:
+                out = [0] * (len(u) + e)
+                for i, c in enumerate(u):
+                    for k, d in enumerate(w):
+                        out[i + k] += c * d
+                w = [c % _P for c in out]
+            u = w
+        for k, c in enumerate(u):
+            re[k] += a * c
+            im[k] += b * c
+    return [(a % _P, b % _P) for a, b in zip(re, im)]
+
+
+def _coprime_on_line(f, g):
+    """True when the polynomials f and g over Z[i]/(_P), lists of (re, im)
+    coefficients lowest first, each with a nonzero top one, have gcd 1."""
+    while len(g) > 1:
+        ga, gb = g[-1]
+        n = pow(ga * ga + gb * gb, -1, _P)
+        ia, ib = ga * n % _P, -gb * n % _P
+        f, top = list(f), len(g) - 1
+        # each step cancels f's top term against g's
+        while len(f) > top:
+            fa, fb = f.pop()
+            if fa or fb:
+                qa, qb = (fa * ia - fb * ib) % _P, (fa * ib + fb * ia) % _P
+                s = len(f) - top
+                for k in range(top):
+                    a, b = g[k]
+                    ca, cb = f[s + k]
+                    f[s + k] = ((ca - qa * a + qb * b) % _P, (cb - qa * b - qb * a) % _P)
+        while f and f[-1] == (0, 0):
+            f.pop()
+        if not f:
+            return False
+        f, g = g, f
+    return True
+
+
+def _coprime_minors(minors, layout):
+    """True when two of the packed Z[i] minors are certified coprime.
+
+    (a) Leads with no common variable: lm(h) divides both leads for any
+    common factor h, so h is a constant.  (b) Else, for two minors of total
+    degree at most _LINE_DEGREE, their restrictions to one line modulo _P
+    keep their degrees and have gcd 1: a common factor h would keep its
+    degree on the line, as its top form divides theirs, and so give their
+    restrictions a common factor of positive degree.
+    """
+    nonzero = [d for d in minors if d]
+    leads = [max(d) for d in nonzero]
+    if any(
+        layout.lcm(a, b) == a + b for k, a in enumerate(leads) for b in leads[k + 1 :]
+    ):
+        return True
+    lines = []
+    for d in nonzero:
+        degree = max(map(layout.degree, d))
+        if degree <= _LINE_DEGREE:
+            line = _on_line(d, layout, degree)
+            if line[-1] != (0, 0):
+                lines.append(line)
+    return any(_coprime_on_line(f, g) for k, f in enumerate(lines) for g in lines[k + 1 :])
+
+
 # --- modules and ideals -------------------------------------------------------
 
 
@@ -643,8 +765,9 @@ class Module:
     cached: Ideal.is_proper reads its leads and nothing more.  The first
     groebner_basis, normal_form or member reduces it (_reduce_basis), once.
     The syzygies are computed once, as the tag-only part of a tagged run's
-    reduced basis, with no run for Q(i) columns that a rank certificate
-    shows to be independent (_syzygy_rows).  When member first needs
+    reduced basis, with no run for Q(i) columns whose kernel a certificate
+    reads off: zero columns, columns independent at one point, and corank
+    one with coprime maximal minors (_syzygy_rows).  When member first needs
     cofactors, the pair loop runs again with tags, and its bases replace the
     untagged ones.
 
@@ -815,18 +938,41 @@ class Module:
     def _syzygy_rows(self):
         """Reduced basis of the columns' syzygies in kernel form, one tagged run.
 
-        Q(i) columns, no more of them than rows, that are independent at one
-        point (_independent_at_point) have no syzygy but 0, so they take no
-        run: their reduced basis is the empty one a run would return.
+        Q(i) columns may take no run.  Each zero column k gives the unit row
+        e_k, and the other columns are certified alone:
+        - no more of them than rows, independent at one point
+          (_independent_at_point): their only syzygy is 0;
+        - m <= 3 rows and m + 1 of them, with two coprime maximal minors
+          (_coprime_minors): their syzygies are R * D, D the row of signed
+          maximal minors.  D is a syzygy by Cramer's rule.  A syzygy x is
+          (p/q) * D over the fraction field, p and q coprime, so q divides
+          every minor, and so their gcd, 1.
+        The reduced basis of the unit rows and D (made monic) is those rows:
+        their leads sit at distinct positions, and no row has a term where
+        another has its lead.  Sorted by descending lead, with each row's
+        terms descending as a reduction settles them, it is the basis a run
+        returns, term order included.
         """
         layout, rank = self._layout, self._rank
-        cols = self._field_columns
-        if (
-            len(cols) <= (rank or 0)
-            and self._kernel is _ZiKernel
-            and _independent_at_point(cols)
-        ):
-            return []
+        if self._kernel is _ZiKernel:
+            top, rows, rest = layout.top, [], []
+            for k, col in enumerate(self._field_columns):
+                if any(col):
+                    rest.append((k, col))
+                else:
+                    rows.append({-k << top: (1, 0)})
+            cols = [col for _, col in rest]
+            if len(cols) <= (rank or 0) and _independent_at_point(cols):
+                return rows
+            if len(cols) == rank + 1 <= 4:
+                minors = _maximal_minors(cols, layout)
+                if _coprime_minors(minors, layout):
+                    row = {
+                        x - (k << top): minor[x]
+                        for (k, _), minor in zip(rest, minors)
+                        for x in sorted(minor, reverse=True)
+                    }
+                    return sorted(rows + [row], key=max, reverse=True)
         G = _buchberger_vec(self._vecs, layout, self._kernel, rank, syzygies=True)
         return [_split(vec, rank, layout.top)[1] for vec, _, _ in G]
 

@@ -5,8 +5,8 @@ across the two coefficient fields; faithful flatness shows up concretely as
 the solvability of extended linear systems in terms of standard syzygies.
 Module runs eps-free columns over Q(i) whatever their domain (see Module),
 so an extended run would replay the standard one term for term.  So each
-check computes each Groebner basis at most once, and none for a matrix of
-full column rank at one point, whose kernel is {0} (see
+check computes each Groebner basis at most once, and none for a matrix
+whose kernel a certificate reads off its columns (see
 Module._syzygy_rows).  Three facts hold by construction: the extended
 kernel is the standard one promoted, each promoted kernel vector has the
 unit vector as its cofactors over the standard kernel, and B*A = 0 is the
@@ -129,7 +129,7 @@ def _kernel_comparison(A):
     """ker(A) over both domains, each kernel in the other's span.
 
     At most one engine run gives the monic reduced basis of the standard
-    kernel; a matrix of full column rank at one point needs none.
+    kernel; a matrix whose kernel a certificate reads off needs none.
     The extended kernel is that basis promoted, and formats the same (an
     eps^0 coefficient formats as its Q(i) value).  Reducing basis vector k
     against the basis leaves cofactor 1 at k and 0 elsewhere, so both span

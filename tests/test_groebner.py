@@ -19,13 +19,14 @@ from _oracles import (
     is_monic_reduced_basis,
     monomials_upto,
     order_cmp,
+    reference_flatness_witness,
     reference_ideal_combine,
     reference_lc_divmod,
     reference_zi_divmod,
 )
 from _strategies import monomials, polys
 from epsgeom import groebner
-from epsgeom.errors import InvalidInput, ReservedVariableInUse
+from epsgeom.errors import EpsgeomError, InvalidInput, ReservedVariableInUse
 from epsgeom.gaussian import GaussianRational
 from epsgeom.groebner import (
     GREVLEX,
@@ -57,6 +58,7 @@ from epsgeom.poly import (
     _Overflow,
     _zi_axpy,
 )
+from epsgeom.transfer import flatness_witness
 
 
 def std(text):
@@ -438,16 +440,8 @@ class TestSyzygyExamples:
             ["0", "0", "0", "z1*z2*z3 - z2*z3 + 1", "-3*z1^2"],
         ]
 
-        def timeout(signum, frame):
-            raise TimeoutError("past 5 s")
-
-        previous = signal.signal(signal.SIGALRM, timeout)
-        signal.alarm(5)
-        try:
-            b = syzygy_basis([std(f) for f in row], MonomialOrder.from_name("elimination(z1)"))
-        finally:
-            signal.alarm(0)
-            signal.signal(signal.SIGALRM, previous)
+        order = MonomialOrder.from_name("elimination(z1)")
+        b = _within(5, lambda: syzygy_basis([std(f) for f in row], order))
         assert [[format_poly(g) for g in beta] for beta in b.generators] == expected
 
 
@@ -608,6 +602,29 @@ class TestModuleSyzygyOracle:
                         assert module_member(kernels[0], sol, order) is not None
 
 
+def _within(seconds, call):
+    """call(), or TimeoutError once it has run for seconds."""
+
+    def timeout(signum, frame):
+        raise TimeoutError("past %s s" % seconds)
+
+    previous = signal.signal(signal.SIGALRM, timeout)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        return call()
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def _witness_outcome(fn, a, x):
+    """The repr of fn(a, x), or the type and message of its error."""
+    try:
+        return repr(fn(a, x))
+    except EpsgeomError as e:
+        return type(e), str(e)
+
+
 def _tagged_run_syzygies(columns, order=GREVLEX):
     """The columns' syzygies from one tagged run, formatted as module_syzygies
     formats them, with no rank certificate tried first."""
@@ -623,15 +640,17 @@ def _tagged_run_syzygies(columns, order=GREVLEX):
 
 
 class TestRankCertificate:
-    """Square and tall Q(i) matrices whose columns are independent at
-    z_v = v + 2 take no run; every kernel must be the tagged run's."""
+    """Q(i) matrices take no run when a certificate reads their kernel off
+    the columns: square and tall ones whose nonzero columns are independent
+    at z_v = v + 2, and m x (m + 1) ones with two coprime maximal minors;
+    every kernel must be the tagged run's, term order included."""
 
     @pytest.mark.parametrize("order", [GREVLEX, LEX], ids=lambda o: o.name)
     @pytest.mark.parametrize("domain", ["standard", "extended"])
     def test_certificate_matches_the_tagged_run(self, order, domain, pair_runs):
         rng = random.Random(4030)
         lift = Poly.to_extended if domain == "extended" else Poly.to_standard
-        skipped = 0
+        skipped = Counter()
         # a full-rank 4x3 or 4x4 tagged run under lex can take minutes, the
         # cost the certificate avoids, so the comparison keeps to smaller shapes
         shapes = ((1, 1), (2, 2), (3, 3), (3, 2), (4, 2), (5, 2)) * 2
@@ -655,13 +674,20 @@ class TestRankCertificate:
                 runs = len(pair_runs)
                 kernel = module_syzygies(columns, order)
                 if len(pair_runs) == runs:
-                    skipped += 1
-                    # only independent columns may skip the run
-                    assert variant == "plain" and kernel == [], (shape, variant)
-                assert kernel == _tagged_run_syzygies(columns, order), (shape, variant)
-        # every plain matrix drawn here is independent at the point, so the
-        # comparison covers the certificate and not only the fallback
-        assert skipped == len(shapes)
+                    skipped[variant] += 1
+                    # only independent columns, zero ones split off, may skip
+                    # the run, and then the kernel is a unit row per zero one
+                    zero = sum(not any(col) for col in columns)
+                    assert len(kernel) == zero, (shape, variant)
+                assert repr(kernel) == repr(_tagged_run_syzygies(columns, order)), (
+                    shape,
+                    variant,
+                )
+        # every plain matrix drawn here is independent at the point, and so
+        # is the rest of most zero-column ones, so the comparison covers the
+        # certificate and not only the fallback
+        assert skipped["plain"] == len(shapes)
+        assert skipped["zero column"] >= len(shapes) // 2
 
     @pytest.mark.parametrize(
         "matrix",
@@ -685,22 +711,22 @@ class TestRankCertificate:
     def test_large_exponents_take_no_time(self, pair_runs):
         # the point's powers are taken modulo a prime, so an exponent of
         # 10^9 costs what a small one does; exact powers would hold 1.6e9 bits
-        def timeout(signum, frame):
-            raise TimeoutError("past 5 s")
-
         columns = [
             [std("z1^1000000000"), std("z1^1000000000 + z3")],
             [std("z2^3000000000 + 1"), std("z2^30000000000000")],
         ]
-        previous = signal.signal(signal.SIGALRM, timeout)
-        signal.alarm(5)
-        try:
-            assert module_syzygies([[std("z1^1000000000")]]) == []
-            assert module_syzygies(columns) == []
-        finally:
-            signal.alarm(0)
-            signal.signal(signal.SIGALRM, previous)
-        assert len(pair_runs) == 0
+        f, g = std("z1^1000000000 + z2"), std("z2^1000000000 + 1")
+        # leads that share z1: only a line could certify these minors, and
+        # their degree keeps them off it, so the tagged run answers
+        h, k = std("z1^1000000000*z2"), std("z1^1000000000*z3 + 1")
+        kernels = _within(5, lambda: [
+            module_syzygies([[std("z1^1000000000")]]),
+            module_syzygies(columns),
+            module_syzygies([[f], [g]]),
+            module_syzygies([[h], [k]]),
+        ])
+        assert kernels[:3] == [[], [], [[g, -f]]]
+        assert len(pair_runs) == 1 and kernels[3] == [[k, -h]]
         # 3^200 is past the prime, so the point's values must have been reduced
         assert all(0 <= x < groebner._P for pair in groebner._at_point([std("z1^200")]) for x in pair)
 
@@ -710,8 +736,120 @@ class TestRankCertificate:
         assert len(pair_runs) == 1
 
     def test_more_columns_than_rows_keep_the_engine(self, pair_runs):
+        # a row with coprime entries is certified; one with a shared factor
+        # has more columns than rows and no coprime minors, so it runs
         assert module_syzygies([[std("z1")], [std("z2")]]) == [[std("z2"), std("-z1")]]
+        assert len(pair_runs) == 0
+        assert module_syzygies([[std("z1*z2")], [std("z1*z3")]]) == [[std("z3"), std("-z2")]]
         assert len(pair_runs) == 1
+
+    @pytest.mark.parametrize(
+        "order", [GREVLEX, LEX, MonomialOrder("elimination", [1])], ids=lambda o: o.name
+    )
+    @pytest.mark.parametrize("domain", ["standard", "extended"])
+    def test_corank_one_matches_the_tagged_run(self, order, domain, pair_runs, monkeypatch):
+        # m x (m + 1) matrices: the row of signed maximal minors when two of
+        # them are certified coprime, by their leads or on a line
+        on_line = []
+        coprime_on_line = groebner._coprime_on_line
+        monkeypatch.setattr(
+            groebner,
+            "_coprime_on_line",
+            lambda f, g: on_line.append(coprime_on_line(f, g)) or on_line[-1],
+        )
+        rng = random.Random(4040)
+        lift = Poly.to_extended if domain == "extended" else Poly.to_standard
+        skipped, drawn, unverified = Counter(), Counter(), 0
+        for shape in ((1, 2), (2, 3), (3, 4)) * 3:
+            for variant in ("plain", "zero column", "common factor"):
+                rows, cols = shape
+                # degree-2 entries in a 2x3 or 3x4 tagged run under lex can
+                # take minutes, so those shapes draw linear ones
+                degree = 2 if rows == 1 else 1
+                columns = [
+                    [random_std_poly(rng, max_vars=3, max_degree=degree) for _ in range(rows)]
+                    for _ in range(cols)
+                ]
+                if variant == "zero column":
+                    columns[rng.randrange(cols)] = [Poly.zero("standard")] * rows
+                elif variant == "common factor":
+                    m = random_std_poly(rng, max_vars=3, max_degree=1)
+                    while not m.support():
+                        m = random_std_poly(rng, max_vars=3, max_degree=1)
+                    columns = [[m * f for f in col] for col in columns]
+                columns = [[lift(f) for f in col] for col in columns]
+                runs = len(pair_runs)
+                drawn[variant] += 1
+                # a fallback or reference run past its alarm leaves the draw
+                # unverified; a certified answer takes milliseconds
+                try:
+                    kernel = _within(2, lambda: module_syzygies(columns, order))
+                    if len(pair_runs) == runs:
+                        skipped[variant] += 1
+                        # a common factor divides every minor: never certified
+                        assert variant != "common factor", (shape, columns)
+                    reference = _within(2, lambda: _tagged_run_syzygies(columns, order))
+                except TimeoutError:
+                    unverified += 1
+                    continue
+                assert repr(kernel) == repr(reference), (shape, variant)
+        # every plain draw here has two coprime minors and skips the run, and
+        # both tests of coprimality certify some of them
+        assert skipped["plain"] == drawn["plain"]
+        assert skipped["zero column"] > 0 and True in on_line
+        assert unverified <= 2
+
+    @pytest.mark.parametrize(
+        "row",
+        [
+            ["2*z1*z3 + z2*z3", "2*z1*z3 - z2*z3"],
+            ["3*z1^2 + 3*z1", "-3*z1^2 - z3"],
+            ["3*z1^2 - 2*z1*z2 + z1", "3*z1*z2 - 2*z2^2 + z2"],
+        ],
+        ids=["shared-factor", "common-zero-on-the-line", "factor-constant-on-the-line"],
+    )
+    def test_uncertified_rows_fall_back(self, row, pair_runs):
+        # the first row's minors share z3; the second's are coprime, but
+        # their restrictions to the line share a root; the third's share
+        # 3*z1 - 2*z2 + 1, which is 2 on the line, so their restrictions are
+        # coprime and only their lost top degree keeps them uncertified
+        columns = [[std(f)] for f in row]
+        assert repr(module_syzygies(columns)) == repr(_tagged_run_syzygies(columns))
+        assert len(pair_runs) == 2
+
+    def test_lex_zero_column_within_budget(self, pair_runs):
+        # a zero first column and three columns independent at the point:
+        # the tagged lex run took past 60 s
+        matrix = [
+            ["0", "-z1^2 + (-2-i)*z3", "-z1^2 + (3+2*i)*z2^2", "(-3-i)*z1*z2 - 2*z2*z3 - 3*z1"],
+            ["0", "(-3+i)*z1*z2 + 2*z1*z3 + (1-i)*z3", "-3*z3^2", "-i*z1*z3 - 2*z3 - 3-i"],
+            ["0", "(-1+i)*z3", "2*z2^2 + (-3-i)*z1*z3", "3*z1^2 + z2^2 - 2*z2*z3"],
+            ["0", "(1+i)*z1^2", "(1-i)*z1^2 - 1-i", "-2*z1^2"],
+        ]
+        columns = [[std(row[j]) for row in matrix] for j in range(4)]
+        kernel = _within(5, lambda: module_syzygies(columns, LEX))
+        assert [[format_poly(g) for g in v] for v in kernel] == [["1", "0", "0", "0"]]
+        assert len(pair_runs) == 0
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_flatness_witness_on_certified_rows(self, seed, pair_runs):
+        # cofactors over the row of minors, against a Module.member run on
+        # syzygy_basis; a solution gets eps and polynomial multipliers, and
+        # about one x in three is not a solution
+        rng = random.Random(4050 + seed)
+        certified = 0
+        for _ in range(10):
+            a = [random_std_poly(rng, max_vars=3, max_degree=2) for _ in range(2)]
+            s = random_std_poly(rng, max_vars=2, max_degree=1).to_extended()
+            s = s * Poly.constant(LCNumber.eps(rng.randint(0, 2)))
+            x = [s * a[1].to_extended(), -s * a[0].to_extended()]
+            if rng.random() < 0.3:
+                x[0] = x[0] + ext("z%d" % rng.randint(1, 3))
+            runs = len(pair_runs)
+            got = _witness_outcome(flatness_witness, a, x)
+            certified += len(pair_runs) == runs
+            assert got == _witness_outcome(reference_flatness_witness, a, x), (a, x)
+        assert certified >= 8
 
 
 class TestDeterminism:

@@ -358,9 +358,16 @@ class TestTwoDomainReference:
 
 
 class TestEngineRuns:
+    # [z1, z2] has coprime minors, so its kernel takes no run; [z1*z2, z1*z3]
+    # shares the factor z1, so its kernel takes the tagged run
     def test_flatness_witness_runs_one_basis(self, pair_runs):
         a = [std("z1"), std("z2")]
         flatness_witness(a, [ext("eps*z2"), ext("-eps*z1")])
+        with pytest.raises(NotASolution):
+            flatness_witness(a, [ext("1"), ext("0")])
+        assert len(pair_runs) == 0
+        a = [std("z1*z2"), std("z1*z3")]
+        flatness_witness(a, [ext("eps*z1*z3"), ext("-eps*z1*z2")])
         # the syzygy run; its reduced basis is the tagged basis of the span
         assert len(pair_runs) == 1
         with pytest.raises(NotASolution):
@@ -370,12 +377,16 @@ class TestEngineRuns:
 
     def test_kernel_extension_runs_each_basis_once(self, pair_runs):
         kernel_extension_check(PolyMatrix.from_strings([["z1", "z2"]]))
+        assert len(pair_runs) == 0
+        kernel_extension_check(PolyMatrix.from_strings([["z1*z2", "z1*z3"]]))
         # one tagged pair loop, whose reduced basis holds the kernel; the
         # extended kernel and the span witnesses need no run
         assert len(pair_runs) == 1
 
     def test_tensor_iso_runs_each_basis_once(self, pair_runs):
         tensor_iso_check(PolyMatrix.from_strings([["z1", "z2"]]))
+        assert len(pair_runs) == 0
+        tensor_iso_check(PolyMatrix.from_strings([["z1*z2", "z1*z3"]]))
         # ker(P) in one run as above, and nothing more
         assert len(pair_runs) == 1
 
@@ -383,9 +394,14 @@ class TestEngineRuns:
         A = PolyMatrix.from_strings([["z2"], ["-z1"]])
         B = PolyMatrix.from_strings([["z1", "z2"]])
         exactness_transfer_check(A, B)
+        # ker(B) with no run, then the tagged basis of im(A)
+        assert len(pair_runs) == 1
+        A = PolyMatrix.from_strings([["z3"], ["-z2"]])
+        B = PolyMatrix.from_strings([["z1*z2", "z1*z3"]])
+        exactness_transfer_check(A, B)
         # ker(B) in one run as above, then the tagged basis of im(A);
         # im(A) in ker(B) is B*A = 0, so the kernel's span needs no run
-        assert len(pair_runs) == 2
+        assert len(pair_runs) == 3
 
     def test_full_rank_kernel_extension_runs_nothing(self, pair_runs):
         report = kernel_extension_check(PolyMatrix.from_strings([["z1", "1"], ["z2", "z1"]]))
