@@ -3,7 +3,6 @@
 import argparse
 import json
 import os
-import signal
 import subprocess
 import sys
 import threading
@@ -15,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from _budgets import CALLS, IN_PROCESS_S, Call, mismatch, within
 import epsgeom
 from epsgeom import groebner
 from epsgeom.cli import _HANDLERS, DATA_DIR, SessionConfig, main, run_command
@@ -689,15 +689,6 @@ def _assert_contract(argvs):
     check()
 
 
-# an edge polynomial of degree 6 whose root is -i
-DEGREE_6_EDGE = (
-    "(-332908/28125 + 3988/75*i)*eps^6 + (-177526/1875 + 1100158/28125*i)*eps^5*z1^1"
-    " + (-1577/25 + 19651/1875*i)*eps^4*z1^2 + (-39457/450 + 7387/450*i)*eps^3*z1^3"
-    " + (-4543/90 + -20261/450*i)*eps^2*z1^4 + (31/6 + -629/30*i)*eps^1*z1^5"
-    " + (5/2 + -1/2*i)*z1^6"
-)
-
-
 class TestLiftingArgvProperty:
     @pytest.mark.parametrize(
         "argvs",
@@ -706,22 +697,6 @@ class TestLiftingArgvProperty:
     )
     def test_one_json_line_and_a_contract_exit_code(self, argvs):
         _assert_contract(argvs)
-
-    @pytest.mark.parametrize(
-        "poly, code, want",
-        [
-            ("z1^3 - 10^39*eps^3", 0, '"root":"%d*eps"' % 10**13),
-            ("z1^3 - 1000000007*eps^3", 1, '"code":"NonConstructibleRoot"'),
-            ("z1^3 - 10^120*eps^3", 0, '"root":"%d*eps"' % 10**40),
-            (DEGREE_6_EDGE, 0, '"root":"-i*eps"'),
-        ],
-        ids=["10^39", "1000000007", "10^120", "degree-6-edge"],
-    )
-    def test_edge_roots_within_5_s(self, poly, code, want):
-        # the rational-root search over Gaussian divisors took 6.4 s, over
-        # 40 s, over 60 s and 5 s on these on a 2-core box
-        got, out = _within_5_s(lambda: run_command(["lift", "--poly=" + poly, "--at=0"]))
-        assert got == code and want in out
 
 
 # Well-formed argvs for the ideal commands. One generator may be a
@@ -784,57 +759,46 @@ def contract_argvs(draw):
     return ["contract", "--ideal=" + draw(ideal_texts()), "--keep", keep] + draw(order_flags)
 
 
-def _within_5_s(call):
-    def timeout(signum, frame):
-        raise TimeoutError("past 5 s")
-
-    previous = signal.signal(signal.SIGALRM, timeout)
-    signal.alarm(5)
-    try:
-        return call()
-    finally:
-        signal.alarm(0)
-        signal.signal(signal.SIGALRM, previous)
+LEDGER = {call.name: call for call in CALLS}
 
 
-# Argvs that took seconds or minutes while member and radical-member read
-# --order, each with that order. The member call spent 8.6 s in one normal
-# form; the radical-member ones, over 240 s, 13.4 s and 101.5 s in the
-# Rabinowitsch basis. Under grevlex each takes about 0.01 s.
-SLOW_UNDER_ORDER = {
-    "member-elimination": (
+class TestBudgetedCalls:
+    @pytest.mark.parametrize(
+        "call",
         [
-            "member",
-            "--ideal=((-1)*z1 + (-2)*z2 + (-3))^11; (2+i) + (-3+2*i)*z1^2 + (-2*i)*z2^2",
-            "--poly=((-3)*z1 + (0)*z2 + (0))^9*((2) + (0))",
+            pytest.param(
+                call,
+                id=call.name,
+                marks=[pytest.mark.xfail(strict=True, raises=TimeoutError, reason=call.runaway)]
+                if call.runaway
+                else [],
+            )
+            for call in CALLS
         ],
-        "elimination(z1)",
-    ),
-    "radical-member-lex": (
+    )
+    def test_call(self, call):
+        code, out = within(IN_PROCESS_S, lambda: run_command(call.argv))
+        # run_command turns the alarm's TimeoutError into an internal error;
+        # raise it again, so that a runaway fails by timing out and by nothing else
+        if json.loads(out).get("error") == {"code": "internal", "message": "TimeoutError: past %s s" % IN_PROCESS_S}:
+            raise TimeoutError(out)
+        problem = mismatch(call, code, out)
+        assert problem is None, problem
+
+    @pytest.mark.parametrize(
+        "code, out, problem",
         [
-            "radical-member",
-            "--ideal=((-2)*z1 + (-3+2*i)*z2 + (-1+i))^8",
-            "--poly=((-1+i)*z1 + (-2*i)*z2 + (3))^3*((3+2*i)*z1*z3)",
+            (0, '{"ok":true,"result":{"a":1,"b":2}}', None),
+            (1, '{"ok":true,"result":{"a":1,"b":2}}', "exit 1, want 0"),
+            (0, '{"ok":true,"result":{"a":1}}', 'no "b":2 after position 26'),
+            (0, '{"ok":true,"result":{"b":2,"a":1}}', 'no "b":2 after position 32'),
+            (0, '{"ok":false,"result":{"a":1,"b":2}}', 'no "ok":true after position 0'),
         ],
-        "lex",
-    ),
-    "radical-member-elimination": (
-        [
-            "radical-member",
-            "--ideal=((1-2*i)*z1 + (-3-i)*z2 + (-2-2*i))^7",
-            "--poly=((1-2*i)*z1 + (3-2*i)*z2 + (1))*((-3)*z1 + 1)",
-        ],
-        "elimination(z1)",
-    ),
-    "radical-member-elimination-101-s": (
-        [
-            "radical-member",
-            "--ideal=((i)*z1 + (1+i)*z2 + (2))*((1)*z1 + (i)*z2 + (-1))*((3)*z1 + (2)*z2 + (1))^2",
-            "--poly=((-3+2*i)*z1 + (-3+2*i)*z2 + (3))*((2)*z1 + (-3+2*i)*z2 + (-2))*((2)*z1 + (2)*z2 + (-2))",
-        ],
-        "elimination(z1)",
-    ),
-}
+        ids=["match", "wrong-exit-code", "missing-fragment", "out-of-order", "ok-flag-against-exit-code"],
+    )
+    def test_mismatch(self, code, out, problem):
+        call = Call("test", ["st", "0"], 0, ('"a":1', '"b":2'))
+        assert mismatch(call, code, out) == problem
 
 
 class TestIdealArgvProperty:
@@ -848,47 +812,6 @@ class TestIdealArgvProperty:
 
     @pytest.mark.xfail(
         strict=True,
-        reason="no resource bound yet: on a 2-core box the call took over "
-        "240 s (ROADMAP items 2 and 4)",
-    )
-    @pytest.mark.parametrize(
-        "argv",
-        [
-            [
-                "groebner",
-                "--ideal=(-2-i)*z1^2 + (-2*i)*z2*z3; ((3+2*i)*z1 + (-3-2*i)*z2 + (-2-i))^7",
-                "--order", "lex",
-            ],
-        ],
-        ids=["groebner-lex-3-variables"],
-    )
-    def test_runaway(self, argv):
-        # ideal generators in the properties use z1 and z2 only, which keeps
-        # this argv out of them
-        code, out = _within_5_s(lambda: run_command(argv))
-        assert code in (0, 1) and json.loads(out).get("error", {}).get("code") != "internal"
-
-    def test_point_ideal_of_the_lex_runaway(self):
-        # point-ideal reads the reduced basis under grevlex, which is
-        # {z_i - a_i} for a point ideal as under any order; the lex basis of
-        # this ideal is the runaway above, and took over 20 s here
-        argv = [
-            "point-ideal",
-            "--ideal=(-2-i)*z1^2 + (-2*i)*z2*z3; ((3+2*i)*z1 + (-3-2*i)*z2 + (-2-i))^7",
-        ]
-        code, out = _within_5_s(lambda: run_command(argv))
-        assert code == 0 and '"ok":true' in out and '"point":null' in out
-
-    @pytest.mark.parametrize("name", ["radical-member-lex", "radical-member-elimination"])
-    def test_former_runaway(self, name):
-        # radical-member builds its Rabinowitsch ideal under grevlex, so
-        # these end within 5 s whatever --order says
-        argv, order = SLOW_UNDER_ORDER[name]
-        code, out = _within_5_s(lambda: run_command(argv + ["--order", order]))
-        assert code == 0 and '"result":false' in out
-
-    @pytest.mark.xfail(
-        strict=True,
         raises=TimeoutError,
         reason="no resource bound yet: on a 2-core box the bases took over "
         "240 s and 101.5 s (ROADMAP items 2 and 4)",
@@ -897,21 +820,26 @@ class TestIdealArgvProperty:
     def test_rabinowitsch_runaway(self, name):
         # the engine defect those argvs drew, pinned at the library: the
         # Rabinowitsch ideal's basis under the order they named
-        argv, order = SLOW_UNDER_ORDER[name]
+        argv = LEDGER[name].argv
         gens = parse_generators(argv[1].removeprefix("--ideal="))
         g = parse_poly(argv[2].removeprefix("--poly="))
         probe = Poly.constant(1) - Poly.variable(0) * g
-        ideal = Ideal(gens + [probe], MonomialOrder.from_name(order))
-        _within_5_s(ideal.is_proper)
+        ideal = Ideal(gens + [probe], MonomialOrder.from_name(argv[-1]))
+        within(IN_PROCESS_S, ideal.is_proper)
 
 
-# the corpus fixtures of the commands that read no --order, and the argvs above
+# the corpus fixtures of the commands that read no --order, and the ledger's
+# calls of those commands that once ran long under the --order they end with
 ORDER_FREE_ARGVS = {
     case["name"]: case["argv"]
     for case in json.loads((DATA_DIR / "corpus.json").read_text())["cases"]
     if case["argv"][0] in ("member", "radical-member", "contract")
 }
-ORDER_FREE_ARGVS.update((name, argv) for name, (argv, _) in SLOW_UNDER_ORDER.items())
+ORDER_FREE_ARGVS.update(
+    (call.name, call.argv[:-2])
+    for call in CALLS
+    if call.argv[0] in ("member", "radical-member", "contract") and "--order" in call.argv
+)
 
 
 class TestOrderInvariance:

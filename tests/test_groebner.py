@@ -1,7 +1,6 @@
 import functools
 import math
 import random
-import signal
 from collections import Counter
 from fractions import Fraction
 
@@ -9,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from _budgets import IN_PROCESS_S, within
 from _oracles import (
     brute_force_kernel,
     brute_force_member,
@@ -441,7 +441,7 @@ class TestSyzygyExamples:
         ]
 
         order = MonomialOrder.from_name("elimination(z1)")
-        b = _within(5, lambda: syzygy_basis([std(f) for f in row], order))
+        b = within(IN_PROCESS_S, lambda: syzygy_basis([std(f) for f in row], order))
         assert [[format_poly(g) for g in beta] for beta in b.generators] == expected
 
 
@@ -602,21 +602,6 @@ class TestModuleSyzygyOracle:
                         assert module_member(kernels[0], sol, order) is not None
 
 
-def _within(seconds, call):
-    """call(), or TimeoutError once it has run for seconds."""
-
-    def timeout(signum, frame):
-        raise TimeoutError("past %s s" % seconds)
-
-    previous = signal.signal(signal.SIGALRM, timeout)
-    signal.setitimer(signal.ITIMER_REAL, seconds)
-    try:
-        return call()
-    finally:
-        signal.setitimer(signal.ITIMER_REAL, 0)
-        signal.signal(signal.SIGALRM, previous)
-
-
 def _witness_outcome(fn, a, x):
     """The repr of fn(a, x), or the type and message of its error."""
     try:
@@ -719,7 +704,7 @@ class TestRankCertificate:
         # leads that share z1: only a line could certify these minors, and
         # their degree keeps them off it, so the tagged run answers
         h, k = std("z1^1000000000*z2"), std("z1^1000000000*z3 + 1")
-        kernels = _within(5, lambda: [
+        kernels = within(IN_PROCESS_S, lambda: [
             module_syzygies([[std("z1^1000000000")]]),
             module_syzygies(columns),
             module_syzygies([[f], [g]]),
@@ -783,12 +768,12 @@ class TestRankCertificate:
                 # a fallback or reference run past its alarm leaves the draw
                 # unverified; a certified answer takes milliseconds
                 try:
-                    kernel = _within(2, lambda: module_syzygies(columns, order))
+                    kernel = within(2, lambda: module_syzygies(columns, order))
                     if len(pair_runs) == runs:
                         skipped[variant] += 1
                         # a common factor divides every minor: never certified
                         assert variant != "common factor", (shape, columns)
-                    reference = _within(2, lambda: _tagged_run_syzygies(columns, order))
+                    reference = within(2, lambda: _tagged_run_syzygies(columns, order))
                 except TimeoutError:
                     unverified += 1
                     continue
@@ -827,7 +812,7 @@ class TestRankCertificate:
             ["0", "(1+i)*z1^2", "(1-i)*z1^2 - 1-i", "-2*z1^2"],
         ]
         columns = [[std(row[j]) for row in matrix] for j in range(4)]
-        kernel = _within(5, lambda: module_syzygies(columns, LEX))
+        kernel = within(IN_PROCESS_S, lambda: module_syzygies(columns, LEX))
         assert [[format_poly(g) for g in v] for v in kernel] == [["1", "0", "0", "0"]]
         assert len(pair_runs) == 0
 

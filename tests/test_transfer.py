@@ -1,10 +1,10 @@
 import random
-import signal
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from _budgets import FULL_RANK_5X5, IN_PROCESS_S, within
 from _oracles import (
     is_monic_reduced_basis,
     monomials_upto,
@@ -423,31 +423,12 @@ class TestEngineRuns:
         assert len(pair_runs) == 0
 
 
-# A 5x5 matrix with two-term entries and a nonzero determinant: its tagged
-# syzygy run took past 120 s; the rank certificate answers it without one.
-FULL_RANK_5X5 = [
-    ["-3*z1^2 + 3", "-3*z1^2 + 3*z1", "2*z2^2 + z1*z3", "-z2 + 2", "-2*z3^2 - 1"],
-    ["-z2*z3 + 2*z2", "-2*z2^2 - 2*z2", "-z1^2 + 3", "-z2^2 - 3*z2", "-3*z1^2 - 3*z3^2"],
-    ["3*z1^2 + 3", "2*z1^2 - z2^2", "-3*z1 + 1", "2*z1^2 + 2*z1", "z1^2 - z1"],
-    ["z1^2 - z1", "2*z3 - 2", "2*z1 + 1", "3*z3^2 + z2", "z1^2 - 3*z2"],
-    ["2*z1 + 3*z2", "-3*z1*z3 - 2*z3^2", "-z2^2 - 3*z2", "-z1^2 + z2", "-z1 - 2"],
-]
-
-
 class TestFullRankKernel:
     def test_five_by_five_within_budget(self, pair_runs):
-        def timeout(signum, frame):
-            raise TimeoutError("past 5 s")
-
+        # the ledger's kernel-check-5x5 matrix: its tagged syzygy run took
+        # past 120 s; the rank certificate answers it without one
         A = PolyMatrix.from_strings(FULL_RANK_5X5)
-        previous = signal.signal(signal.SIGALRM, timeout)
-        signal.alarm(5)
-        try:
-            report = kernel_extension_check(A)
-            iso = tensor_iso_check(A)
-        finally:
-            signal.alarm(0)
-            signal.signal(signal.SIGALRM, previous)
+        report, iso = within(IN_PROCESS_S, lambda: (kernel_extension_check(A), tensor_iso_check(A)))
         assert report["standard_kernel"] == report["extended_kernel"] == []
         assert iso["kernel_check"] == report and iso["witnesses"] == []
         assert len(pair_runs) == 0
